@@ -1,0 +1,10 @@
+"""Make the benchmark's modules and the checkout's package importable."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import run  # noqa: E402
+
+run.pin_environment()
