@@ -31,6 +31,7 @@ import math
 import numpy as np
 from scipy import integrate
 
+from .graphs import SQRT_PI
 from .qubits import QubitPureState
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "squeezing_db_for_pdel",
     "vertex_disconnect_prob",
 ]
-
-SQRT_PI = math.sqrt(math.pi)
 
 
 def squeezed_vacuum_psi(x, r0: float):

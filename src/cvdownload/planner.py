@@ -210,18 +210,21 @@ def _physicality(
 
     Condition three saturates exactly at its bound for the planner's own
     ``(B1, B2)``, hence the tolerance.  Each eigenvalue is checked; the
-    binding one is the largest ``D``.
+    binding one is the largest ``D``.  The first failing eigenvalue, in
+    the order given, names the violated condition; a NaN fails neither
+    comparison and so passes.
     """
     if b1 - c1 <= 0.0:
         return False, "B1 > C1"
-    for d in d_vals:
-        margin = b2 - c2 - (b1 * c1 / (b1 - c1)) * d
-        if margin <= 0.0:
-            return False, "B2 > C2 + B1 C1 D / (B1 - C1)"
-        lhs = (b1 - c1) * margin / (1.0 - eps1) ** 2
-        if lhs < 0.25 - _PHYSICALITY_TOL:
-            return False, "input purity bound"
-    return True, None
+    margin = b2 - c2 - (b1 * c1 / (b1 - c1)) * np.asarray(d_vals, dtype=float)
+    purity = (b1 - c1) * margin / (1.0 - eps1) ** 2
+    margin_fails = margin <= 0.0
+    fails = margin_fails | (purity < 0.25 - _PHYSICALITY_TOL)
+    if not fails.any():
+        return True, None
+    if margin_fails[np.argmax(fails)]:
+        return False, "B2 > C2 + B1 C1 D / (B1 - C1)"
+    return False, "input purity bound"
 
 
 class LinearizedPlan(NamedTuple):
@@ -297,24 +300,35 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
 # orthogonal-network synthesis
 # ---------------------------------------------------------------------------
 
-def _rotation_matrix(n: int, i: int, j: int, angle: float) -> np.ndarray:
-    """Plane rotation by ``angle`` in the ``(i, j)`` coordinate plane."""
-    r = np.eye(n)
-    c, s = math.cos(angle), math.sin(angle)
-    r[i, i] = c
-    r[j, j] = c
-    r[i, j] = -s
-    r[j, i] = s
-    return r
+def _rotate_rows(
+    m: np.ndarray, i: int, j: int, c: float, s: float, start: int = 0
+) -> None:
+    """Left-multiply rows ``i, j`` of ``m`` by ``[[c, -s], [s, c]]`` in place.
+
+    Only columns ``start:`` are updated; O(n) per call.
+    """
+    row_i = m[i, start:].copy()
+    row_j = m[j, start:]
+    m[i, start:] = c * row_i - s * row_j
+    m[j, start:] = s * row_i + c * row_j
 
 
 def compose_network(
     n: int, rotations: tuple[GivensRotation, ...], signs: np.ndarray
 ) -> np.ndarray:
-    """Multiply out ``R_1 R_2 ... R_m diag(signs)`` in the listed order."""
-    out = np.diag(np.asarray(signs, dtype=float))
+    """Multiply out ``R_1 R_2 ... R_m diag(signs)`` in the listed order.
+
+    ``R_k`` is the plane rotation by ``angle`` in the ``(i, j)`` plane
+    (``R[i, j] = -sin``, ``R[j, i] = sin``).  Each rotation updates two
+    rows of the running product in place: O(n) per rotation, O(n^3) in
+    total for a full network.
+    """
+    signs = np.asarray(signs, dtype=float)
+    if signs.shape != (n,):
+        raise ValueError(f"expected {n} signs, got shape {signs.shape}")
+    out = np.diag(signs)
     for rot in reversed(rotations):
-        out = _rotation_matrix(n, rot.i, rot.j, rot.angle) @ out
+        _rotate_rows(out, rot.i, rot.j, math.cos(rot.angle), math.sin(rot.angle))
     return out
 
 
@@ -323,11 +337,13 @@ def givens_network(
 ) -> tuple[tuple[GivensRotation, ...], np.ndarray]:
     """Factor an orthogonal matrix into two-mode rotations plus sign flips.
 
-    Standard QR-style elimination: rotations zero the below-diagonal
-    entries column by column, leaving a diagonal of +-1.  Returns
-    ``(rotations, signs)`` such that
+    Standard QR-style elimination (the triangular Reck et al. layout):
+    rotations zero the below-diagonal entries column by column, leaving a
+    diagonal of +-1.  Returns ``(rotations, signs)`` such that
     ``compose_network(n, rotations, signs)`` reproduces ``o``; at most
-    ``n (n - 1) / 2`` rotations, with exact zeros skipped.
+    ``n (n - 1) / 2`` rotations, with exact zeros skipped.  Each rotation
+    updates the two rows it touches in place, from the current column on,
+    so a rotation costs O(n) and the synthesis O(n^3).
     """
     o = np.asarray(o, dtype=float)
     n = o.shape[0]
@@ -342,9 +358,10 @@ def givens_network(
             if abs(work[row, col]) < 1e-14:
                 continue
             angle = math.atan2(work[row, col], work[col, col])
-            g = _rotation_matrix(n, col, row, angle)
-            # g.T eliminates entry (row, col); accumulate g on the answer side
-            work = g.T @ work
+            # apply the transpose of the (col, row) rotation, which
+            # eliminates entry (row, col); columns left of col are
+            # already eliminated and never read again
+            _rotate_rows(work, col, row, math.cos(angle), -math.sin(angle), col)
             work[row, col] = 0.0
             rotations.append(GivensRotation(col, row, angle))
     diag = np.diagonal(work)

@@ -52,6 +52,7 @@ from .error_model import (
 from .gaussian import SqueezedThermalParams, mixture_params
 from .graphs import Graph, adjacency_matrix
 from .qubits import (
+    DEFAULT_MAX_QUBITS,
     QubitDensityMatrix,
     apply_balancing_povm,
     apply_dephasing,
@@ -111,9 +112,15 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     phases ``exp(i phi . b)``); for thermal sources the bitstring
     coherences are damped by ``exp(-pi sigma^2 / 2 * hamming(b, b'))``.
     Magnitudes are computed in log space so far-tail outcomes stay finite.
+    Registers above ``DEFAULT_MAX_QUBITS`` are refused before any
+    allocation.
     """
     graph, g = params.graph, params.cphase_strength
     n = graph.n
+    if n > DEFAULT_MAX_QUBITS:
+        raise ValueError(
+            f"{n} qubits exceeds the dense-simulation cap of {DEFAULT_MAX_QUBITS}"
+        )
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} outcomes, got shape {q.shape}")
@@ -128,7 +135,8 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
     rho = np.outer(amps, amps.conj())
     if sigma2 > 0.0:
-        hamming = np.abs(bits[:, None, :] - bits[None, :, :]).sum(axis=-1)
+        # exact (2^n, 2^n) count of differing bits
+        hamming = bits @ (1.0 - bits).T + (1.0 - bits) @ bits.T
         rho = rho * np.exp(-0.5 * math.pi * sigma2 * hamming)
     return QubitDensityMatrix(n, rho, normalize=True)
 

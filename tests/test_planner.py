@@ -5,12 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_orthogonal
 from cvdownload.gaussian import symplectic_eigenvalues, mode_diag_state
-from cvdownload.graphs import complete_graph, cycle_graph, path_graph, random_graph
+from cvdownload.graphs import (
+    a_squared_spectrum,
+    complete_graph,
+    cycle_graph,
+    grid2d_graph,
+    path_graph,
+    random_graph,
+)
 from cvdownload.planner import (
+    _PHYSICALITY_TOL,
+    GivensRotation,
     NoiseParams,
+    _physicality,
     compose_network,
     givens_network,
     linearized_plan,
@@ -188,6 +200,89 @@ class TestLinearized:
         assert abs(a.nbar_eff - b.nbar_eff) < 1e-15
 
 
+def _physicality_loop(b1, b2, c1, c2, eps1, d_vals):
+    """Reference: check the eigenvalues one at a time, stop at the first failure."""
+    if b1 - c1 <= 0.0:
+        return False, "B1 > C1"
+    for d in d_vals:
+        margin = b2 - c2 - (b1 * c1 / (b1 - c1)) * d
+        if margin <= 0.0:
+            return False, "B2 > C2 + B1 C1 D / (B1 - C1)"
+        lhs = (b1 - c1) * margin / (1.0 - eps1) ** 2
+        if lhs < 0.25 - _PHYSICALITY_TOL:
+            return False, "input purity bound"
+    return True, None
+
+
+_maybe_nan = st.one_of(st.floats(-0.5, 3.0), st.floats(0.0, 10.0), st.just(math.nan))
+
+
+class TestPhysicality:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        b1=_maybe_nan,
+        b2=_maybe_nan,
+        c1=_maybe_nan,
+        c2=_maybe_nan,
+        eps1=st.floats(0.0, 0.99),
+        d_vals=st.lists(_maybe_nan, max_size=6),
+    )
+    def test_matches_loop_on_arbitrary_inputs(self, b1, b2, c1, c2, eps1, d_vals):
+        d_vals = np.array(d_vals, dtype=float)
+        with np.errstate(all="ignore"):
+            expected = _physicality_loop(b1, b2, c1, c2, eps1, d_vals)
+            assert _physicality(b1, b2, c1, c2, eps1, d_vals) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scales=st.lists(
+            st.sampled_from([0.5, 1 - 1e-6, 1.0, 1 + 1e-11, 1 + 1e-9, 1 + 1e-6, 3.0]),
+            max_size=6,
+        ),
+    )
+    def test_matches_loop_near_saturation(self, n, seed, scales):
+        # the planner's own (B1, B2) put D_max on the purity bound; scaled
+        # copies of D_max land on either side of it or past the margin
+        # bound, in every order
+        rng = np.random.default_rng(seed)
+        g = random_graph(n, 0.6, rng)
+        noise = _random_noise(rng)
+        p = plan(g, noise)
+        d_vals = p.eig_a2[0] * np.array(scales, dtype=float)
+        args = (p.b1, p.b2, p.c1, p.c2, noise.eps1, d_vals)
+        assert _physicality(*args) == _physicality_loop(*args)
+
+
+def _rotation_matrix(n, i, j, angle):
+    """Plane rotation by ``angle`` in the ``(i, j)`` coordinate plane."""
+    r = np.eye(n)
+    c, s = math.cos(angle), math.sin(angle)
+    r[i, i] = c
+    r[j, j] = c
+    r[i, j] = -s
+    r[j, i] = s
+    return r
+
+
+def _dense_compose(n, rotations, signs):
+    """Oracle for compose_network: the explicit product of n x n matrices."""
+    out = np.diag(np.asarray(signs, dtype=float))
+    for rot in reversed(rotations):
+        out = _rotation_matrix(n, rot.i, rot.j, rot.angle) @ out
+    return out
+
+
+def _test_orthogonal(kind, n, rng):
+    if kind == "haar":
+        return random_orthogonal(n, rng)
+    o = np.eye(n)[rng.permutation(n)]
+    if kind == "signed_permutation":
+        o = o * rng.choice([-1.0, 1.0], size=n)
+    return o
+
+
 class TestGivensNetwork:
     def test_identity_empty(self):
         rotations, signs = givens_network(np.eye(4))
@@ -215,6 +310,47 @@ class TestGivensNetwork:
             assert len(rotations) <= n * (n - 1) // 2
             recomposed = compose_network(n, rotations, signs)
             assert np.max(np.abs(recomposed - o)) < 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["haar", "permutation", "signed_permutation"]),
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recomposition_property(self, kind, n, seed):
+        o = _test_orthogonal(kind, n, np.random.default_rng(seed))
+        rotations, signs = givens_network(o)
+        assert len(rotations) <= n * (n - 1) // 2
+        assert all(0 <= rot.i < rot.j < n for rot in rotations)
+        assert set(np.abs(signs)) <= {1.0}
+        recomposed = compose_network(n, rotations, signs)
+        assert np.max(np.abs(recomposed - o)) < 1e-9
+        assert np.max(np.abs(recomposed - _dense_compose(n, rotations, signs))) < 1e-12
+
+    @pytest.mark.parametrize("side", [10, 12])
+    def test_grid2d_spectrum_basis(self, side):
+        _, o = a_squared_spectrum(grid2d_graph(side, side))
+        n = o.shape[0]
+        rotations, signs = givens_network(o)
+        assert len(rotations) <= n * (n - 1) // 2
+        assert np.max(np.abs(compose_network(n, rotations, signs) - o)) < 1e-9
+
+    def test_compose_matches_dense_product(self, rng):
+        # arbitrary plane pairs in either order, not only synthesis output
+        for n in (2, 3, 6, 11):
+            rotations = []
+            for _ in range(3 * n):
+                i, j = rng.choice(n, size=2, replace=False)
+                rotations.append(
+                    GivensRotation(int(i), int(j), float(rng.uniform(-math.pi, math.pi)))
+                )
+            signs = rng.choice([-1.0, 1.0], size=n)
+            got = compose_network(n, tuple(rotations), signs)
+            assert np.max(np.abs(got - _dense_compose(n, rotations, signs))) < 1e-12
+
+    def test_compose_rejects_wrong_sign_count(self):
+        with pytest.raises(ValueError):
+            compose_network(3, (), np.ones(2))
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from cvdownload.error_model import (
     qubit_given_outcome,
 )
 from cvdownload.gaussian import SqueezedThermalParams
-from cvdownload.graphs import Graph, path_graph, random_graph
+from cvdownload.graphs import Graph, adjacency_matrix, path_graph, random_graph
 from cvdownload.protocol import (
     DownloadRecord,
     ProtocolParams,
@@ -23,7 +23,13 @@ from cvdownload.protocol import (
     run_download,
     sample_outcomes,
 )
-from cvdownload.qubits import cluster_state, fidelity, trace_distance
+from cvdownload.qubits import (
+    DEFAULT_MAX_QUBITS,
+    QubitDensityMatrix,
+    cluster_state,
+    fidelity,
+    trace_distance,
+)
 
 
 def _params(graph, r, nbar, seed=0, strength=1.0):
@@ -92,6 +98,41 @@ class TestDirectState:
         params = _params(path_graph(2), 1.0, 0.0)
         with pytest.raises(ValueError):
             downloaded_state_direct(params, np.zeros(3))
+
+
+def _direct_with_hamming_tensor(params, q):
+    """Reference direct register: the Hamming distances come from the
+    full (2^n, 2^n, n) difference array instead of two matrix products."""
+    n, g = params.graph.n, params.cphase_strength
+    r0, sigma2 = params.mixture()
+    a = adjacency_matrix(params.graph)
+    bits = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+    x = q[None, :] - SQRT_PI * bits
+    log_mag = -np.sum(x**2, axis=1) / (2.0 * math.exp(2.0 * r0))
+    phase = 0.5 * g * np.einsum("bi,ij,bj->b", x, a, x)
+    phase = phase + bits @ (g * SQRT_PI * (a @ q))
+    amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
+    rho = np.outer(amps, amps.conj())
+    if sigma2 > 0.0:
+        hamming = np.abs(bits[:, None, :] - bits[None, :, :]).sum(axis=-1)
+        rho = rho * np.exp(-0.5 * math.pi * sigma2 * hamming)
+    return QubitDensityMatrix(n, rho, normalize=True)
+
+
+class TestDirectStateMemory:
+    def test_bit_identical_to_hamming_tensor(self, rng):
+        for n in range(1, 9):
+            g = random_graph(n, 0.6, rng)
+            q = rng.uniform(-1.0, 1.0 + SQRT_PI, size=n)
+            params = _params(g, float(rng.uniform(0.0, 2.0)), 0.7)
+            expected = _direct_with_hamming_tensor(params, q).rho
+            assert np.array_equal(downloaded_state_direct(params, q).rho, expected)
+
+    def test_refuses_above_cap_before_allocating(self):
+        n = DEFAULT_MAX_QUBITS + 1
+        params = _params(path_graph(n), 1.0, 0.2)
+        with pytest.raises(ValueError, match="dense-simulation cap"):
+            downloaded_state_direct(params, np.zeros(n))
 
 
 class TestEquivalentCircuit:
