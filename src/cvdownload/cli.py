@@ -222,6 +222,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append(_battery_planner(rng, bool(config["inject_fault"])))
     checks.append(_battery_povm(rng))
 
+    n_pass = sum(c.passed for c in checks)
+    ok = n_pass == len(checks)
+    exit_code = 0 if ok else 1
+    if args.format == "json":
+        report = [
+            {
+                "name": c.name,
+                "residual": float(c.residual),
+                "threshold": c.threshold,
+                "passed": bool(c.passed),
+            }
+            for c in checks
+        ]
+        payload = {"checks": report, "result": "PASS" if ok else "FAIL", "exit_code": exit_code}
+        _json_output(args.out, "verify", config, payload)
+        return exit_code
+
     lines = _meta_lines("verify", config)
     width = max(len(c.name) for c in checks)
     for c in checks:
@@ -230,11 +247,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{c.name:<{width}}  residual {c.residual:<12.3e} "
             f"threshold {c.threshold:<9.1e} {status}"
         )
-    n_pass = sum(c.passed for c in checks)
-    ok = n_pass == len(checks)
     lines.append(f"RESULT: {'PASS' if ok else 'FAIL'} ({n_pass}/{len(checks)} checks)")
     _write_lines(args.out, lines)
-    return 0 if ok else 1
+    return exit_code
 
 
 # ---------------------------------------------------------------------------

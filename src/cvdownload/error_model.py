@@ -76,14 +76,25 @@ def sample_q(r0: float, shots: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def amplitude_imbalance(q, r0: float):
-    """``gamma(q) = |<1|psi_q>| / |<0|psi_q>|``; below 1 exactly when q < sqrt(pi)/2."""
-    return np.exp(SQRT_PI * (2.0 * np.asarray(q) - SQRT_PI) / (2.0 * math.exp(2.0 * r0)))
+    """``gamma(q) = |<1|psi_q>| / |<0|psi_q>|``; below 1 exactly when q < sqrt(pi)/2.
+
+    Where ``log gamma`` exceeds the float range (far tails at strongly
+    negative ``r0``) the result is ``inf``, without an overflow warning.
+    """
+    log_gamma = SQRT_PI * (2.0 * np.asarray(q) - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
+    with np.errstate(over="ignore"):
+        return np.exp(log_gamma)
 
 
 def keep_probability(gamma):
-    """Keep probability of the balancing POVM, ``2 min(1, gamma^2) / (1 + gamma^2)``."""
-    g2 = np.square(np.asarray(gamma, dtype=float))
-    return np.where(g2 <= 1.0, 2.0 * g2 / (1.0 + g2), 2.0 / (1.0 + g2))
+    """Keep probability of the balancing POVM, ``2 min(1, gamma^2) / (1 + gamma^2)``.
+
+    An imbalance whose square overflows counts as ``gamma^2 = inf``, so
+    its keep probability is exactly 0 and no warning is raised.
+    """
+    with np.errstate(over="ignore"):
+        g2 = np.square(np.asarray(gamma, dtype=float))
+    return 2.0 * np.minimum(g2, 1.0) / (1.0 + g2)
 
 
 def qubit_given_outcome(q: float, r0: float, p0: float = 0.0) -> QubitPureState:

@@ -38,6 +38,7 @@ the worst covariance residual against the ideal target.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -71,6 +72,9 @@ __all__ = [
 # B1/B2 choice above, so the check needs headroom for round-off.
 _PHYSICALITY_TOL = 1e-9
 
+# Largest |r'| for which exp(2 r') and exp(-2 r') are both finite and nonzero.
+R_PRIME_LIMIT = 0.5 * math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -88,6 +92,11 @@ class NoiseParams:
             raise ValueError(f"eps2 must be in [0, 1), got {self.eps2}")
         if not math.isfinite(self.r_prime):
             raise ValueError(f"r_prime must be finite, got {self.r_prime}")
+        if abs(self.r_prime) > R_PRIME_LIMIT:
+            raise ValueError(
+                f"|r_prime| must be at most {R_PRIME_LIMIT!r}, where exp(+-2 r_prime) "
+                f"leaves the float range; got {self.r_prime}"
+            )
 
     @property
     def c1(self) -> float:
@@ -164,12 +173,18 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
 
     b1 = c1 + 0.5 * one * e2rp
     b2 = c2 + c1 * d_max + 2.0 * c1 * c1 * d_max / (one * e2rp) + 0.5 * one / e2rp
-    g_prime = b1 / (b1 - c1)
+    # B1 = C1 in floats once e^{2 r'} is below C1's round-off; that plan
+    # fails "B1 > C1" and no finite CPHASE strength compensates it.
+    g_prime = b1 / (b1 - c1) if b1 > c1 else math.inf
 
     delta = d_max - d_vals
-    s = np.sqrt(4.0 * c1 * c1 * delta + 2.0 * c1 * delta * one * e2rp + one * one)
-    mode_e2r = one * e2rp / s
-    mode_squeezing = 0.5 * np.log(mode_e2r)
+    # s = sqrt(4 C1^2 delta + 2 C1 delta (1 - eps1) e^{2r'} + (1 - eps1)^2),
+    # summed by hypot so no term overflows where s itself is finite.
+    s = np.hypot(
+        np.hypot(2.0 * c1 * np.sqrt(delta), np.sqrt(2.0 * c1 * delta * one) * math.exp(r_prime)),
+        one,
+    )
+    mode_squeezing = r_prime + 0.5 * np.log(one / s)  # e^{2 r_k} = (1 - eps1) e^{2r'} / s
     mode_thermal = np.maximum(0.5 * (s / one - 1.0), 0.0)
     if c1 == 0.0:
         # Noiseless channel: every mode gets the identical preparation,
@@ -178,8 +193,8 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
         mode_thermal = np.zeros(graph.n)
         o = np.eye(graph.n)
 
-    r_eff = 0.25 * math.log(b1 / b2)
-    nbar_eff = math.sqrt(b1 * b2) - 0.5
+    r_eff = 0.25 * (math.log(b1) - math.log(b2))
+    nbar_eff = math.sqrt(b1) * math.sqrt(b2) - 0.5
 
     physical, violated = _physicality(b1, b2, c1, c2, eps1, d_vals)
     rotations, signs = givens_network(o)

@@ -31,6 +31,16 @@ commutes the conditional displacements through the CPHASE network:
 per-qubit conditional states, single-qubit dephasing at the thermal
 rate, then the qubit CZ network of the same graph.  Their agreement is a
 simulator-independent identity and is enforced in the tests.
+
+The shot loop uses neither.  Once the balancing POVM has acted, every
+error sits ahead of the diagonal entangling layer, so a shot's register
+is fixed by its keep/delete pattern alone: a kept qubit is ``|+><+|``
+dephased at the thermal rate, a deleted qubit is its basis state
+``|b><b|``, and the graph contributes the diagonal phase
+``s(b) = prod_edges exp(i pi g b_i b_j)``.  :func:`run_download` builds
+that register in one pass; the gate-by-gate route (the equivalent
+circuit followed by one forced POVM per qubit) is its oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -54,7 +64,6 @@ from .graphs import Graph, adjacency_matrix
 from .qubits import (
     DEFAULT_MAX_QUBITS,
     QubitDensityMatrix,
-    apply_balancing_povm,
     apply_dephasing,
     cluster_state,
     dm_apply_cphase,
@@ -175,6 +184,44 @@ def downloaded_state_equivalent(
     return rho
 
 
+def _entangling_phases(graph: Graph, g: float) -> np.ndarray:
+    """Diagonal ``s(b) = prod_edges exp(i pi g b_i b_j)`` of the entangling layer.
+
+    Exactly ``+-1`` (real) at unit strength, where the layer is CZ.
+    """
+    idx = np.arange(2**graph.n)
+    both = np.zeros(idx.shape, dtype=int)  # edges with both ends set
+    for i, j in graph.edges:
+        both += (idx >> i) & (idx >> j) & 1
+    if g == 1.0:
+        return np.where(both % 2 == 1, -1.0, 1.0)
+    return np.exp(1j * math.pi * g * both)
+
+
+_BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # |0><0|, |1><1|
+
+
+def _register_from_pattern(
+    outcomes: tuple[tuple[str, int | None], ...], coherence: float, phases: np.ndarray
+) -> QubitDensityMatrix:
+    """Post-POVM register of one shot, from its keep/delete pattern alone.
+
+    A kept qubit is ``[[1, c], [c, 1]] / 2`` with ``c = 1 - 2 p_phi``, a
+    deleted one ``|b><b|``; their product (little-endian, as in
+    :func:`~cvdownload.qubits.dm_tensor`) is conjugated by the diagonal
+    entangling layer ``phases``.  No dependence on ``q`` or ``gamma``.
+    """
+    kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
+    rho = np.ones((1, 1))
+    for kind, bit in outcomes:
+        factor = kept if kind == "keep" else _BASIS_PROJECTORS[bit]
+        dim = 2 * rho.shape[0]  # np.kron(factor, rho), without its per-call overhead
+        rho = (factor[:, None, :, None] * rho[None, :, None, :]).reshape(dim, dim)
+    rho = rho * phases[:, None]
+    rho *= phases.conj()
+    return QubitDensityMatrix(len(outcomes), rho)
+
+
 @dataclass(frozen=True)
 class DownloadRecord:
     """Everything one shot produced.
@@ -237,6 +284,11 @@ class DownloadSummary:
         }
 
 
+#: Outcome of a qubit by ``2 * kept + (gamma > 1)``: a deleted qubit
+#: collapsed onto the basis state its imbalance favours.
+_OUTCOME_BY_CODE = (("delete", 0), ("delete", 1), ("keep", None), ("keep", None))
+
+
 def run_download(
     params: ProtocolParams, shots: int, keep_states: bool = True
 ) -> tuple[list[DownloadRecord], DownloadSummary]:
@@ -253,8 +305,12 @@ def run_download(
     dephasing, diagonal POVM updates), so no qubit's branch weight
     depends on another's outcome.
 
-    With ``keep_states=True`` (default) the register is simulated and
-    conditioned through each POVM branch; ``keep_states=False`` skips the
+    With ``keep_states=True`` (default) each shot's post-POVM register
+    is built in one pass from its keep/delete pattern (see the module
+    notes); the gate-by-gate route through
+    :func:`downloaded_state_equivalent` and one forced
+    :func:`~cvdownload.qubits.apply_balancing_povm` per qubit is the
+    oracle it is tested against.  ``keep_states=False`` skips the
     density matrices entirely and produces the identical record sequence
     with ``post_state=None``, which keeps large statistical runs cheap.
 
@@ -266,13 +322,16 @@ def run_download(
         raise ValueError(f"shots must be >= 1, got {shots}")
     graph = params.graph
     n = graph.n
-    r0, _ = params.mixture()
-    target = cluster_state(graph) if keep_states else None
+    r0, sigma2 = params.mixture()
+    if keep_states:
+        target = cluster_state(graph)  # refuses n above the dense cap
+        phases = _entangling_phases(graph, params.cphase_strength)
+        coherence = 1.0 - 2.0 * dephasing_rate(sigma2)
     a = adjacency_matrix(graph)
 
     records: list[DownloadRecord] = []
-    per_qubit = np.zeros(n, dtype=int)
-    histogram = np.zeros(n + 1, dtype=int)
+    kept_counts = np.zeros(n, dtype=int)
+    histogram = [0] * (n + 1)  # index = number of deletions in a shot
     fidelities: list[float] = []
 
     for child in np.random.SeedSequence(params.seed).spawn(shots):
@@ -280,22 +339,16 @@ def run_download(
         q = sample_outcomes(params, rng)
         gamma = np.asarray(amplitude_imbalance(q, r0), dtype=float)
         kept = rng.random(n) < keep_probability(gamma)
-        outcomes = tuple(
-            ("keep", None) if kept[site] else ("delete", int(gamma[site] > 1.0))
-            for site in range(n)
-        )
+        codes = 2 * kept + (gamma > 1.0)
+        outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes.tolist()))
+        deleted = n - int(np.count_nonzero(kept))
+        kept_counts += kept
+        histogram[deleted] += 1
         state = None
         if keep_states:
-            state = downloaded_state_equivalent(params, q)
-            for site in range(n):
-                state = apply_balancing_povm(
-                    state, site, float(gamma[site]), force=outcomes[site][0]
-                ).state
-        mask = ~kept
-        per_qubit += mask
-        histogram[int(mask.sum())] += 1
-        if keep_states and not mask.any():
-            fidelities.append(fidelity(target, state))
+            state = _register_from_pattern(outcomes, coherence, phases)
+            if not deleted:
+                fidelities.append(fidelity(target, state))
         records.append(
             DownloadRecord(
                 q=q,
@@ -306,14 +359,15 @@ def run_download(
             )
         )
 
+    per_qubit = shots - kept_counts
     summary = DownloadSummary(
         shots=shots,
         n=n,
         p_del_empirical=float(per_qubit.sum()) / (shots * n),
         p_del_analytic=p_del_analytic(r0),
-        all_kept_shots=int(histogram[0]),
+        all_kept_shots=histogram[0],
         mean_kept_fidelity=float(np.mean(fidelities)) if fidelities else math.nan,
         per_qubit_deletions=tuple(int(c) for c in per_qubit),
-        deletions_histogram=tuple(int(c) for c in histogram),
+        deletions_histogram=tuple(histogram),
     )
     return records, summary

@@ -34,6 +34,31 @@ class TestVerify:
         assert "RESULT: FAIL" in out
         assert "FAIL" in [tok for line in out.splitlines() for tok in line.split()]
 
+    def test_json_report(self, capsys):
+        assert main(["verify", "--seed", "42", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == "PASS" and doc["exit_code"] == 0
+        assert doc["meta"]["command"] == "verify" and doc["meta"]["seed"] == 42
+        assert len(doc["checks"]) == 5
+        for check in doc["checks"]:
+            assert set(check) == {"name", "residual", "threshold", "passed"}
+            assert check["passed"] is True
+            assert check["residual"] < check["threshold"]
+
+    def test_json_report_of_injected_fault(self, capsys):
+        assert main(["verify", "--seed", "42", "--format", "json", "--inject-fault"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == "FAIL" and doc["exit_code"] == 1
+        failed = [c for c in doc["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["planner forward verification (fault injected)"]
+        assert failed[0]["residual"] >= failed[0]["threshold"]
+
+    def test_text_report_is_the_default(self, capsys):
+        main(["verify", "--seed", "42"])
+        default = capsys.readouterr().out
+        main(["verify", "--seed", "42", "--format", "csv"])
+        assert capsys.readouterr().out == default
+
     def test_report_echoes_config(self, capsys):
         main(["verify", "--seed", "7"])
         out = capsys.readouterr().out
@@ -226,3 +251,9 @@ class TestConfigHandling:
         assert main(["sweep", "--eps1", "0", "--eps2", "1.0", "--r-prime", "1.0"]) == 2
         err = capsys.readouterr().err
         assert "eps2=1.0" in err
+
+    def test_sweep_error_names_out_of_range_r_prime(self, capsys):
+        assert main(["sweep", "--eps1", "0.01", "--eps2", "0.01", "--r-prime", "1.0,400"]) == 2
+        err = capsys.readouterr().err
+        assert "r_prime=400.0" in err
+        assert "float range" in err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from cvdownload.error_model import (
@@ -130,6 +132,48 @@ class TestKeepProbability:
     def test_vectorized(self):
         gammas = np.array([0.5, 1.0, 2.0])
         assert np.allclose(keep_probability(gammas), [0.4, 1.0, 0.4])
+
+
+def _imbalance_reference(q, r0):
+    """``exp`` of the log-imbalance, overflow to inf allowed (test oracle)."""
+    with np.errstate(over="ignore"):
+        return np.exp(SQRT_PI * (2.0 * np.asarray(q) - SQRT_PI) / (2.0 * math.exp(2.0 * r0)))
+
+
+def _keep_probability_reference(gamma):
+    """Both branches of ``2 min(1, g^2) / (1 + g^2)`` evaluated, then selected."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2 = np.square(np.asarray(gamma, dtype=float))
+        return np.where(g2 <= 1.0, 2.0 * g2 / (1.0 + g2), 2.0 / (1.0 + g2))
+
+
+class TestFloatRange:
+    """Far-tail imbalances overflow to inf without warnings; every other
+    value is bit-identical to the direct formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+        st.floats(-4.0, 3.0),
+    )
+    def test_imbalance_bit_identical(self, q, r0):
+        got = amplitude_imbalance(np.array(q), r0)
+        assert got.tobytes() == _imbalance_reference(np.array(q), r0).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0), min_size=1, max_size=8))
+    def test_keep_probability_bit_identical(self, gammas):
+        got = keep_probability(np.array(gammas))
+        assert got.tobytes() == _keep_probability_reference(np.array(gammas)).tobytes()
+
+    def test_extremes_without_warnings(self):
+        big = [2.0**512, 1e200, math.inf]
+        assert np.array_equal(keep_probability(big), [0.0, 0.0, 0.0])
+        assert keep_probability(2.0**511) > 0.0
+        assert amplitude_imbalance(10.0, -4.0) == math.inf
+        assert amplitude_imbalance(-10.0, -4.0) == 0.0
+        q = np.array([-10.0, SQRT_PI / 2.0, 10.0])
+        assert np.array_equal(keep_probability(amplitude_imbalance(q, -4.0)), [0.0, 1.0, 0.0])
 
 
 class TestDeletionProbability:

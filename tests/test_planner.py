@@ -20,6 +20,7 @@ from cvdownload.graphs import (
 )
 from cvdownload.planner import (
     _PHYSICALITY_TOL,
+    R_PRIME_LIMIT,
     GivensRotation,
     NoiseParams,
     _physicality,
@@ -45,6 +46,43 @@ class TestNoiseParams:
             NoiseParams(eps1=-0.1, eps2=0.0, r_prime=1.0)
         with pytest.raises(ValueError):
             NoiseParams(eps1=0.0, eps2=1.0, r_prime=1.0)
+
+    @pytest.mark.parametrize("r_prime", [356.0, -400.0, 1e6, -1e6])
+    def test_refuses_r_prime_beyond_float_range(self, r_prime):
+        with pytest.raises(ValueError, match=repr(R_PRIME_LIMIT)):
+            NoiseParams(0.01, 0.01, r_prime)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_limit_is_where_exp_leaves_float_range(self, sign):
+        r_prime = sign * R_PRIME_LIMIT
+        NoiseParams(0.01, 0.01, r_prime)
+        assert 0.0 < math.exp(2.0 * r_prime) < math.inf
+        assert 0.0 < math.exp(-2.0 * r_prime) < math.inf
+        with pytest.raises(ValueError):
+            NoiseParams(0.01, 0.01, math.nextafter(r_prime, sign * math.inf))
+
+    @pytest.mark.parametrize("r_prime", [-25.0, -100.0, -R_PRIME_LIMIT])
+    def test_negligible_squeezing_is_unphysical_not_an_error(self, r_prime):
+        # B1 = C1 + (1 - eps1) e^{2 r'} / 2 rounds to C1
+        p = plan(path_graph(3), NoiseParams(0.01, 0.01, r_prime))
+        assert not p.physical
+        assert p.violated == "B1 > C1"
+        assert p.g_prime == math.inf
+
+    @pytest.mark.parametrize("r_prime", [-300.0, -R_PRIME_LIMIT, 300.0])
+    def test_noiseless_extreme_r_prime_passes_through(self, r_prime):
+        p = plan(path_graph(3), NoiseParams(0.0, 0.0, r_prime))
+        assert p.physical
+        assert abs(p.r_eff - r_prime) <= 1e-12 * abs(r_prime)
+
+    @pytest.mark.parametrize("eps2", [0.01, 0.3])
+    def test_noisy_plan_at_the_limit_stays_finite(self, eps2):
+        # 2 C1 delta (1 - eps1) e^{2 r'} exceeds the float range here
+        p = plan(path_graph(3), NoiseParams(0.01, eps2, R_PRIME_LIMIT))
+        assert p.mode_squeezing[0] == R_PRIME_LIMIT  # the D_max mode, delta = 0
+        assert np.all(np.isfinite(p.mode_squeezing))
+        assert np.all(np.isfinite(p.mode_thermal))
+        assert math.isfinite(p.r_eff) and math.isfinite(p.nbar_eff)
 
     def test_noise_constants(self):
         noise = NoiseParams(eps1=0.08, eps2=0.03, r_prime=1.0)

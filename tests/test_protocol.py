@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from cvdownload.error_model import (
@@ -26,6 +28,7 @@ from cvdownload.protocol import (
 from cvdownload.qubits import (
     DEFAULT_MAX_QUBITS,
     QubitDensityMatrix,
+    apply_balancing_povm,
     cluster_state,
     fidelity,
     trace_distance,
@@ -290,6 +293,92 @@ class TestRunDownload:
         assert "post_state" in doc
         slim = records[0].to_json(include_state=False)
         assert "post_state" not in slim
+
+
+def _gate_by_gate_register(params, record):
+    """Oracle for a kept-state shot: equivalent circuit, then one forced POVM per site."""
+    state = downloaded_state_equivalent(params, record.q)
+    for site, (kind, _) in enumerate(record.outcomes):
+        state = apply_balancing_povm(state, site, float(record.gamma[site]), force=kind).state
+    return state
+
+
+@st.composite
+def _download_cases(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = tuple(p for p, on in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on)
+    strength = draw(st.one_of(
+        st.just(1.0),
+        st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+    ))
+    r = draw(st.floats(0.1, 2.0))
+    nbar = draw(st.floats(0.0, 2.0))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return _params(Graph(n, edges), r, nbar, seed=seed, strength=strength)
+
+
+class TestOnePassRegister:
+    """``run_download`` builds each kept-state register from its keep/delete
+    pattern; the gate-by-gate route must give the same matrix."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_download_cases())
+    def test_matches_gate_by_gate_oracle(self, params):
+        records, _ = run_download(params, 3, keep_states=True)
+        for rec in records:
+            oracle = _gate_by_gate_register(params, rec)
+            assert np.max(np.abs(rec.post_state.rho - oracle.rho)) <= 1e-12
+
+    def test_unit_strength_register_is_real(self):
+        params = _params(Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))), 0.7, 0.3, seed=4)
+        records, _ = run_download(params, 10)
+        for rec in records:
+            assert not np.any(rec.post_state.rho.imag)
+
+    def test_refuses_above_cap(self):
+        params = _params(path_graph(DEFAULT_MAX_QUBITS + 1), 1.0, 0.0)
+        with pytest.raises(ValueError, match="dense-simulation cap"):
+            run_download(params, 1, keep_states=True)
+
+
+class TestNegativeSqueezing:
+    """At strongly negative ``r`` the imbalance leaves the float range: every
+    qubit is deleted, and neither path may warn or fail."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("keep_states", [True, False])
+    @pytest.mark.parametrize("nbar", [0.0, 0.1])
+    @pytest.mark.parametrize("r", [-3.0, -3.5])
+    def test_shot_loop_is_warning_free(self, r, nbar, keep_states):
+        params = _params(path_graph(3), r, nbar, seed=1)
+        records, summary = run_download(params, 20, keep_states=keep_states)
+        assert summary.shots == 20
+        for rec in records:
+            assert np.all(np.isfinite(rec.q))
+            for site, (kind, bit) in enumerate(rec.outcomes):
+                if kind == "delete":
+                    assert bit == int(rec.gamma[site] > 1.0)
+            if keep_states:
+                assert abs(np.trace(rec.post_state.rho).real - 1.0) < 1e-12
+                diag = rec.post_state.rho.diagonal().real
+                for site, (kind, bit) in enumerate(rec.outcomes):
+                    if kind == "delete":
+                        on_bit = (np.arange(8) >> site) & 1 == bit
+                        assert diag[on_bit].sum() > 1.0 - 1e-12
+            else:
+                assert rec.post_state is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_statistics_match_states_run(self):
+        params = _params(path_graph(3), -3.5, 0.1, seed=5)
+        with_states, sum_a = run_download(params, 10, keep_states=True)
+        without, sum_b = run_download(params, 10, keep_states=False)
+        for a, b in zip(with_states, without):
+            assert np.array_equal(a.gamma, b.gamma)
+            assert a.outcomes == b.outcomes
+        assert sum_a.to_json()["deletions_histogram"] == sum_b.to_json()["deletions_histogram"]
 
 
 class TestKeptStateQuality:
