@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,15 +30,23 @@ from .error_model import (
     db_to_squeezing,
     p_del_analytic,
     p_del_monte_carlo,
+    qubit_given_outcome,
     squeezing_db_for_pdel,
     squeezing_to_db,
     vertex_disconnect_prob,
 )
 from .gaussian import SqueezedThermalParams
-from .graphs import Graph, parse_graph_spec, random_graph
+from .graphs import Graph, neighbor_phase, parse_graph_spec, path_graph, random_graph
+from .grid import apply_cd_grid, apply_cphase_grid, make_grid_state, measure_q_grid
 from .planner import NoiseParams, linearized_plan, plan, verify_plan
-from .protocol import ProtocolParams, downloaded_state_direct, run_download
-from .qubits import balancing_povm_diagonals, trace_distance
+from .protocol import (
+    ProtocolParams,
+    downloaded_state_direct,
+    downloaded_state_equivalent,
+    run_download,
+    sample_outcomes,
+)
+from .qubits import apply_rz, balancing_povm_diagonals, trace_distance
 
 _FLOAT_FMT = ".17g"
 
@@ -93,6 +101,23 @@ def _json_output(path, command, config, payload: dict) -> None:
     _write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
+def _check_config_value(key: str, value, default) -> None:
+    """Refuse config-file values that the subcommands cannot convert cleanly.
+
+    Values must be JSON scalars; null is allowed only where the default is
+    ``None``, and a bool exactly where the default is a bool.  A number
+    where the default is a string stays allowed (``{"eps1": 0.01}``).
+    """
+    if value is None:
+        ok = default is None
+    else:
+        ok = isinstance(value, (str, int, float)) and (
+            isinstance(value, bool) == isinstance(default, bool)
+        )
+    if not ok:
+        raise ValueError(f"config key {key!r} cannot take {json.dumps(value)}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge defaults < config file < explicit flags into one dict."""
     config = dict(defaults)
@@ -102,6 +127,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value, defaults[key])
         config.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
@@ -131,8 +158,6 @@ class CheckResult:
 
 def _battery_equivalent_circuit(rng: np.random.Generator) -> CheckResult:
     """Direct and commuted constructions of the downloaded register agree."""
-    from .protocol import downloaded_state_equivalent, sample_outcomes
-
     worst = 0.0
     for _ in range(24):
         graph = random_graph(int(rng.integers(2, 5)), 0.5, rng)
@@ -149,11 +174,6 @@ def _battery_equivalent_circuit(rng: np.random.Generator) -> CheckResult:
 
 def _battery_grid(rng: np.random.Generator) -> list[CheckResult]:
     """Grid simulator versus analytic conditional states."""
-    from .error_model import qubit_given_outcome
-    from .graphs import path_graph
-    from .grid import apply_cd_grid, apply_cphase_grid, make_grid_state, measure_q_grid
-    from .qubits import apply_rz
-
     worst1 = 0.0
     state1 = apply_cd_grid(make_grid_state(1.0, 1, k=32), 0)
     for _ in range(20):
@@ -171,8 +191,6 @@ def _battery_grid(rng: np.random.Generator) -> list[CheckResult]:
     worst2 = 0.0
     for _ in range(5):
         q, qubit = measure_q_grid(state2, rng)
-        from .graphs import neighbor_phase
-
         phi = neighbor_phase(graph, q)
         for site in range(2):
             qubit = apply_rz(qubit, site, float(phi[site]))
@@ -185,8 +203,6 @@ def _battery_grid(rng: np.random.Generator) -> list[CheckResult]:
 
 def _battery_planner(rng: np.random.Generator, inject_fault: bool) -> CheckResult:
     """Forward replay of random plans through the Gaussian channel engine."""
-    from dataclasses import replace
-
     worst = 0.0
     for _ in range(8):
         graph = random_graph(int(rng.integers(2, 6)), 0.6, rng)
@@ -338,9 +354,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "columns": header,
-            "rows": [
-                [None if v is None else v for v in row] for row in rows
-            ],
+            "rows": rows,
         }
         _json_output(args.out, "thresholds", config, payload)
     else:
@@ -351,6 +365,9 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # plan / sweep
 # ---------------------------------------------------------------------------
+
+_PLAN_HEADER = ["eps1", "eps2", "r_prime", "feasible", "g_prime", "r_eff_db", "nbar_eff"]
+
 
 def _plan_row(graph: Graph, noise: NoiseParams) -> tuple:
     p = plan(graph, noise)
@@ -385,8 +402,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     lin_degree = linearized_plan(graph, noise, use_degree_bound=True)
 
     if args.format == "csv":
-        header = ["eps1", "eps2", "r_prime", "feasible", "g_prime", "r_eff_db", "nbar_eff"]
-        _csv_output(args.out, "plan", config, header, [row])
+        _csv_output(args.out, "plan", config, _PLAN_HEADER, [row])
         return 0
 
     payload = {
@@ -426,11 +442,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         f"sweep point eps1={e1} eps2={e2} r_prime={rp}: {exc}"
                     ) from exc
                 rows.append(row)
-    header = ["eps1", "eps2", "r_prime", "feasible", "g_prime", "r_eff_db", "nbar_eff"]
     if args.format == "json":
-        _json_output(args.out, "sweep", config, {"columns": header, "rows": rows})
+        _json_output(args.out, "sweep", config, {"columns": _PLAN_HEADER, "rows": rows})
     else:
-        _csv_output(args.out, "sweep", config, header, rows)
+        _csv_output(args.out, "sweep", config, _PLAN_HEADER, rows)
     return 0
 
 

@@ -23,6 +23,7 @@ planner composes:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +32,7 @@ import numpy as np
 from .graphs import Graph, adjacency_matrix
 
 __all__ = [
+    "R0_LIMIT",
     "SqueezedThermalParams",
     "GaussianState",
     "vacuum",
@@ -52,13 +54,22 @@ __all__ = [
 ]
 
 
+# Largest |r0| at which the shot loop stays in the float range: exp(2 r0) is
+# at most float_max / pi, and the imbalance exponent, about
+# pi / (2 exp(2 r0)), at most float_max / 2.
+R0_LIMIT = 0.5 * math.log(sys.float_info.max / math.pi)
+
+
 @dataclass(frozen=True)
 class SqueezedThermalParams:
     """Per-mode source: squeezing parameter ``r`` and thermal occupation ``nbar``.
 
     The q quadrature is antisqueezed (variance ``exp(2 r) (nbar + 1/2)``)
     and p squeezed (variance ``exp(-2 r) (nbar + 1/2)``), matching a
-    p-squeezed source measured in q.
+    p-squeezed source measured in q.  Both ``r`` and the mixture squeezing
+    ``r0 = r + log(1 + 2 nbar) / 2`` (see :func:`mixture_params`) must lie
+    within ``+-R0_LIMIT``; ``r0`` is checked in log space, so a large
+    ``nbar`` is refused before ``exp(2 r) (1 + 2 nbar)`` can overflow.
     """
 
     r: float
@@ -69,6 +80,13 @@ class SqueezedThermalParams:
             raise ValueError(f"squeezing parameter must be finite, got {self.r}")
         if not (self.nbar >= 0.0 and math.isfinite(self.nbar)):
             raise ValueError(f"thermal occupation must be >= 0, got {self.nbar}")
+        r0 = self.r + 0.5 * math.log1p(2.0 * self.nbar)
+        if self.r < -R0_LIMIT or r0 > R0_LIMIT:  # r <= r0 always
+            raise ValueError(
+                f"r = {self.r!r} and r0 = r + log(1 + 2 nbar)/2 = {r0!r} must lie "
+                f"within +-{R0_LIMIT!r}, beyond which the shot loop leaves the "
+                f"float range"
+            )
 
     @property
     def q_variance(self) -> float:
@@ -100,9 +118,6 @@ class GaussianState:
         self.n = n
         self.cov = cov
         self.mean = mean
-
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.n, self.cov, self.mean)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianState(n={self.n})"

@@ -58,9 +58,6 @@ class HybridGridState:
     def cells(self) -> int:
         return len(self.grid)
 
-    def copy(self) -> "HybridGridState":
-        return HybridGridState(self.modes, self.k, self.grid.copy(), self.amps.copy())
-
 
 def required_length(r0: float) -> float:
     """Minimum half-width: six standard-deviation-scales plus one shift."""

@@ -37,7 +37,8 @@ error sits ahead of the diagonal entangling layer, so a shot's register
 is fixed by its keep/delete pattern alone: a kept qubit is ``|+><+|``
 dephased at the thermal rate, a deleted qubit is its basis state
 ``|b><b|``, and the graph contributes the diagonal phase
-``s(b) = prod_edges exp(i pi g b_i b_j)``.  :func:`run_download` builds
+``s(b) = prod_edges exp(i pi g b_i b_j)``
+(:func:`~cvdownload.qubits.graph_phases`).  :func:`run_download` builds
 that register in one pass; the gate-by-gate route (the equivalent
 circuit followed by one forced POVM per qubit) is its oracle in the
 tests.
@@ -62,14 +63,15 @@ from .error_model import (
 from .gaussian import SqueezedThermalParams, mixture_params
 from .graphs import Graph, adjacency_matrix
 from .qubits import (
-    DEFAULT_MAX_QUBITS,
     QubitDensityMatrix,
+    _check_dense_size,
     apply_dephasing,
     cluster_state,
     dm_apply_cphase,
     dm_apply_cz,
     dm_tensor,
     fidelity,
+    graph_phases,
 )
 
 __all__ = [
@@ -126,10 +128,7 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     """
     graph, g = params.graph, params.cphase_strength
     n = graph.n
-    if n > DEFAULT_MAX_QUBITS:
-        raise ValueError(
-            f"{n} qubits exceeds the dense-simulation cap of {DEFAULT_MAX_QUBITS}"
-        )
+    _check_dense_size(n)
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} outcomes, got shape {q.shape}")
@@ -160,10 +159,12 @@ def downloaded_state_equivalent(
     with the graph's qubit entangling layer.  At unit strength that layer
     is exact CZ; for other strengths it is the controlled phase
     ``exp(i pi g b_i b_j)``, matching how the conditional displacements
-    commute through a strength-``g`` CPHASE.
+    commute through a strength-``g`` CPHASE.  Registers above
+    ``DEFAULT_MAX_QUBITS`` are refused before any allocation.
     """
     graph, g = params.graph, params.cphase_strength
     n = graph.n
+    _check_dense_size(n)
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} outcomes, got shape {q.shape}")
@@ -182,20 +183,6 @@ def downloaded_state_equivalent(
         else:
             rho = dm_apply_cphase(rho, i, j, math.pi * g)
     return rho
-
-
-def _entangling_phases(graph: Graph, g: float) -> np.ndarray:
-    """Diagonal ``s(b) = prod_edges exp(i pi g b_i b_j)`` of the entangling layer.
-
-    Exactly ``+-1`` (real) at unit strength, where the layer is CZ.
-    """
-    idx = np.arange(2**graph.n)
-    both = np.zeros(idx.shape, dtype=int)  # edges with both ends set
-    for i, j in graph.edges:
-        both += (idx >> i) & (idx >> j) & 1
-    if g == 1.0:
-        return np.where(both % 2 == 1, -1.0, 1.0)
-    return np.exp(1j * math.pi * g * both)
 
 
 _BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # |0><0|, |1><1|
@@ -325,7 +312,7 @@ def run_download(
     r0, sigma2 = params.mixture()
     if keep_states:
         target = cluster_state(graph)  # refuses n above the dense cap
-        phases = _entangling_phases(graph, params.cphase_strength)
+        phases = graph_phases(graph, params.cphase_strength)
         coherence = 1.0 - 2.0 * dephasing_rate(sigma2)
     a = adjacency_matrix(graph)
 

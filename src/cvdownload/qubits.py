@@ -1,9 +1,11 @@
 """Dense N-qubit state-vector and density-matrix engine.
 
-Implements exactly the operations the downloading protocol needs: cluster
-state preparation, diagonal phase gates, Pauli gates, computational-basis
-measurement, the two-outcome amplitude-balancing POVM, single-site
-dephasing, and fidelity / trace-distance metrics.
+The engine is an oracle: the protocol's production path is checked
+against it, not built from it.  It provides cluster states, diagonal
+phase gates, Pauli gates, the two-outcome amplitude-balancing POVM,
+single-site dephasing, and fidelity / trace-distance metrics.  It is the
+one home of the graph's entangling diagonal (:func:`graph_phases`) and
+of the dense size cap.
 
 Conventions
 -----------
@@ -14,8 +16,8 @@ Conventions
 * State comparisons are phase-insensitive throughout (fidelity, overlap
   magnitude, trace distance); raw amplitude equality is never asserted.
 
-Everything is dense, so register sizes are capped (default 12 qubits) to
-keep memory honest.
+Everything is dense, so every entry point that builds a register refuses
+more than ``DEFAULT_MAX_QUBITS`` qubits before it allocates anything.
 """
 
 from __future__ import annotations
@@ -34,13 +36,10 @@ __all__ = [
     "plus_state",
     "basis_state",
     "cluster_state",
-    "apply_cz",
-    "apply_cphase",
+    "graph_phases",
     "apply_rz",
     "apply_x",
     "apply_z",
-    "measure_z",
-    "MeasurementResult",
     "inner",
     "tensor",
     "dm_tensor",
@@ -59,6 +58,14 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 12
 
 _NORM_TOL = 1e-12
+
+
+def _check_dense_size(n: int) -> None:
+    """Refuse registers above the dense cap; call before allocating."""
+    if n > DEFAULT_MAX_QUBITS:
+        raise ValueError(
+            f"{n} qubits exceeds the dense-simulation cap of {DEFAULT_MAX_QUBITS}"
+        )
 
 
 def _bit(n: int, site: int) -> np.ndarray:
@@ -87,24 +94,8 @@ class QubitPureState:
         self.n = n
         self.amps = amps
 
-    def copy(self) -> "QubitPureState":
-        return QubitPureState(self.n, self.amps)
-
     def density_matrix(self) -> "QubitDensityMatrix":
         return QubitDensityMatrix(self.n, np.outer(self.amps, self.amps.conj()))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "re": self.amps.real.tolist(),
-            "im": self.amps.imag.tolist(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "QubitPureState":
-        return QubitPureState(
-            int(obj["n"]), np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QubitPureState(n={self.n})"
@@ -133,9 +124,6 @@ class QubitDensityMatrix:
         self.n = n
         self.rho = rho
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.rho).min())
-
     def purity(self) -> float:
         return float(np.vdot(self.rho, self.rho).real)
 
@@ -156,11 +144,13 @@ class QubitDensityMatrix:
 
 def plus_state(n: int) -> QubitPureState:
     """Product state ``|+>^n``."""
+    _check_dense_size(n)
     return QubitPureState(n, np.full(2**n, 2 ** (-n / 2), dtype=complex))
 
 
 def basis_state(n: int, bits) -> QubitPureState:
     """Computational basis state.  ``bits`` is an index or a bit sequence."""
+    _check_dense_size(n)
     if np.isscalar(bits):
         index = int(bits)
     else:
@@ -170,48 +160,34 @@ def basis_state(n: int, bits) -> QubitPureState:
     return QubitPureState(n, amps)
 
 
-def cluster_state(graph: Graph, max_qubits: int = DEFAULT_MAX_QUBITS) -> QubitPureState:
+def graph_phases(graph: Graph, g: float = 1.0) -> np.ndarray:
+    """Diagonal ``s(b) = prod_edges exp(i pi g b_i b_j)`` of the entangling layer.
+
+    Exactly ``+-1`` (real) at unit strength, where the layer is CZ; the
+    graph-state sign rule of Hein, Eisert and Briegel (PRA 69, 062311).
+    """
+    _check_dense_size(graph.n)
+    idx = np.arange(2**graph.n)
+    both = np.zeros(idx.shape, dtype=int)  # edges with both ends set
+    for i, j in graph.edges:
+        both += (idx >> i) & (idx >> j) & 1
+    if g == 1.0:
+        return np.where(both % 2 == 1, -1.0, 1.0)
+    return np.exp(1j * math.pi * g * both)
+
+
+def cluster_state(graph: Graph) -> QubitPureState:
     """Graph state ``prod_edges CZ_ij |+>^n``.
 
     Every amplitude has modulus ``2**(-n/2)``; the edge set only toggles
     signs ``(-1)**(b_i b_j)``.
     """
-    if graph.n > max_qubits:
-        raise ValueError(
-            f"{graph.n} qubits exceeds the dense-simulation cap of {max_qubits}"
-        )
-    psi = plus_state(graph.n)
-    for i, j in graph.edges:
-        psi = apply_cz(psi, i, j)
-    return psi
+    return QubitPureState(graph.n, 2 ** (-graph.n / 2) * graph_phases(graph))
 
 
 # ---------------------------------------------------------------------------
 # gates on pure states
 # ---------------------------------------------------------------------------
-
-def apply_cz(psi: QubitPureState, i: int, j: int) -> QubitPureState:
-    """Controlled-Z between qubits ``i`` and ``j`` (exact sign flips)."""
-    if i == j:
-        raise ValueError("CZ needs two distinct qubits")
-    both = _bit(psi.n, i) & _bit(psi.n, j)
-    amps = psi.amps.copy()
-    amps[both == 1] *= -1.0
-    return QubitPureState(psi.n, amps)
-
-
-def apply_cphase(psi: QubitPureState, i: int, j: int, angle: float) -> QubitPureState:
-    """Diagonal two-qubit phase ``exp(i * angle * b_i * b_j)``.
-
-    ``angle = pi`` reproduces CZ up to float round-off in the phase; use
-    :func:`apply_cz` when exact signs matter.
-    """
-    if i == j:
-        raise ValueError("CPHASE needs two distinct qubits")
-    both = _bit(psi.n, i) & _bit(psi.n, j)
-    amps = psi.amps * np.where(both == 1, np.exp(1j * angle), 1.0)
-    return QubitPureState(psi.n, amps)
-
 
 def apply_rz(psi: QubitPureState, site: int, theta: float) -> QubitPureState:
     """``RZ(theta) = exp(-i Z theta / 2)`` on one qubit."""
@@ -230,44 +206,6 @@ def apply_z(psi: QubitPureState, site: int) -> QubitPureState:
     amps = psi.amps.copy()
     amps[_bit(psi.n, site) == 1] *= -1.0
     return QubitPureState(psi.n, amps)
-
-
-@dataclass(frozen=True)
-class MeasurementResult:
-    outcome: int
-    probability: float
-    state: QubitPureState
-
-
-def measure_z(
-    psi: QubitPureState,
-    site: int,
-    rng: np.random.Generator | None = None,
-    force: int | None = None,
-) -> MeasurementResult:
-    """Computational-basis measurement of one qubit.
-
-    The outcome is drawn from the Born rule unless ``force`` fixes it (in
-    which case the returned probability is still the Born weight of that
-    branch).  The post-measurement state is renormalized.
-    """
-    b = _bit(psi.n, site)
-    p1 = float(np.sum(np.abs(psi.amps[b == 1]) ** 2))
-    p1 = min(max(p1, 0.0), 1.0)
-    probs = (1.0 - p1, p1)
-    if force is not None:
-        outcome = int(force)
-        if outcome not in (0, 1):
-            raise ValueError(f"forced outcome must be 0 or 1, got {force}")
-    else:
-        if rng is None:
-            raise ValueError("measure_z needs an rng when no outcome is forced")
-        outcome = int(rng.random() < p1)
-    if probs[outcome] <= 0.0:
-        raise ValueError(f"outcome {outcome} has zero probability")
-    amps = np.where(b == outcome, psi.amps, 0.0)
-    amps = amps / math.sqrt(probs[outcome])
-    return MeasurementResult(outcome, probs[outcome], QubitPureState(psi.n, amps))
 
 
 def inner(a: QubitPureState, b: QubitPureState) -> complex:

@@ -1,5 +1,7 @@
 """Shared helpers for the cvdownload test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,22 @@ def random_test_graph(rng: np.random.Generator, n_max: int = 4, n_min: int = 1) 
     """A small random graph for property loops (may be edgeless)."""
     n = int(rng.integers(n_min, n_max + 1))
     return random_graph(n, 0.6, rng)
+
+
+def assert_refused_before_allocating(call) -> None:
+    """``call()`` raises the dense-cap ``ValueError`` before allocating.
+
+    The traced peak must stay under 64 KB; one 13-qubit state vector alone
+    takes 128 KB, and a 13-qubit density matrix 1 GB.
+    """
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense-simulation cap"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.fixture

@@ -257,3 +257,31 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "r_prime=400.0" in err
         assert "float range" in err
+
+    @pytest.mark.parametrize(
+        "command, loaded, key",
+        [
+            ("download", {"shots": [1]}, "shots"),  # not a scalar
+            ("download", {"graph": {"kind": "path", "n": 3}}, "graph"),  # not a scalar
+            ("download", {"r_db": None}, "r_db"),  # null where the default is not
+            ("download", {"shots": True}, "shots"),  # int(True) would pass silently
+            ("verify", {"inject_fault": 1}, "inject_fault"),  # bool key, non-bool value
+        ],
+    )
+    def test_config_value_type_rejected(self, tmp_path, capsys, command, loaded, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cvdownload {command}: ")
+        assert repr(key) in err
+
+    def test_config_numbers_and_null_where_allowed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps1": 0.01, "eps2": 0, "r_prime": 1.0}))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = _read_rows(out)
+        assert len(rows) == 1
+        cfg.write_text(json.dumps({"records": None, "shots": 5}))
+        assert main(["download", "--config", str(cfg), "--out", str(out)]) == 0

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_orthogonal
 from cvdownload.gaussian import (
+    R0_LIMIT,
     GaussianState,
     SqueezedThermalParams,
     apply_cphase,
@@ -57,6 +58,27 @@ class TestPreparation:
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):
             SqueezedThermalParams(0.5, -0.1)
+
+    @pytest.mark.parametrize(
+        "r, nbar",
+        [
+            (math.nextafter(-R0_LIMIT, -math.inf), 0.0),
+            (math.nextafter(R0_LIMIT, math.inf), 0.0),
+            (R0_LIMIT - 1.0, 10.0),  # r in range, r0 = r + log(21)/2 beyond it
+            (0.0, 1e308),  # 1 + 2 nbar overflows, so r0 = inf
+            (-354.8, 0.0),
+            (-400.0, 0.0),
+            (360.0, 0.0),
+        ],
+    )
+    def test_squeezing_beyond_float_range_rejected(self, r, nbar):
+        with pytest.raises(ValueError, match=repr(R0_LIMIT)):
+            SqueezedThermalParams(r, nbar)
+
+    @pytest.mark.parametrize("r", [-R0_LIMIT, R0_LIMIT])
+    def test_squeezing_limit_itself_accepted(self, r):
+        params = SqueezedThermalParams(r)
+        assert abs(mixture_params(params).r0) <= R0_LIMIT
 
     def test_asymmetric_covariance_rejected(self):
         bad = 0.5 * np.eye(2)

@@ -2,9 +2,11 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conftest import assert_refused_before_allocating
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
@@ -15,7 +17,7 @@ from cvdownload.error_model import (
     p_del_analytic,
     qubit_given_outcome,
 )
-from cvdownload.gaussian import SqueezedThermalParams
+from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams
 from cvdownload.graphs import Graph, adjacency_matrix, path_graph, random_graph
 from cvdownload.protocol import (
     DownloadRecord,
@@ -134,8 +136,9 @@ class TestDirectStateMemory:
     def test_refuses_above_cap_before_allocating(self):
         n = DEFAULT_MAX_QUBITS + 1
         params = _params(path_graph(n), 1.0, 0.2)
-        with pytest.raises(ValueError, match="dense-simulation cap"):
-            downloaded_state_direct(params, np.zeros(n))
+        q = np.zeros(n)
+        assert_refused_before_allocating(lambda: downloaded_state_direct(params, q))
+        assert_refused_before_allocating(lambda: downloaded_state_equivalent(params, q))
 
 
 class TestEquivalentCircuit:
@@ -339,8 +342,7 @@ class TestOnePassRegister:
 
     def test_refuses_above_cap(self):
         params = _params(path_graph(DEFAULT_MAX_QUBITS + 1), 1.0, 0.0)
-        with pytest.raises(ValueError, match="dense-simulation cap"):
-            run_download(params, 1, keep_states=True)
+        assert_refused_before_allocating(lambda: run_download(params, 1, keep_states=True))
 
 
 class TestNegativeSqueezing:
@@ -379,6 +381,34 @@ class TestNegativeSqueezing:
             assert np.array_equal(a.gamma, b.gamma)
             assert a.outcomes == b.outcomes
         assert sum_a.to_json()["deletions_histogram"] == sum_b.to_json()["deletions_histogram"]
+
+
+@st.composite
+def _sources_within_limit(draw):
+    nbar = draw(st.floats(0.0, 1e6))
+    # a small margin keeps r0 = r + log1p(2 nbar)/2 inside after round-off
+    r_hi = R0_LIMIT - 0.5 * math.log1p(2.0 * nbar) - 1e-9
+    return SqueezedThermalParams(draw(st.floats(-R0_LIMIT, r_hi)), nbar)
+
+
+class TestSqueezingRange:
+    """Every source that ``SqueezedThermalParams`` accepts runs the shot loop
+    without a warning or an error, with and without states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sources_within_limit(), st.integers(0, 2**31 - 1))
+    def test_shot_loop_is_warning_free(self, source, seed):
+        params = ProtocolParams(path_graph(3), source, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with_states, sum_a = run_download(params, 4, keep_states=True)
+            without, sum_b = run_download(params, 4, keep_states=False)
+        assert sum_a.deletions_histogram == sum_b.deletions_histogram
+        assert math.isnan(sum_a.mean_kept_fidelity) or 0.0 <= sum_a.mean_kept_fidelity <= 1.0
+        for a, b in zip(with_states, without):
+            assert np.all(np.isfinite(a.q)) and np.all(np.isfinite(a.phi))
+            assert a.outcomes == b.outcomes
+            assert abs(np.trace(a.post_state.rho).real - 1.0) < 1e-12
 
 
 class TestKeptStateQuality:
