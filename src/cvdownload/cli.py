@@ -396,7 +396,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         float(config["eps1"]), float(config["eps2"]), float(config["r_prime"])
     )
     p, row = _plan_row(graph, noise)
-    residual = verify_plan(p, graph, noise) if p.physical else None
+    residual = verify_plan(p, graph, noise)
 
     lin_spectral = linearized_plan(graph, noise)
     lin_degree = linearized_plan(graph, noise, use_degree_bound=True)
@@ -410,7 +410,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         "verification": {
             "residual": residual,
             "threshold": 1e-9,
-            "passed": None if residual is None else bool(residual < 1e-9),
+            "passed": bool(residual < 1e-9),
         },
         "linearized": {
             "spectral": lin_spectral._asdict(),

@@ -107,7 +107,7 @@ class GaussianState:
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"expected a {2 * n}x{2 * n} covariance, got {cov.shape}")
         dev = float(np.abs(cov - cov.T).max())
-        if dev > 1e-12:
+        if not dev <= 1e-12:  # NaN fails too
             raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
         if mean is None:
             mean = np.zeros(2 * n)
@@ -150,6 +150,13 @@ def mode_diag_state(q_vars, p_vars) -> GaussianState:
 # channels
 # ---------------------------------------------------------------------------
 
+def _congruence(s: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``S V S^T`` made exactly symmetric: the product's round-off is not,
+    and it grows with the covariance scale."""
+    m = s @ cov @ s.T
+    return 0.5 * (m + m.T)
+
+
 def apply_cphase(state: GaussianState, graph: Graph, strength: float = 1.0) -> GaussianState:
     """CPHASE network ``exp(i g q_i q_j)`` on every edge, uniform strength ``g``.
 
@@ -160,7 +167,7 @@ def apply_cphase(state: GaussianState, graph: Graph, strength: float = 1.0) -> G
     n = state.n
     s = np.eye(2 * n)
     s[n:, :n] = strength * adjacency_matrix(graph)
-    return GaussianState(n, s @ state.cov @ s.T, s @ state.mean)
+    return GaussianState(n, _congruence(s, state.cov), s @ state.mean)
 
 
 def apply_loss(state: GaussianState, eps: float) -> GaussianState:
@@ -203,7 +210,7 @@ def apply_orthogonal(state: GaussianState, o: np.ndarray, tol: float = 1e-10) ->
     u = np.zeros((2 * n, 2 * n))
     u[:n, :n] = o
     u[n:, n:] = o
-    return GaussianState(n, u @ state.cov @ u.T, u @ state.mean)
+    return GaussianState(n, _congruence(u, state.cov), u @ state.mean)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,14 @@ The principal mode (``Delta = 0``) needs exactly ``(r', 0)``: the full
 hardware squeezing, no added thermal noise.  ``verify_plan`` replays the
 whole pipeline forward through the Gaussian channel engine and reports
 the worst covariance residual against the ideal target.
+
+Every plan is physical by construction.  With ``k = B1 - C1 =
+(1 - eps1) e^{2 r'} / 2 > 0`` (so ``g' = B1 / k``) the input conditions
+are identities: ``B2 - C2 - B1 C1 D_i / k = C1 Delta_i (1 + C1 / k)
++ (1 - eps1)^2 / (4 k) > 0``, and the input purity ``k (B2 - C2 - B1 C1
+D_i / k) / (1 - eps1)^2 = 1/4 + C1 Delta_i (k + C1) / (1 - eps1)^2 >= 1/4``.
+As ``C1 >= eps1 / 2 = C2``, ``B1 B2 >= ((1 - eps1) / 2 + sqrt(C1 C2))^2
+>= 1/4``, so ``nbar_eff >= 0``.  None of this is re-tested in floats.
 """
 
 from __future__ import annotations
@@ -67,10 +75,6 @@ __all__ = [
     "givens_network",
     "compose_network",
 ]
-
-# The tightest physicality condition saturates identically at 1/4 for the
-# B1/B2 choice above, so the check needs headroom for round-off.
-_PHYSICALITY_TOL = 1e-9
 
 # Largest |r'| for which exp(2 r') and exp(-2 r') are both finite and nonzero.
 R_PRIME_LIMIT = 0.5 * math.log(sys.float_info.max)
@@ -122,6 +126,9 @@ class DecorrelationPlan:
     ``orthogonal``, principal first).  ``network`` realizes that
     orthogonal as at most ``n (n - 1) / 2`` two-mode rotations followed
     by per-mode sign flips (see :func:`compose_network`).
+
+    :func:`plan` always sets ``physical=True, violated=None``; only a
+    hand-built recipe can be unphysical, and :func:`verify_plan` refuses it.
     """
 
     c1: float
@@ -171,11 +178,10 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     e2rp = math.exp(2.0 * r_prime)
     d_max = float(d_vals[0])
 
-    b1 = c1 + 0.5 * one * e2rp
+    k = 0.5 * one * e2rp  # B1 - C1, formed directly: b1 - c1 loses digits
+    b1 = c1 + k
     b2 = c2 + c1 * d_max + 2.0 * c1 * c1 * d_max / (one * e2rp) + 0.5 * one / e2rp
-    # B1 = C1 in floats once e^{2 r'} is below C1's round-off; that plan
-    # fails "B1 > C1" and no finite CPHASE strength compensates it.
-    g_prime = b1 / (b1 - c1) if b1 > c1 else math.inf
+    g_prime = b1 / k
 
     delta = d_max - d_vals
     # s = sqrt(4 C1^2 delta + 2 C1 delta (1 - eps1) e^{2r'} + (1 - eps1)^2),
@@ -187,16 +193,13 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     mode_squeezing = r_prime + 0.5 * np.log(one / s)  # e^{2 r_k} = (1 - eps1) e^{2r'} / s
     mode_thermal = np.maximum(0.5 * (s / one - 1.0), 0.0)
     if c1 == 0.0:
-        # Noiseless channel: every mode gets the identical preparation,
-        # so the passive network is redundant and reported as trivial.
-        mode_squeezing = np.full(graph.n, r_prime)
-        mode_thermal = np.zeros(graph.n)
+        # Noiseless channel: every mode gets the identical preparation
+        # (s = 1 above), so the passive network is reported as trivial.
         o = np.eye(graph.n)
 
     r_eff = 0.25 * (math.log(b1) - math.log(b2))
-    nbar_eff = math.sqrt(b1) * math.sqrt(b2) - 0.5
-
-    physical, violated = _physicality(b1, b2, c1, c2, eps1, d_vals)
+    # B1 B2 >= 1/4 exactly; the clamp absorbs round-off at large |r'|
+    nbar_eff = max(math.sqrt(b1) * math.sqrt(b2) - 0.5, 0.0)
     rotations, signs = givens_network(o)
 
     return DecorrelationPlan(
@@ -211,35 +214,11 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
         mode_thermal=mode_thermal,
         r_eff=r_eff,
         nbar_eff=nbar_eff,
-        physical=physical,
-        violated=violated,
+        physical=True,
+        violated=None,
         network=rotations,
         sign_layer=signs,
     )
-
-
-def _physicality(
-    b1: float, b2: float, c1: float, c2: float, eps1: float, d_vals: np.ndarray
-) -> tuple[bool, str | None]:
-    """Evaluate the three feasibility conditions on the required inputs.
-
-    Condition three saturates exactly at its bound for the planner's own
-    ``(B1, B2)``, hence the tolerance.  Each eigenvalue is checked; the
-    binding one is the largest ``D``.  The first failing eigenvalue, in
-    the order given, names the violated condition; a NaN fails neither
-    comparison and so passes.
-    """
-    if b1 - c1 <= 0.0:
-        return False, "B1 > C1"
-    margin = b2 - c2 - (b1 * c1 / (b1 - c1)) * np.asarray(d_vals, dtype=float)
-    purity = (b1 - c1) * margin / (1.0 - eps1) ** 2
-    margin_fails = margin <= 0.0
-    fails = margin_fails | (purity < 0.25 - _PHYSICALITY_TOL)
-    if not fails.any():
-        return True, None
-    if margin_fails[np.argmax(fails)]:
-        return False, "B2 > C2 + B1 C1 D / (B1 - C1)"
-    return False, "input purity bound"
 
 
 class LinearizedPlan(NamedTuple):

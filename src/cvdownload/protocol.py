@@ -47,6 +47,7 @@ tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,8 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     a = adjacency_matrix(graph)
     bits = _bit_matrix(n)
     x = q[None, :] - SQRT_PI * bits
-    log_mag = -np.sum(x**2, axis=1) / (2.0 * math.exp(2.0 * r0))
+    with np.errstate(over="ignore"):  # -inf near -R0_LIMIT: weight exp(-inf) = 0
+        log_mag = -np.sum(x**2, axis=1) / (2.0 * math.exp(2.0 * r0))
     phase = 0.5 * g * np.einsum("bi,ij,bj->b", x, a, x)
     phi = g * SQRT_PI * (a @ q)
     phase = phase + bits @ phi
@@ -145,7 +147,11 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     if sigma2 > 0.0:
         # exact (2^n, 2^n) count of differing bits
         hamming = bits @ (1.0 - bits).T + (1.0 - bits) @ bits.T
-        rho = rho * np.exp(-0.5 * math.pi * sigma2 * hamming)
+        # sigma2 is inf near -R0_LIMIT; the capped rate keeps the diagonal's
+        # damping exp(-rate * 0) at 1 and takes every coherence to 0
+        rate = min(0.5 * math.pi * sigma2, sys.float_info.max)
+        with np.errstate(over="ignore"):
+            rho = rho * np.exp(-rate * hamming)
     return QubitDensityMatrix(n, rho, normalize=True)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency_matrix
+from .graphs import SQRT_PI, Graph, neighbor_phase
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
@@ -86,10 +86,10 @@ class QubitPureState:
             raise ValueError(f"expected {2**n} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
         if normalize:
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
+            if not norm > 0.0:
+                raise ValueError(f"cannot normalize a vector of norm {norm!r}")
             amps = amps / norm
-        elif abs(norm - 1.0) > _NORM_TOL:
+        elif not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state is not normalized: |psi| = {norm!r}")
         self.n = n
         self.amps = amps
@@ -112,14 +112,14 @@ class QubitDensityMatrix:
         if rho.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
         herm_dev = float(np.abs(rho - rho.conj().T).max())
-        if herm_dev > 1e-12:
+        if not herm_dev <= 1e-12:  # NaN fails too
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
         tr = float(rho.trace().real)
         if normalize:
-            if tr <= 0.0:
+            if not tr > 0.0:
                 raise ValueError("cannot normalize: trace is not positive")
             rho = rho / tr
-        elif abs(tr - 1.0) > 1e-12:
+        elif not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace is {tr!r}, expected 1")
         self.n = n
         self.rho = rho
@@ -421,19 +421,17 @@ def postprocessing_equivalence(graph: Graph, l, mu) -> float:
     mu = np.asarray(mu, dtype=float)
     if l.shape != (graph.n,) or mu.shape != (graph.n,):
         raise ValueError("l and mu must each have one entry per vertex")
-    a = adjacency_matrix(graph)
     psi_g = cluster_state(graph)
 
     lhs = psi_g
     for i in range(graph.n):
         if l[i] % 2:
             lhs = apply_x(lhs, i)
-    theta = math.sqrt(math.pi) * (a @ mu)
+    theta = neighbor_phase(graph, mu)
     for k in range(graph.n):
         lhs = apply_rz(lhs, k, -theta[k])
 
-    q = math.sqrt(math.pi) * l + mu
-    phi = math.sqrt(math.pi) * (a @ q)
+    phi = neighbor_phase(graph, SQRT_PI * l + mu)
     rhs = psi_g
     for k in range(graph.n):
         rhs = apply_rz(rhs, k, -phi[k])

@@ -185,6 +185,15 @@ class TestPlan:
         degree = doc["linearized"]["degree_bound"]["nbar_eff"]
         assert degree > spectral
 
+    def test_noiseless_plan_at_large_squeezing_verifies(self, capsys):
+        # sqrt(B1) sqrt(B2) - 1/2 rounds below 0 here; nbar_eff is clamped
+        assert main(["plan", "--eps1", "0", "--eps2", "0", "--r-prime", "300"]) == 0
+        doc = json.loads(
+            "\n".join(l for l in capsys.readouterr().out.splitlines() if not l.startswith("#"))
+        )
+        assert doc["plan"]["nbar_eff"] == 0.0
+        assert doc["verification"]["residual"] is not None
+
     def test_csv_row(self, tmp_path):
         out = tmp_path / "p.csv"
         main(["plan", "--eps1", "0.01", "--eps2", "0.01", "--format", "csv", "--out", str(out)])
@@ -210,6 +219,16 @@ class TestSweep:
         out = tmp_path / "s.csv"
         main(["sweep", "--eps1", "0,0.01", "--eps2", "0", "--r-prime", "1.0", "--out", str(out)])
         _, _, rows = _read_rows(out)
+        assert all(r[3] == "1" for r in rows)
+
+    def test_heavy_noise_plans_are_feasible(self, tmp_path):
+        out = tmp_path / "s.csv"
+        main([
+            "sweep", "--graph", "grid2d:4x4", "--eps1", "0.9", "--eps2", "0.9",
+            "--r-prime=-0.1,15", "--out", str(out),
+        ])
+        _, _, rows = _read_rows(out)
+        assert len(rows) == 2
         assert all(r[3] == "1" for r in rows)
 
 

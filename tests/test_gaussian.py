@@ -86,6 +86,10 @@ class TestPreparation:
         with pytest.raises(ValueError):
             GaussianState(1, bad)
 
+    def test_nan_covariance_rejected(self):
+        with pytest.raises(ValueError):
+            GaussianState(1, np.full((2, 2), np.nan))
+
     def test_mode_diag_state(self):
         st = mode_diag_state([1.0, 2.0], [0.25, 0.125])
         assert np.allclose(np.diag(st.cov), [1.0, 2.0, 0.25, 0.125])
@@ -130,6 +134,18 @@ class TestCphase:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_cphase(vacuum(2), path_graph(3))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e30])
+    def test_congruences_exactly_symmetric(self, scale, rng):
+        # the constructor's absolute 1e-12 symmetry check would trip on the
+        # round-off of an unsymmetrized S V S^T at large covariance scale
+        for n in (2, 5, 7):
+            st = mode_diag_state(scale * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+            for out in (
+                apply_orthogonal(st, random_orthogonal(n, rng)),
+                apply_cphase(st, random_graph(n, 0.6, rng), float(rng.uniform(0.5, 2.0))),
+            ):
+                assert np.array_equal(out.cov, out.cov.T)
 
 
 class TestChannels:

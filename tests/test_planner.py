@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthogonal
-from cvdownload.gaussian import symplectic_eigenvalues, mode_diag_state
+from cvdownload.gaussian import (
+    SqueezedThermalParams,
+    mode_diag_state,
+    symplectic_eigenvalues,
+    thermal_cvcs,
+)
 from cvdownload.graphs import (
+    Graph,
     a_squared_spectrum,
     complete_graph,
     cycle_graph,
@@ -19,11 +27,9 @@ from cvdownload.graphs import (
     random_graph,
 )
 from cvdownload.planner import (
-    _PHYSICALITY_TOL,
     R_PRIME_LIMIT,
     GivensRotation,
     NoiseParams,
-    _physicality,
     compose_network,
     givens_network,
     linearized_plan,
@@ -62,12 +68,12 @@ class TestNoiseParams:
             NoiseParams(0.01, 0.01, math.nextafter(r_prime, sign * math.inf))
 
     @pytest.mark.parametrize("r_prime", [-25.0, -100.0, -R_PRIME_LIMIT])
-    def test_negligible_squeezing_is_unphysical_not_an_error(self, r_prime):
-        # B1 = C1 + (1 - eps1) e^{2 r'} / 2 rounds to C1
+    def test_negligible_squeezing_stays_physical(self, r_prime):
+        # B1 = C1 + (1 - eps1) e^{2 r'} / 2 rounds to C1, yet
+        # k = B1 - C1 = (1 - eps1) e^{2 r'} / 2 > 0 keeps g' = B1 / k finite
         p = plan(path_graph(3), NoiseParams(0.01, 0.01, r_prime))
-        assert not p.physical
-        assert p.violated == "B1 > C1"
-        assert p.g_prime == math.inf
+        assert p.physical and p.violated is None
+        assert 1.0 < p.g_prime < math.inf
 
     @pytest.mark.parametrize("r_prime", [-300.0, -R_PRIME_LIMIT, 300.0])
     def test_noiseless_extreme_r_prime_passes_through(self, r_prime):
@@ -191,6 +197,78 @@ class TestVerifyPlan:
             verify_plan(broken, g, noise)
 
 
+@st.composite
+def _small_graphs(draw, n_max=7):
+    """Any simple graph on 1..n_max vertices, edges drawn pair by pair."""
+    n = draw(st.integers(1, n_max))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(pair for pair, k in zip(pairs, keep) if k))
+
+
+_eps = st.floats(0.0, 0.99)
+
+
+def _exactly_feasible(p, noise):
+    """The three input conditions in exact rational arithmetic.
+
+    B1 and B2 are rebuilt from the plan's own inputs (eps1, C1, C2,
+    e^{2 r'} and the spectrum of A^2, each taken exactly as the float it
+    is), so the verdict carries no round-off of the planner's.
+    """
+    one = 1 - Fraction(noise.eps1)
+    c1, c2 = Fraction(noise.c1), Fraction(noise.c2)
+    e2rp = Fraction(math.exp(2.0 * noise.r_prime))
+    d_vals = [Fraction(float(d)) for d in p.eig_a2]
+    d_max = d_vals[0]
+    b1 = c1 + one * e2rp / 2
+    b2 = c2 + c1 * d_max + 2 * c1 * c1 * d_max / (one * e2rp) + one / (2 * e2rp)
+    if not b1 > c1:
+        return False
+    for d in d_vals:
+        margin = b2 - c2 - b1 * c1 * d / (b1 - c1)
+        if not margin > 0 or (b1 - c1) * margin / one**2 < Fraction(1, 4):
+            return False
+    return True
+
+
+class TestPhysicalByConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph=_small_graphs(),
+        eps1=_eps,
+        eps2=_eps,
+        r_prime=st.floats(-40.0, 40.0),
+    )
+    def test_exact_conditions_hold_and_replay_matches(self, graph, eps1, eps2, r_prime):
+        noise = NoiseParams(eps1, eps2, r_prime)
+        p = plan(graph, noise)
+        assert _exactly_feasible(p, noise)
+        assert p.physical and p.violated is None
+        target = thermal_cvcs(graph, SqueezedThermalParams(p.r_eff, p.nbar_eff)).cov
+        assert verify_plan(p, graph, noise) <= 1e-12 * np.abs(target).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph=_small_graphs(),
+        eps1=_eps,
+        eps2=_eps,
+        r_prime=st.one_of(
+            st.sampled_from([-R_PRIME_LIMIT, R_PRIME_LIMIT]),
+            st.floats(-R_PRIME_LIMIT, R_PRIME_LIMIT),
+        ),
+    )
+    def test_whole_r_prime_range(self, graph, eps1, eps2, r_prime):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = plan(graph, NoiseParams(eps1, eps2, r_prime))
+        assert p.physical and p.violated is None
+        values = [p.g_prime, p.r_eff, p.nbar_eff, *p.mode_squeezing, *p.mode_thermal]
+        assert not any(math.isnan(v) for v in values)
+        assert p.g_prime >= 1.0
+        assert p.nbar_eff >= 0.0
+
+
 class TestLinearized:
     def test_noiseless_exact(self):
         lin = linearized_plan(path_graph(3), NoiseParams(0.0, 0.0, 0.9))
@@ -236,61 +314,6 @@ class TestLinearized:
         a = linearized_plan(g2, noise)
         b = linearized_plan(g2, noise, use_degree_bound=True)
         assert abs(a.nbar_eff - b.nbar_eff) < 1e-15
-
-
-def _physicality_loop(b1, b2, c1, c2, eps1, d_vals):
-    """Reference: check the eigenvalues one at a time, stop at the first failure."""
-    if b1 - c1 <= 0.0:
-        return False, "B1 > C1"
-    for d in d_vals:
-        margin = b2 - c2 - (b1 * c1 / (b1 - c1)) * d
-        if margin <= 0.0:
-            return False, "B2 > C2 + B1 C1 D / (B1 - C1)"
-        lhs = (b1 - c1) * margin / (1.0 - eps1) ** 2
-        if lhs < 0.25 - _PHYSICALITY_TOL:
-            return False, "input purity bound"
-    return True, None
-
-
-_maybe_nan = st.one_of(st.floats(-0.5, 3.0), st.floats(0.0, 10.0), st.just(math.nan))
-
-
-class TestPhysicality:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        b1=_maybe_nan,
-        b2=_maybe_nan,
-        c1=_maybe_nan,
-        c2=_maybe_nan,
-        eps1=st.floats(0.0, 0.99),
-        d_vals=st.lists(_maybe_nan, max_size=6),
-    )
-    def test_matches_loop_on_arbitrary_inputs(self, b1, b2, c1, c2, eps1, d_vals):
-        d_vals = np.array(d_vals, dtype=float)
-        with np.errstate(all="ignore"):
-            expected = _physicality_loop(b1, b2, c1, c2, eps1, d_vals)
-            assert _physicality(b1, b2, c1, c2, eps1, d_vals) == expected
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        seed=st.integers(0, 2**32 - 1),
-        scales=st.lists(
-            st.sampled_from([0.5, 1 - 1e-6, 1.0, 1 + 1e-11, 1 + 1e-9, 1 + 1e-6, 3.0]),
-            max_size=6,
-        ),
-    )
-    def test_matches_loop_near_saturation(self, n, seed, scales):
-        # the planner's own (B1, B2) put D_max on the purity bound; scaled
-        # copies of D_max land on either side of it or past the margin
-        # bound, in every order
-        rng = np.random.default_rng(seed)
-        g = random_graph(n, 0.6, rng)
-        noise = _random_noise(rng)
-        p = plan(g, noise)
-        d_vals = p.eig_a2[0] * np.array(scales, dtype=float)
-        args = (p.b1, p.b2, p.c1, p.c2, noise.eps1, d_vals)
-        assert _physicality(*args) == _physicality_loop(*args)
 
 
 def _rotation_matrix(n, i, j, angle):

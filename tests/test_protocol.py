@@ -159,6 +159,20 @@ class TestEquivalentCircuit:
             equiv = downloaded_state_equivalent(params, q)
             assert trace_distance(direct, equiv) < 1e-10
 
+    @pytest.mark.parametrize("r", [-R0_LIMIT, -R0_LIMIT + 1e-9])
+    @pytest.mark.parametrize("nbar", [0.0, 0.1, 10.0, 1e6])
+    def test_agreement_at_the_lower_source_limit(self, r, nbar, rng):
+        # exp(2 r0) is near its floor: the log magnitudes overflow to -inf
+        # from n = 3 on, and sigma2 is inf once nbar is about 1 or more
+        for n in range(3, 9):
+            params = _params(random_graph(n, 0.6, rng), r, nbar)
+            q = sample_outcomes(params, rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                direct = downloaded_state_direct(params, q)
+                equiv = downloaded_state_equivalent(params, q)
+            assert trace_distance(direct, equiv) <= 1e-10
+
     def test_pure_case_stays_pure(self, rng):
         g, r, _, q = _random_case(rng, nbar_hi=0.0)
         params = _params(g, r, 0.0)

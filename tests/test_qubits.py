@@ -66,6 +66,16 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             QubitDensityMatrix(1, np.diag([0.7, 0.7]))
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_nan_pure_state_rejected(self, normalize):
+        with pytest.raises(ValueError):
+            QubitPureState(1, np.full(2, np.nan), normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_nan_density_matrix_rejected(self, normalize):
+        with pytest.raises(ValueError):
+            QubitDensityMatrix(1, np.full((2, 2), np.nan), normalize=normalize)
+
     def test_purity_of_pure_projector(self):
         rho = plus_state(2).density_matrix()
         assert abs(rho.purity() - 1.0) < 1e-12
