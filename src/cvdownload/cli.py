@@ -382,6 +382,15 @@ def _plan_row(graph: Graph, noise: NoiseParams) -> tuple:
     )
 
 
+def _linearized_or_none(graph: Graph, noise: NoiseParams, use_degree_bound: bool):
+    """The first-order plan as a dict, or None above the r' where
+    ``linearized_plan`` refuses because ``D e^{4 r'}`` leaves the float range."""
+    try:
+        return linearized_plan(graph, noise, use_degree_bound)._asdict()
+    except ValueError:
+        return None
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     defaults = {
         "graph": "path:3",
@@ -398,9 +407,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     p, row = _plan_row(graph, noise)
     residual = verify_plan(p, graph, noise)
 
-    lin_spectral = linearized_plan(graph, noise)
-    lin_degree = linearized_plan(graph, noise, use_degree_bound=True)
-
     if args.format == "csv":
         _csv_output(args.out, "plan", config, _PLAN_HEADER, [row])
         return 0
@@ -413,8 +419,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "passed": bool(residual < 1e-9),
         },
         "linearized": {
-            "spectral": lin_spectral._asdict(),
-            "degree_bound": lin_degree._asdict(),
+            "spectral": _linearized_or_none(graph, noise, False),
+            "degree_bound": _linearized_or_none(graph, noise, True),
         },
     }
     _json_output(args.out, "plan", config, payload)

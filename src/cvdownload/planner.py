@@ -78,6 +78,10 @@ __all__ = [
 
 # Largest |r'| for which exp(2 r') and exp(-2 r') are both finite and nonzero.
 R_PRIME_LIMIT = 0.5 * math.log(sys.float_info.max)
+# verify_plan refuses a replay whose covariance entries could exceed a
+# quarter of the largest float: each congruence adds its product to its
+# transpose, and the residual subtracts two such covariances.
+_REPLAY_LOG_LIMIT = math.log(sys.float_info.max / 4.0)
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,11 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     d_max = float(d_vals[0])
 
     k = 0.5 * one * e2rp  # B1 - C1, formed directly: b1 - c1 loses digits
+    if k == 0.0:
+        raise ValueError(
+            f"(1 - eps1) e^(2 r_prime) / 2 underflows to 0 at eps1 = {eps1!r}, "
+            f"r_prime = {r_prime!r}, so the CPHASE gain g' = B1 / (B1 - C1) is infinite"
+        )
     b1 = c1 + k
     b2 = c2 + c1 * d_max + 2.0 * c1 * c1 * d_max / (one * e2rp) + 0.5 * one / e2rp
     g_prime = b1 / k
@@ -246,12 +255,25 @@ def linearized_plan(
     ``use_degree_bound=True`` substitutes the coarser square of the
     maximum vertex degree, which is the convenient back-of-envelope bound
     (``D_max <= d^2`` always).
+
+    ``r'`` above ``log(float max / (2 (1 + D))) / 4``, which is at most
+    ``log(float max) / 4`` (about 177.4), is refused with a ``ValueError``:
+    ``D e^{4 r'}`` would leave the float range there.  Below it every
+    term stays under half the largest float, so all three results are
+    finite.
     """
     if use_degree_bound:
         d = float(max_degree(graph)) ** 2
     else:
         d_vals, _ = a_squared_spectrum(graph)
         d = float(d_vals[0])
+    limit = 0.25 * math.log(sys.float_info.max / (2.0 * (1.0 + d)))
+    if noise.r_prime > limit:
+        raise ValueError(
+            f"linearized_plan needs r_prime <= log(float max / (2 (1 + D))) / 4 "
+            f"= {limit!r} at D = {d!r}, beyond which D e^(4 r_prime) leaves the "
+            f"float range; got {noise.r_prime!r}"
+        )
     e2rp = math.exp(2.0 * noise.r_prime)
     e4rp = e2rp * e2rp
     w_plus = 0.5 * (d * e4rp + e4rp + 1.0)
@@ -272,11 +294,25 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     Pipeline: per-mode squeezed-thermal inputs -> orthogonal network ->
     CPHASE at ``g'`` -> loss ``eps1`` -> detector noise ``eps2``; the
     result must equal the unit-strength CPHASE network applied to i.i.d.
-    ``(r_eff, nbar_eff)`` modes.  Refuses to verify an unphysical plan.
+    ``(r_eff, nbar_eff)`` modes.  Refuses to verify an unphysical plan,
+    and refuses with a ``ValueError``, before the replay, a plan whose
+    replayed covariance or target could leave the float range (see
+    :func:`_replay_log_bound`).
     """
     if not plan_.physical:
         raise ValueError(f"plan is not physical (violated: {plan_.violated})")
     nbar = np.clip(plan_.mode_thermal, 0.0, None)  # clip -0.0 round-off
+    source = SqueezedThermalParams(plan_.r_eff, plan_.nbar_eff)
+    d = max_degree(graph)
+    log_bound = np.logaddexp(
+        _replay_log_bound(plan_.mode_squeezing, nbar, plan_.g_prime, d),
+        _replay_log_bound(np.array([source.r]), np.array([source.nbar]), 1.0, d),
+    )
+    if not log_bound < _REPLAY_LOG_LIMIT:
+        raise ValueError(
+            f"the replayed covariance would leave the float range: its entries "
+            f"may reach e^{log_bound:.6g}, above float max / 4 = e^{_REPLAY_LOG_LIMIT:.6g}"
+        )
     q_vars = np.exp(2.0 * plan_.mode_squeezing) * (nbar + 0.5)
     p_vars = np.exp(-2.0 * plan_.mode_squeezing) * (nbar + 0.5)
     state = mode_diag_state(q_vars, p_vars)
@@ -284,10 +320,27 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     state = apply_cphase(state, graph, plan_.g_prime)
     state = apply_loss(state, noise.eps1)
     state = apply_detector_noise(state, noise.eps2)
-    target = thermal_cvcs(
-        graph, SqueezedThermalParams(plan_.r_eff, plan_.nbar_eff), 1.0
-    )
+    target = thermal_cvcs(graph, source, 1.0)
     return float(np.abs(state.cov - target.cov).max())
+
+
+def _replay_log_bound(
+    squeezing: np.ndarray, thermal: np.ndarray, g: float, d: int
+) -> float:
+    """Log of a bound on every covariance entry in a replay.
+
+    The modes are squeezed-thermal with ``(squeezing[k], thermal[k])``, so
+    their q (p) variances are at most ``Q`` (``P``).  A passive network
+    keeps every q-q (p-p) entry within ``Q`` (``P``), by Cauchy-Schwarz
+    over the rows of ``O``.  CPHASE at strength ``g`` on a graph of
+    maximum degree ``d`` then gives q-q, q-p and p-p entries of at most
+    ``Q``, ``g d Q`` and ``P + (g d)^2 Q``, all within
+    ``(1 + g d)^2 Q + P``; so does every partial sum of the products.
+    """
+    log_nu = np.log(thermal + 0.5)
+    log_q = float(np.max(2.0 * squeezing + log_nu))
+    log_p = float(np.max(-2.0 * squeezing + log_nu))
+    return float(np.logaddexp(2.0 * math.log1p(g * d) + log_q, log_p))
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +388,19 @@ def givens_network(
     rotations zero the below-diagonal entries column by column, leaving a
     diagonal of +-1.  Returns ``(rotations, signs)`` such that
     ``compose_network(n, rotations, signs)`` reproduces ``o``; at most
-    ``n (n - 1) / 2`` rotations, with exact zeros skipped.  Each rotation
-    updates the two rows it touches in place, from the current column on,
-    so a rotation costs O(n) and the synthesis O(n^3).
+    ``n (n - 1) / 2`` rotations, with entries below 1e-14 skipped, so a
+    block-structured ``o`` (see :func:`graphs.a_squared_spectrum`) costs
+    only the rotations inside its blocks.
+
+    Each column is eliminated at once.  Its rotations ``(col, row_k)``,
+    in row order over the entries ``x_k`` that are not skipped, take the
+    pivot entry ``x_0`` to ``r_k = sqrt(x_0^2 + sum_{i<=k} x_i^2)`` with
+    angle ``atan2(x_k, r_{k-1})``, where ``r_{-1} = x_0`` keeps its sign.
+    The pivot row after rotation ``k`` is then the running sum
+    ``p_k = (x_0 pivot + sum_{i<=k} x_i row_i) / r_k``, and row ``k``
+    becomes ``(r_{k-1} row_k - x_k p_{k-1}) / r_k`` with ``p_{-1}`` the
+    pivot row itself.  A column costs a fixed number of array operations
+    and the synthesis O(n^3) arithmetic.
     """
     o = np.asarray(o, dtype=float)
     n = o.shape[0]
@@ -346,20 +409,31 @@ def givens_network(
     if float(np.abs(o @ o.T - np.eye(n)).max()) > tol:
         raise ValueError("matrix is not orthogonal within tolerance")
     work = o.copy()
-    rotations: list[GivensRotation] = []
+    cols, rows, angles = [], [], []
     for col in range(n - 1):
-        for row in range(col + 1, n):
-            if abs(work[row, col]) < 1e-14:
-                continue
-            angle = math.atan2(work[row, col], work[col, col])
-            # apply the transpose of the (col, row) rotation, which
-            # eliminates entry (row, col); columns left of col are
-            # already eliminated and never read again
-            _rotate_rows(work, col, row, math.cos(angle), -math.sin(angle), col)
-            work[row, col] = 0.0
-            rotations.append(GivensRotation(col, row, angle))
+        active = col + 1 + np.flatnonzero(np.abs(work[col + 1:, col]) >= 1e-14)
+        if active.size == 0:
+            continue
+        x0 = work[col, col]
+        x = work[active, col]
+        block = work[active, col:]
+        r = np.sqrt(x0 * x0 + np.cumsum(x * x))
+        r_prev = np.concatenate(([x0], r[:-1]))
+        pivots = np.cumsum(x[:, None] * block, axis=0)
+        pivots += x0 * work[col, col:]
+        pivots /= r[:, None]
+        p_prev = np.concatenate((work[None, col, col:], pivots[:-1]))
+        work[active, col:] = (r_prev[:, None] * block - x[:, None] * p_prev) / r[:, None]
+        work[active, col] = 0.0
+        work[col, col:] = pivots[-1]
+        cols.append(np.full(active.size, col))
+        rows.append(active)
+        angles.append(np.arctan2(x, r_prev))
     diag = np.diagonal(work)
     if float(np.abs(np.abs(diag) - 1.0).max()) > 1e-9:  # pragma: no cover
         raise RuntimeError("Givens reduction did not reach a signed identity")
     signs = np.sign(diag)
-    return tuple(rotations), signs
+    if not cols:
+        return (), signs
+    i, j, angle = (np.concatenate(v).tolist() for v in (cols, rows, angles))
+    return tuple(map(GivensRotation, i, j, angle)), signs

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cvdownload.graphs import Graph, random_graph
 
@@ -34,6 +35,15 @@ def random_test_graph(rng: np.random.Generator, n_max: int = 4, n_min: int = 1) 
     """A small random graph for property loops (may be edgeless)."""
     n = int(rng.integers(n_min, n_max + 1))
     return random_graph(n, 0.6, rng)
+
+
+@st.composite
+def small_graphs(draw, n_max=7):
+    """Any simple graph on 1..n_max vertices, edges drawn pair by pair."""
+    n = draw(st.integers(1, n_max))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(pair for pair, k in zip(pairs, keep) if k))
 
 
 def assert_refused_before_allocating(call) -> None:

@@ -194,6 +194,16 @@ class TestPlan:
         assert doc["plan"]["nbar_eff"] == 0.0
         assert doc["verification"]["residual"] is not None
 
+    def test_linearized_is_null_where_it_leaves_the_float_range(self, capsys):
+        # e^{4 r'} overflows at r' = 200; the exact plan still prints
+        assert main(["plan", "--r-prime", "200"]) == 0
+        doc = json.loads(
+            "\n".join(l for l in capsys.readouterr().out.splitlines() if not l.startswith("#"))
+        )
+        assert doc["linearized"] == {"spectral": None, "degree_bound": None}
+        assert 0.0 < doc["plan"]["r_eff"] < 200.0
+        assert doc["plan"]["physical"] is True
+
     def test_csv_row(self, tmp_path):
         out = tmp_path / "p.csv"
         main(["plan", "--eps1", "0.01", "--eps2", "0.01", "--format", "csv", "--out", str(out)])

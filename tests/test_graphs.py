@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import small_graphs
 from cvdownload.graphs import (
     Graph,
     a_squared_spectrum,
@@ -181,6 +183,58 @@ class TestSpectrum:
         d2, o2 = a_squared_spectrum(path_graph(3))
         assert np.array_equal(d1, d2)
         assert np.array_equal(o1, o2)
+
+
+def _a2_reach(graph):
+    """``reach[i, j]``: vertices i and j are joined in the nonzero pattern of
+    ``A^2``, found as the support of ``(I + pattern)^n``."""
+    a = adjacency_matrix(graph)
+    step = np.eye(graph.n) + (a @ a != 0.0)
+    return np.linalg.matrix_power(step, graph.n) > 0.0
+
+
+class TestBlockSpectrum:
+    """``A^2`` is diagonalised one block (component of its pattern) at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graphs(n_max=12))
+    def test_layout_over_random_graphs(self, graph):
+        n = graph.n
+        a = adjacency_matrix(graph)
+        a2 = a @ a
+        d, o = a_squared_spectrum(graph)
+        # every column lives on one block: entries across blocks are exact zeros
+        reach = _a2_reach(graph)
+        for k in range(n):
+            support = np.flatnonzero(o[:, k])
+            assert reach[np.ix_(support, support)].all()
+        # O^T A^2 O = diag(D), and D is the spectrum of A^2
+        scale = 1e-12 * d[0]
+        assert np.max(np.abs(o.T @ a2 @ o - np.diag(d))) <= scale
+        assert np.max(np.abs(d - np.sort(np.linalg.eigvalsh(a2))[::-1])) <= 1e-12
+        # descending, ties by ascending dominant index, dominant entry positive
+        dominant = np.argmax(np.abs(o), axis=0)
+        assert np.all(np.diff(d) <= 0.0)
+        for k in range(n - 1):
+            if d[k] == d[k + 1]:
+                assert dominant[k] <= dominant[k + 1]
+        assert np.all(o[dominant, np.arange(n)] > 0.0)
+
+    def test_bipartite_blocks_are_colour_classes(self):
+        # rows of one colour class never meet columns of the other
+        side = 6
+        _, o = a_squared_spectrum(grid2d_graph(side, side))
+        colour = np.add.outer(np.arange(side), np.arange(side)).ravel() % 2
+        for k in range(side * side):
+            assert len(set(colour[o[:, k] != 0.0])) == 1
+
+    def test_isolated_vertices_are_their_own_blocks(self):
+        # vertices 3, 4 and 5 are isolated; the triangle is one non-bipartite block
+        g = Graph(6, ((0, 1), (1, 2), (0, 2)))
+        d, o = a_squared_spectrum(g)
+        assert np.array_equal(d[3:], np.zeros(3))
+        assert np.all(o[[3, 4, 5], :3] == 0.0)
+        assert np.all(o[:3, 3:] == 0.0)
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthogonal
+from conftest import random_orthogonal, small_graphs
 from cvdownload.gaussian import (
     SqueezedThermalParams,
     mode_diag_state,
@@ -23,6 +24,7 @@ from cvdownload.graphs import (
     complete_graph,
     cycle_graph,
     grid2d_graph,
+    max_degree,
     path_graph,
     random_graph,
 )
@@ -36,6 +38,9 @@ from cvdownload.planner import (
     plan,
     verify_plan,
 )
+
+
+_eps = st.floats(0.0, 0.99)
 
 
 def _random_noise(rng, eps_hi=0.05, r_lo=0.3, r_hi=1.5):
@@ -80,6 +85,12 @@ class TestNoiseParams:
         p = plan(path_graph(3), NoiseParams(0.0, 0.0, r_prime))
         assert p.physical
         assert abs(p.r_eff - r_prime) <= 1e-12 * abs(r_prime)
+
+    def test_refuses_underflowing_gain(self):
+        # (1 - eps1) e^{2 r'} / 2 = B1 - C1 underflows to 0, so g' would be infinite
+        noise = NoiseParams(math.nextafter(1.0, 0.0), 0.01, -R_PRIME_LIMIT)
+        with pytest.raises(ValueError, match="underflows to 0"):
+            plan(path_graph(3), noise)
 
     @pytest.mark.parametrize("eps2", [0.01, 0.3])
     def test_noisy_plan_at_the_limit_stays_finite(self, eps2):
@@ -189,24 +200,56 @@ class TestVerifyPlan:
         broken = dataclasses.replace(p, g_prime=p.g_prime + 1e-3)
         assert verify_plan(broken, g, noise) > 1e-5
 
+    @pytest.mark.parametrize(
+        "eps, r_prime",
+        [(0.01, 354.0), (0.9, 354.0), (0.99, 354.0), (0.9, -348.0), (0.99, -346.0)],
+    )
+    def test_refuses_replay_beyond_float_range(self, eps, r_prime):
+        # the replay overflowed here with RuntimeWarnings; at r' = -346 B2
+        # itself overflows, and the target's source refuses r_eff = -inf
+        g = complete_graph(7)
+        noise = NoiseParams(eps, eps, r_prime)
+        p = plan(g, noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range|must be finite"):
+                verify_plan(p, g, noise)
+
+    @pytest.mark.parametrize("eps, r_prime", [(0.01, 352.0), (0.01, -354.0), (0.99, -340.0)])
+    def test_replay_runs_inside_float_range(self, eps, r_prime):
+        g = complete_graph(7)
+        noise = NoiseParams(eps, eps, r_prime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(verify_plan(plan(g, noise), g, noise))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph=small_graphs(),
+        eps1=_eps,
+        eps2=_eps,
+        r_prime=st.floats(-R_PRIME_LIMIT, R_PRIME_LIMIT),
+    )
+    def test_replay_is_finite_or_refused(self, graph, eps1, eps2, r_prime):
+        noise = NoiseParams(eps1, eps2, r_prime)
+        p = plan(graph, noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                residual = verify_plan(p, graph, noise)
+            except ValueError as exc:
+                # the replay's bound or the target's R0_LIMIT (both name the
+                # float range), or an r_eff that B2's overflow made infinite
+                assert "float range" in str(exc) or "must be finite" in str(exc)
+            else:
+                assert math.isfinite(residual)
+
     def test_unphysical_plan_rejected(self):
         g = path_graph(2)
         noise = NoiseParams(0.01, 0.01, 1.0)
         broken = dataclasses.replace(plan(g, noise), physical=False, violated="forced")
         with pytest.raises(ValueError):
             verify_plan(broken, g, noise)
-
-
-@st.composite
-def _small_graphs(draw, n_max=7):
-    """Any simple graph on 1..n_max vertices, edges drawn pair by pair."""
-    n = draw(st.integers(1, n_max))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, tuple(pair for pair, k in zip(pairs, keep) if k))
-
-
-_eps = st.floats(0.0, 0.99)
 
 
 def _exactly_feasible(p, noise):
@@ -235,7 +278,7 @@ def _exactly_feasible(p, noise):
 class TestPhysicalByConstruction:
     @settings(max_examples=200, deadline=None)
     @given(
-        graph=_small_graphs(),
+        graph=small_graphs(),
         eps1=_eps,
         eps2=_eps,
         r_prime=st.floats(-40.0, 40.0),
@@ -250,7 +293,7 @@ class TestPhysicalByConstruction:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        graph=_small_graphs(),
+        graph=small_graphs(),
         eps1=_eps,
         eps2=_eps,
         r_prime=st.one_of(
@@ -301,6 +344,53 @@ class TestLinearized:
             slope = math.log10(errs[0] / errs[-1]) / 2.0
             assert slope >= 1.8, (name, errs)
 
+    def test_refuses_r_prime_where_e4rp_overflows(self):
+        with pytest.raises(ValueError, match=r"float max / \(2 \(1 \+ D\)\)"):
+            linearized_plan(path_graph(3), NoiseParams(0.0, 0.01, 200.0))
+        # no graph, however sparse, is linearized above log(float max) / 4
+        r_prime = math.nextafter(0.25 * math.log(sys.float_info.max), math.inf)
+        with pytest.raises(ValueError, match="float range"):
+            linearized_plan(Graph(1), NoiseParams(0.0, 0.0, r_prime))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph=small_graphs(),
+        eps1=_eps,
+        eps2=_eps,
+        r_prime=st.floats(-R_PRIME_LIMIT, R_PRIME_LIMIT),
+        use_degree_bound=st.booleans(),
+    )
+    def test_whole_r_prime_range(self, graph, eps1, eps2, r_prime, use_degree_bound):
+        noise = NoiseParams(eps1, eps2, r_prime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                lin = linearized_plan(graph, noise, use_degree_bound)
+            except ValueError as exc:
+                assert r_prime > 0.0 and "float range" in str(exc)
+                return
+        assert not any(math.isnan(v) for v in lin)
+        if r_prime >= 0.0:  # g' = 1 + (eps1 + 2 eps2) e^{-2 r'} may overflow below
+            assert all(math.isfinite(v) for v in lin)
+
+    @pytest.mark.parametrize("use_degree_bound", [False, True])
+    @pytest.mark.parametrize("graph", [Graph(1), path_graph(3), complete_graph(7)])
+    def test_finite_up_to_its_bound(self, graph, use_degree_bound):
+        if use_degree_bound:
+            d = float(max_degree(graph)) ** 2
+        else:
+            d = float(a_squared_spectrum(graph)[0][0])
+        limit = 0.25 * math.log(sys.float_info.max / (2.0 * (1.0 + d)))
+        for eps1, eps2 in [(0.0, 0.0), (0.0, 0.99), (0.99, 0.0), (0.99, 0.99)]:
+            lin = linearized_plan(graph, NoiseParams(eps1, eps2, limit), use_degree_bound)
+            assert all(math.isfinite(v) for v in lin)
+            with pytest.raises(ValueError, match="float range"):
+                linearized_plan(
+                    graph,
+                    NoiseParams(eps1, eps2, math.nextafter(limit, math.inf)),
+                    use_degree_bound,
+                )
+
     def test_degree_bound_variant(self):
         # path n=3: D_max = 2 but d^2 = 4, so the degree-bound form is
         # more pessimistic about thermalization.
@@ -333,6 +423,26 @@ def _dense_compose(n, rotations, signs):
     for rot in reversed(rotations):
         out = _rotation_matrix(n, rot.i, rot.j, rot.angle) @ out
     return out
+
+
+def _sequential_givens(o):
+    """Oracle for givens_network: the Reck elimination one rotation at a
+    time, each rotation applied to the two rows it touches."""
+    work = np.array(o, dtype=float)
+    n = work.shape[0]
+    rotations = []
+    for col in range(n - 1):
+        for row in range(col + 1, n):
+            if abs(work[row, col]) < 1e-14:
+                continue
+            angle = math.atan2(work[row, col], work[col, col])
+            c, s = math.cos(angle), math.sin(angle)
+            pivot = work[col, col:].copy()
+            work[col, col:] = c * pivot + s * work[row, col:]
+            work[row, col:] = c * work[row, col:] - s * pivot
+            work[row, col] = 0.0
+            rotations.append(GivensRotation(col, row, angle))
+    return tuple(rotations), np.sign(np.diagonal(work))
 
 
 def _test_orthogonal(kind, n, rng):
@@ -388,6 +498,22 @@ class TestGivensNetwork:
         assert np.max(np.abs(recomposed - o)) < 1e-9
         assert np.max(np.abs(recomposed - _dense_compose(n, rotations, signs))) < 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["haar", "permutation", "signed_permutation"]),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_elimination(self, kind, n, seed):
+        o = _test_orthogonal(kind, n, np.random.default_rng(seed))
+        rotations, signs = givens_network(o)
+        expected, expected_signs = _sequential_givens(o)
+        assert [(r.i, r.j) for r in rotations] == [(r.i, r.j) for r in expected]
+        for got, want in zip(rotations, expected):
+            assert abs(got.angle - want.angle) <= 1e-12
+        assert np.array_equal(signs, expected_signs)
+        assert np.max(np.abs(compose_network(n, rotations, signs) - o), initial=0.0) <= 1e-12
+
     @pytest.mark.parametrize("side", [10, 12])
     def test_grid2d_spectrum_basis(self, side):
         _, o = a_squared_spectrum(grid2d_graph(side, side))
@@ -416,6 +542,28 @@ class TestGivensNetwork:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
             givens_network(np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("rows, cols", [(8, 8), (10, 10), (12, 12), (9, 16), (20, 20)])
+    def test_grid_rotation_ceiling(self, rows, cols):
+        # A^2 splits into the two colour classes, so the network never
+        # eliminates across them: at most n^2 / 4 + n rotations
+        n = rows * cols
+        p = plan(grid2d_graph(rows, cols), NoiseParams(0.02, 0.01, 1.0))
+        assert len(p.network) <= n * n / 4 + n
+
+    def test_balanced_bipartite_rotation_ceiling(self, rng):
+        for _ in range(10):
+            half = int(rng.integers(2, 13))
+            density = float(rng.uniform(0.1, 0.9))
+            edges = tuple(
+                (i, half + j)
+                for i in range(half)
+                for j in range(half)
+                if rng.random() < density
+            )
+            g = Graph(2 * half, edges)
+            p = plan(g, _random_noise(rng))
+            assert len(p.network) <= g.n * g.n / 4 + g.n
 
     def test_plan_network_matches_orthogonal(self, rng):
         g = random_graph(5, 0.6, rng)
