@@ -383,8 +383,8 @@ def _plan_row(graph: Graph, noise: NoiseParams) -> tuple:
 
 
 def _linearized_or_none(graph: Graph, noise: NoiseParams, use_degree_bound: bool):
-    """The first-order plan as a dict, or None above the r' where
-    ``linearized_plan`` refuses because ``D e^{4 r'}`` leaves the float range."""
+    """The first-order plan as a dict, or None where ``linearized_plan``
+    refuses because one of its terms leaves the float range."""
     try:
         return linearized_plan(graph, noise, use_degree_bound)._asdict()
     except ValueError:

@@ -75,13 +75,18 @@ def sample_q(r0: float, shots: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(centers, math.exp(r0) / math.sqrt(2.0))
 
 
+def _log_imbalance(q, r0: float):
+    """``log gamma(q) = sqrt(pi) (2 q - sqrt(pi)) / (2 e^{2 r0})``, for a float or an array."""
+    return SQRT_PI * (2.0 * q - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
+
+
 def amplitude_imbalance(q, r0: float):
     """``gamma(q) = |<1|psi_q>| / |<0|psi_q>|``; below 1 exactly when q < sqrt(pi)/2.
 
     Where ``log gamma`` exceeds the float range (far tails at strongly
     negative ``r0``) the result is ``inf``, without an overflow warning.
     """
-    log_gamma = SQRT_PI * (2.0 * np.asarray(q) - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
+    log_gamma = _log_imbalance(np.asarray(q), r0)
     with np.errstate(over="ignore"):
         return np.exp(log_gamma)
 
@@ -104,7 +109,7 @@ def qubit_given_outcome(q: float, r0: float, p0: float = 0.0) -> QubitPureState:
     psi(q - sqrt(pi)))``.  The ratio is computed in log space, so extreme
     outcomes far into either Gaussian tail stay finite.
     """
-    log_gamma = SQRT_PI * (2.0 * q - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
+    log_gamma = _log_imbalance(q, r0)
     if log_gamma <= 0.0:
         a0 = 1.0 / math.sqrt(1.0 + math.exp(2.0 * log_gamma))
         a1 = math.exp(log_gamma) * a0

@@ -44,13 +44,10 @@ __all__ = [
     "apply_orthogonal",
     "symplectic_form",
     "symplectic_eigenvalues",
-    "is_physical",
     "thermal_cvcs",
     "collective_mode_covariance",
     "MixtureParams",
     "mixture_params",
-    "state_to_json",
-    "state_from_json",
 ]
 
 
@@ -100,24 +97,17 @@ class SqueezedThermalParams:
 class GaussianState:
     """Zero-mean Gaussian state of ``n`` modes held as a covariance matrix."""
 
-    __slots__ = ("n", "cov", "mean")
+    __slots__ = ("n", "cov")
 
-    def __init__(self, n: int, cov, mean=None):
+    def __init__(self, n: int, cov):
         cov = np.array(cov, dtype=float)
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"expected a {2 * n}x{2 * n} covariance, got {cov.shape}")
         dev = float(np.abs(cov - cov.T).max())
         if not dev <= 1e-12:  # NaN fails too
             raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
-        if mean is None:
-            mean = np.zeros(2 * n)
-        else:
-            mean = np.array(mean, dtype=float)
-            if mean.shape != (2 * n,):
-                raise ValueError(f"mean must have length {2 * n}, got {mean.shape}")
         self.n = n
         self.cov = cov
-        self.mean = mean
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianState(n={self.n})"
@@ -167,7 +157,7 @@ def apply_cphase(state: GaussianState, graph: Graph, strength: float = 1.0) -> G
     n = state.n
     s = np.eye(2 * n)
     s[n:, :n] = strength * adjacency_matrix(graph)
-    return GaussianState(n, _congruence(s, state.cov), s @ state.mean)
+    return GaussianState(n, _congruence(s, state.cov))
 
 
 def apply_loss(state: GaussianState, eps: float) -> GaussianState:
@@ -179,7 +169,7 @@ def apply_loss(state: GaussianState, eps: float) -> GaussianState:
         raise ValueError(f"loss fraction must be in [0, 1), got {eps}")
     n = state.n
     cov = (1.0 - eps) * state.cov + 0.5 * eps * np.eye(2 * n)
-    return GaussianState(n, cov, math.sqrt(1.0 - eps) * state.mean)
+    return GaussianState(n, cov)
 
 
 def apply_detector_noise(state: GaussianState, eps2: float) -> GaussianState:
@@ -195,7 +185,7 @@ def apply_detector_noise(state: GaussianState, eps2: float) -> GaussianState:
     n = state.n
     cov = state.cov.copy()
     cov[:n, :n] += (eps2 / (1.0 - eps2)) * np.eye(n)
-    return GaussianState(n, cov, state.mean)
+    return GaussianState(n, cov)
 
 
 def apply_orthogonal(state: GaussianState, o: np.ndarray, tol: float = 1e-10) -> GaussianState:
@@ -210,7 +200,7 @@ def apply_orthogonal(state: GaussianState, o: np.ndarray, tol: float = 1e-10) ->
     u = np.zeros((2 * n, 2 * n))
     u[:n, :n] = o
     u[n:, n:] = o
-    return GaussianState(n, _congruence(u, state.cov), u @ state.mean)
+    return GaussianState(n, _congruence(u, state.cov))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +225,6 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     ev = np.linalg.eigvals(symplectic_form(state.n) @ state.cov)
     nus = np.sort(np.abs(ev))
     return nus[::2]
-
-
-def is_physical(state: GaussianState, tol: float = 1e-10) -> bool:
-    """Uncertainty-principle check: every symplectic eigenvalue >= 1/2 - tol."""
-    return bool(symplectic_eigenvalues(state).min() >= 0.5 - tol)
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +293,3 @@ def mixture_params(params: SqueezedThermalParams) -> MixtureParams:
     e2r0 = math.exp(2.0 * params.r) * (1.0 + 2.0 * params.nbar)
     sigma2 = params.nbar * (1.0 + params.nbar) / e2r0
     return MixtureParams(0.5 * math.log(e2r0), sigma2)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def state_to_json(state: GaussianState) -> dict:
-    return {
-        "n": state.n,
-        "ordering": "qqpp",
-        "cov": state.cov.tolist(),
-        "mean": state.mean.tolist(),
-    }
-
-
-def state_from_json(obj: dict) -> GaussianState:
-    if obj.get("ordering", "qqpp") != "qqpp":
-        raise ValueError(f"unsupported quadrature ordering {obj.get('ordering')!r}")
-    return GaussianState(int(obj["n"]), np.asarray(obj["cov"]), obj.get("mean"))

@@ -226,11 +226,18 @@ def a_squared_spectrum(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def neighbor_phase(graph: Graph, q: np.ndarray) -> np.ndarray:
-    """Corrective phase vector ``phi = sqrt(pi) A q`` for measured outcomes."""
+    """Corrective phases ``phi = sqrt(pi) A q`` for measured outcomes.
+
+    ``q`` has shape ``(..., n)``: one outcome vector, or a stack of them
+    such as one row per shot.  A is built once per call, and each row of
+    the result is bit-identical to the call on that row alone.  This is
+    the one place the formula is written; a strength-``g`` CPHASE network
+    scales the result by ``g``.
+    """
     q = np.asarray(q, dtype=float)
-    if q.shape != (graph.n,):
-        raise ValueError(f"expected {graph.n} outcomes, got shape {q.shape}")
-    return SQRT_PI * (adjacency_matrix(graph) @ q)
+    if q.shape[-1:] != (graph.n,):
+        raise ValueError(f"expected {graph.n} outcomes on the last axis, got shape {q.shape}")
+    return SQRT_PI * (adjacency_matrix(graph) @ q[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,11 @@ class DecorrelationPlan:
 
 
 def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
-    """Solve the decorrelation problem for ``graph`` under ``noise``."""
+    """Solve the decorrelation problem for ``graph`` under ``noise``.
+
+    Refused with a ``ValueError`` where ``(1 - eps1) e^{2 r'} / 2``
+    underflows or ``B2`` or ``g'`` overflows, so every plan is finite.
+    """
     d_vals, o = a_squared_spectrum(graph)
     eps1, r_prime = noise.eps1, noise.r_prime
     c1, c2 = noise.c1, noise.c2
@@ -191,6 +195,12 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     b1 = c1 + k
     b2 = c2 + c1 * d_max + 2.0 * c1 * c1 * d_max / (one * e2rp) + 0.5 * one / e2rp
     g_prime = b1 / k
+    if not (math.isfinite(b2) and math.isfinite(g_prime)):
+        raise ValueError(
+            f"B2 = {b2!r} and g' = B1 / (B1 - C1) = {g_prime!r} must stay within the "
+            f"float range; their e^(-2 r_prime) terms overflow at eps1 = {eps1!r}, "
+            f"eps2 = {noise.eps2!r}, r_prime = {r_prime!r}"
+        )
 
     delta = d_max - d_vals
     # s = sqrt(4 C1^2 delta + 2 C1 delta (1 - eps1) e^{2r'} + (1 - eps1)^2),
@@ -258,9 +268,10 @@ def linearized_plan(
 
     ``r'`` above ``log(float max / (2 (1 + D))) / 4``, which is at most
     ``log(float max) / 4`` (about 177.4), is refused with a ``ValueError``:
-    ``D e^{4 r'}`` would leave the float range there.  Below it every
-    term stays under half the largest float, so all three results are
-    finite.
+    ``D e^{4 r'}`` would leave the float range there.  Below it the
+    ``e^{4 r'}`` terms stay under half the largest float; the ``e^{-2 r'}``
+    terms overflow only under heavy noise at strongly negative ``r'``,
+    which is refused too, so every result is finite.
     """
     if use_degree_bound:
         d = float(max_degree(graph)) ** 2
@@ -280,12 +291,19 @@ def linearized_plan(
     w_minus = 0.5 * (d * e4rp + e4rp - 1.0)
     v_plus = d * e4rp + 1.0
     v_minus = d * e4rp - 1.0
-    return LinearizedPlan(
+    lin = LinearizedPlan(
         e2r_eff=e2rp - noise.eps1 * w_minus - noise.eps2 * v_minus,
         nbar_eff=0.5 * noise.eps1 * (w_plus / e2rp - 1.0)
         + 0.5 * noise.eps2 * v_plus / e2rp,
         g_prime=1.0 + (noise.eps1 + 2.0 * noise.eps2) / e2rp,
     )
+    if not all(map(math.isfinite, lin)):
+        raise ValueError(
+            f"{lin!r} must stay within the float range; its e^(-2 r_prime) terms "
+            f"overflow at eps1 = {noise.eps1!r}, eps2 = {noise.eps2!r}, "
+            f"r_prime = {noise.r_prime!r}"
+        )
+    return lin
 
 
 def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> float:

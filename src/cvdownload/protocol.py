@@ -32,11 +32,13 @@ per-qubit conditional states, single-qubit dephasing at the thermal
 rate, then the qubit CZ network of the same graph.  Their agreement is a
 simulator-independent identity and is enforced in the tests.
 
-The shot loop uses neither.  Once the balancing POVM has acted, every
-error sits ahead of the diagonal entangling layer, so a shot's register
-is fixed by its keep/delete pattern alone: a kept qubit is ``|+><+|``
-dephased at the thermal rate, a deleted qubit is its basis state
-``|b><b|``, and the graph contributes the diagonal phase
+The shot loop uses neither, and per shot it only draws; the phases
+(:func:`~cvdownload.graphs.neighbor_phase`) and keep decisions come from
+the stacked draws.  Once the balancing POVM has acted, every error sits
+ahead of the diagonal entangling layer, so a shot's register is fixed
+by its keep/delete pattern alone: a kept qubit is ``|+><+|`` dephased
+at the thermal rate, a deleted qubit is its basis state ``|b><b|``, and
+the graph contributes the diagonal phase
 ``s(b) = prod_edges exp(i pi g b_i b_j)``
 (:func:`~cvdownload.qubits.graph_phases`).  :func:`run_download` builds
 that register in one pass; the gate-by-gate route (the equivalent
@@ -62,7 +64,7 @@ from .error_model import (
     sample_q,
 )
 from .gaussian import SqueezedThermalParams, mixture_params
-from .graphs import Graph, adjacency_matrix
+from .graphs import Graph, adjacency_matrix, neighbor_phase
 from .qubits import (
     QubitDensityMatrix,
     _check_dense_size,
@@ -140,8 +142,7 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     with np.errstate(over="ignore"):  # -inf near -R0_LIMIT: weight exp(-inf) = 0
         log_mag = -np.sum(x**2, axis=1) / (2.0 * math.exp(2.0 * r0))
     phase = 0.5 * g * np.einsum("bi,ij,bj->b", x, a, x)
-    phi = g * SQRT_PI * (a @ q)
-    phase = phase + bits @ phi
+    phase = phase + bits @ (g * neighbor_phase(graph, q))
     amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
     rho = np.outer(amps, amps.conj())
     if sigma2 > 0.0:
@@ -239,14 +240,14 @@ class DownloadRecord:
     def all_kept(self) -> bool:
         return not bool(self.deletion_mask.any())
 
-    def to_json(self, include_state: bool = True) -> dict:
+    def to_json(self) -> dict:
         obj = {
             "q": self.q.tolist(),
             "phi": self.phi.tolist(),
             "gamma": self.gamma.tolist(),
             "outcomes": [[o, b] for o, b in self.outcomes],
         }
-        if include_state and self.post_state is not None:
+        if self.post_state is not None:
             obj["post_state"] = self.post_state.to_json()
         return obj
 
@@ -287,16 +288,17 @@ def run_download(
 ) -> tuple[list[DownloadRecord], DownloadSummary]:
     """Run the full protocol for ``shots`` independent shots.
 
-    Each shot gets its own generator spawned from
-    ``SeedSequence(params.seed)``, so results are reproducible and
-    independent of shot order.  Within a shot the draws are the q
-    outcomes followed by one balancing uniform per qubit (ascending site
-    order).  Keep/delete is decided against the per-qubit keep
-    probability ``2 min(1, gamma_i^2) / (1 + gamma_i^2)``, which equals
-    the registered POVM branch weight exactly: the register's diagonal
-    stays a product over qubits (diagonal entangling layer, diagonal
-    dephasing, diagonal POVM updates), so no qubit's branch weight
-    depends on another's outcome.
+    The loop draws, arrays decide.  Each shot's generator, spawned from
+    ``SeedSequence(params.seed)`` (reproducible, independent of shot
+    order), draws the q outcomes and then one balancing uniform per qubit
+    (ascending site order); imbalances, keep decisions, phases and counts
+    follow once over the stacked ``(shots, n)`` draws.  Keep/delete is
+    decided against the per-qubit keep probability
+    ``2 min(1, gamma_i^2) / (1 + gamma_i^2)``, which equals the
+    registered POVM branch weight exactly: the register's diagonal stays
+    a product over qubits (diagonal entangling layer, diagonal dephasing,
+    diagonal POVM updates), so no qubit's branch weight depends on
+    another's outcome.
 
     With ``keep_states=True`` (default) each shot's post-POVM register
     is built in one pass from its keep/delete pattern (see the module
@@ -320,47 +322,43 @@ def run_download(
         target = cluster_state(graph)  # refuses n above the dense cap
         phases = graph_phases(graph, params.cphase_strength)
         coherence = 1.0 - 2.0 * dephasing_rate(sigma2)
-    a = adjacency_matrix(graph)
+
+    q = np.empty((shots, n))
+    uniforms = np.empty((shots, n))
+    for k, child in enumerate(np.random.SeedSequence(params.seed).spawn(shots)):
+        rng = np.random.default_rng(child)
+        q[k] = sample_q(r0, n, rng)
+        uniforms[k] = rng.random(n)
+
+    gamma = amplitude_imbalance(q, r0)
+    kept = uniforms < keep_probability(gamma)
+    phi = params.cphase_strength * neighbor_phase(graph, q)
+    deletions = n - np.count_nonzero(kept, axis=1)
+    per_qubit = shots - np.count_nonzero(kept, axis=0)
 
     records: list[DownloadRecord] = []
-    kept_counts = np.zeros(n, dtype=int)
-    histogram = [0] * (n + 1)  # index = number of deletions in a shot
     fidelities: list[float] = []
-
-    for child in np.random.SeedSequence(params.seed).spawn(shots):
-        rng = np.random.default_rng(child)
-        q = sample_outcomes(params, rng)
-        gamma = np.asarray(amplitude_imbalance(q, r0), dtype=float)
-        kept = rng.random(n) < keep_probability(gamma)
-        codes = 2 * kept + (gamma > 1.0)
-        outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes.tolist()))
-        deleted = n - int(np.count_nonzero(kept))
-        kept_counts += kept
-        histogram[deleted] += 1
+    codes = (2 * kept + (gamma > 1.0)).tolist()
+    for q_k, phi_k, gamma_k, codes_k, deleted in zip(q, phi, gamma, codes, deletions):
+        outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes_k))
         state = None
         if keep_states:
             state = _register_from_pattern(outcomes, coherence, phases)
             if not deleted:
                 fidelities.append(fidelity(target, state))
         records.append(
-            DownloadRecord(
-                q=q,
-                phi=params.cphase_strength * SQRT_PI * (a @ q),
-                gamma=gamma,
-                outcomes=outcomes,
-                post_state=state,
-            )
+            DownloadRecord(q=q_k, phi=phi_k, gamma=gamma_k, outcomes=outcomes, post_state=state)
         )
 
-    per_qubit = shots - kept_counts
+    histogram = np.bincount(deletions, minlength=n + 1)
     summary = DownloadSummary(
         shots=shots,
         n=n,
         p_del_empirical=float(per_qubit.sum()) / (shots * n),
         p_del_analytic=p_del_analytic(r0),
-        all_kept_shots=histogram[0],
+        all_kept_shots=int(histogram[0]),
         mean_kept_fidelity=float(np.mean(fidelities)) if fidelities else math.nan,
-        per_qubit_deletions=tuple(int(c) for c in per_qubit),
-        deletions_histogram=tuple(histogram),
+        per_qubit_deletions=tuple(per_qubit.tolist()),
+        deletions_histogram=tuple(histogram.tolist()),
     )
     return records, summary

@@ -304,11 +304,7 @@ class PovmResult:
 
 
 def apply_balancing_povm(
-    rho: QubitDensityMatrix,
-    site: int,
-    gamma: float,
-    rng: np.random.Generator | None = None,
-    force: str | None = None,
+    rho: QubitDensityMatrix, site: int, gamma: float, force: str
 ) -> PovmResult:
     """Two-outcome balancing measurement on one qubit of a register.
 
@@ -316,6 +312,8 @@ def apply_balancing_povm(
     (probability ``2 min(1, gamma^2) / (1 + gamma^2)`` when the qubit was
     in the imbalanced pure state); the delete branch projects onto a
     computational basis state of known value, i.e. a located erasure.
+    ``force`` names the branch to realize, drawn by the caller; a branch
+    of zero probability is refused.
     """
     keep, delete, deleted_bit = balancing_povm_diagonals(gamma)
     b = _bit(rho.n, site)
@@ -326,23 +324,17 @@ def apply_balancing_povm(
     p_del = float(np.sum(w_del**2 * diag))
     if abs(p_keep + p_del - 1.0) > 1e-9:  # pragma: no cover - defensive
         raise RuntimeError("POVM branch probabilities do not sum to 1")
-    if force is not None:
-        if force not in ("keep", "delete"):
-            raise ValueError(f"force must be 'keep' or 'delete', got {force!r}")
-        outcome = force
-    else:
-        if rng is None:
-            raise ValueError("apply_balancing_povm needs an rng or a forced outcome")
-        outcome = "keep" if rng.random() < p_keep else "delete"
-    weights, prob = (w_keep, p_keep) if outcome == "keep" else (w_del, p_del)
+    if force not in ("keep", "delete"):
+        raise ValueError(f"force must be 'keep' or 'delete', got {force!r}")
+    weights, prob = (w_keep, p_keep) if force == "keep" else (w_del, p_del)
     if prob <= 0.0:
-        raise ValueError(f"cannot realize zero-probability outcome {outcome!r}")
+        raise ValueError(f"cannot realize zero-probability outcome {force!r}")
     post = weights[:, None] * rho.rho * weights[None, :] / prob
     return PovmResult(
-        outcome,
+        force,
         prob,
         QubitDensityMatrix(rho.n, post),
-        None if outcome == "keep" else deleted_bit,
+        None if force == "keep" else deleted_bit,
     )
 
 

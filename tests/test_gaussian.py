@@ -1,6 +1,5 @@
 """Covariance-matrix engine: channels, physicality, closed forms."""
 
-import json
 import math
 
 import numpy as np
@@ -16,12 +15,9 @@ from cvdownload.gaussian import (
     apply_loss,
     apply_orthogonal,
     collective_mode_covariance,
-    is_physical,
     mixture_params,
     mode_diag_state,
     squeezed_thermal,
-    state_from_json,
-    state_to_json,
     symplectic_eigenvalues,
     thermal_cvcs,
     vacuum,
@@ -193,7 +189,8 @@ class TestChannels:
                 random_graph(3, 0.6, rng),
                 SqueezedThermalParams(float(rng.uniform(0, 1.5)), float(rng.uniform(0, 1))),
             )
-            assert is_physical(apply_loss(st, float(rng.uniform(0, 0.9))))
+            out = apply_loss(st, float(rng.uniform(0, 0.9)))
+            assert symplectic_eigenvalues(out).min() >= 0.5 - 1e-10
 
 
 class TestOrthogonal:
@@ -236,7 +233,7 @@ class TestSymplectic:
 
     def test_below_vacuum_is_unphysical(self):
         st = GaussianState(2, 0.1 * np.eye(4))
-        assert not is_physical(st)
+        assert symplectic_eigenvalues(st).min() < 0.5 - 1e-10
 
     def test_cphase_preserves_spectrum(self, rng):
         # S = [[I,0],[gA,I]] is symplectic for symmetric A
@@ -302,22 +299,3 @@ class TestMixtureParams:
                 [0.0, 2.0 * mp.sigma2]
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        st = thermal_cvcs(path_graph(2), SqueezedThermalParams(0.5, 0.3))
-        blob = json.dumps(state_to_json(st))
-        back = state_from_json(json.loads(blob))
-        assert back.n == st.n
-        assert np.allclose(back.cov, st.cov)
-
-    def test_ordering_tag(self):
-        doc = state_to_json(vacuum(1))
-        assert doc["ordering"] == "qqpp"
-
-    def test_rejects_unknown_ordering(self):
-        doc = state_to_json(vacuum(1))
-        doc["ordering"] = "qpqp"
-        with pytest.raises(ValueError):
-            state_from_json(doc)

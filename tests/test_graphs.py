@@ -136,6 +136,26 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             neighbor_phase(path_graph(3), np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(), (5, 4), (3, 5, 2), (3, 1)])
+    def test_neighbor_phase_refuses_wrong_last_axis(self, shape):
+        with pytest.raises(ValueError, match="last axis"):
+            neighbor_phase(path_graph(3), np.zeros(shape))
+
+    @pytest.mark.parametrize("spec", ["path:1", "path:3", "cycle:5", "star:7", "grid2d:10x10"])
+    def test_neighbor_phase_stack_is_rowwise_bitwise(self, spec, rng):
+        # one call on (shots, n) outcomes equals the row-by-row calls and the
+        # hoisted-A form sqrt(pi) * (A @ row) bit for bit
+        graph = parse_graph_spec(spec)
+        a = adjacency_matrix(graph)
+        q = rng.normal(0.0, 3.0, size=(300, graph.n))
+        stacked = neighbor_phase(graph, q)
+        assert stacked.shape == q.shape
+        for row, phi in zip(q, stacked):
+            assert np.array_equal(phi, neighbor_phase(graph, row))
+            assert np.array_equal(phi, SQRT_PI * (a @ row))
+        deeper = neighbor_phase(graph, q.reshape(3, 100, graph.n))
+        assert np.array_equal(deeper.reshape(q.shape), stacked)
+
 
 class TestSpectrum:
     def test_path3_hand_diagonalized(self):

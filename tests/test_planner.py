@@ -92,6 +92,16 @@ class TestNoiseParams:
         with pytest.raises(ValueError, match="underflows to 0"):
             plan(path_graph(3), noise)
 
+    @pytest.mark.parametrize("r_prime", [-346.0, -350.0, -R_PRIME_LIMIT])
+    def test_refuses_overflowing_b2_and_gain(self, r_prime):
+        # 2 C1^2 D_max / ((1 - eps1) e^{2 r'}) overflows B2 from r' = -346 on,
+        # and g' = B1 / (B1 - C1) from r' = -350; r_eff was -inf there
+        noise = NoiseParams(0.99, 0.99, r_prime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="B2 = inf .* float range"):
+                plan(complete_graph(7), noise)
+
     @pytest.mark.parametrize("eps2", [0.01, 0.3])
     def test_noisy_plan_at_the_limit_stays_finite(self, eps2):
         # 2 C1 delta (1 - eps1) e^{2 r'} exceeds the float range here
@@ -206,14 +216,13 @@ class TestVerifyPlan:
     )
     def test_refuses_replay_beyond_float_range(self, eps, r_prime):
         # the replay overflowed here with RuntimeWarnings; at r' = -346 B2
-        # itself overflows, and the target's source refuses r_eff = -inf
+        # itself overflows, and plan refuses before verify_plan sees it
         g = complete_graph(7)
         noise = NoiseParams(eps, eps, r_prime)
-        p = plan(g, noise)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float range|must be finite"):
-                verify_plan(p, g, noise)
+                verify_plan(plan(g, noise), g, noise)
 
     @pytest.mark.parametrize("eps, r_prime", [(0.01, 352.0), (0.01, -354.0), (0.99, -340.0)])
     def test_replay_runs_inside_float_range(self, eps, r_prime):
@@ -232,15 +241,14 @@ class TestVerifyPlan:
     )
     def test_replay_is_finite_or_refused(self, graph, eps1, eps2, r_prime):
         noise = NoiseParams(eps1, eps2, r_prime)
-        p = plan(graph, noise)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                residual = verify_plan(p, graph, noise)
+                residual = verify_plan(plan(graph, noise), graph, noise)
             except ValueError as exc:
-                # the replay's bound or the target's R0_LIMIT (both name the
-                # float range), or an r_eff that B2's overflow made infinite
-                assert "float range" in str(exc) or "must be finite" in str(exc)
+                # plan's overflowing B2 or g', the replay's bound or the
+                # target's R0_LIMIT: each names the float range
+                assert "float range" in str(exc)
             else:
                 assert math.isfinite(residual)
 
@@ -304,10 +312,15 @@ class TestPhysicalByConstruction:
     def test_whole_r_prime_range(self, graph, eps1, eps2, r_prime):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = plan(graph, NoiseParams(eps1, eps2, r_prime))
+            try:
+                p = plan(graph, NoiseParams(eps1, eps2, r_prime))
+            except ValueError as exc:
+                # only heavy noise at strongly negative r' overflows B2 or g'
+                assert r_prime < 0.0 and "float range" in str(exc)
+                return
         assert p.physical and p.violated is None
-        values = [p.g_prime, p.r_eff, p.nbar_eff, *p.mode_squeezing, *p.mode_thermal]
-        assert not any(math.isnan(v) for v in values)
+        values = [p.b2, p.g_prime, p.r_eff, p.nbar_eff, *p.mode_squeezing, *p.mode_thermal]
+        assert all(math.isfinite(v) for v in values)
         assert p.g_prime >= 1.0
         assert p.nbar_eff >= 0.0
 
@@ -367,11 +380,22 @@ class TestLinearized:
             try:
                 lin = linearized_plan(graph, noise, use_degree_bound)
             except ValueError as exc:
-                assert r_prime > 0.0 and "float range" in str(exc)
+                # D e^{4 r'} above the bound, or e^{-2 r'} terms at strongly
+                # negative r' with heavy noise
+                assert "float range" in str(exc)
                 return
-        assert not any(math.isnan(v) for v in lin)
-        if r_prime >= 0.0:  # g' = 1 + (eps1 + 2 eps2) e^{-2 r'} may overflow below
-            assert all(math.isfinite(v) for v in lin)
+        assert all(math.isfinite(v) for v in lin)
+
+    @pytest.mark.parametrize("use_degree_bound", [False, True])
+    def test_refuses_overflowing_gain(self, use_degree_bound):
+        # g' = 1 + (eps1 + 2 eps2) e^{-2 r'} was inf here
+        noise = NoiseParams(0.99, 0.99, -R_PRIME_LIMIT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="g_prime=inf.* float range"):
+                linearized_plan(complete_graph(7), noise, use_degree_bound)
+            lin = linearized_plan(complete_graph(7), NoiseParams(0.99, 0.99, -300.0))
+        assert all(math.isfinite(v) for v in lin)
 
     @pytest.mark.parametrize("use_degree_bound", [False, True])
     @pytest.mark.parametrize("graph", [Graph(1), path_graph(3), complete_graph(7)])

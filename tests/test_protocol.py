@@ -6,22 +6,28 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import assert_refused_before_allocating
+from conftest import assert_refused_before_allocating, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from cvdownload.error_model import (
     SQRT_PI,
+    amplitude_imbalance,
+    dephasing_rate,
+    keep_probability,
     outcome_density,
     p_del_analytic,
     qubit_given_outcome,
 )
 from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams
-from cvdownload.graphs import Graph, adjacency_matrix, path_graph, random_graph
+from cvdownload.graphs import Graph, adjacency_matrix, grid2d_graph, path_graph, random_graph
 from cvdownload.protocol import (
+    _OUTCOME_BY_CODE,
     DownloadRecord,
+    DownloadSummary,
     ProtocolParams,
+    _register_from_pattern,
     downloaded_state_direct,
     downloaded_state_equivalent,
     run_download,
@@ -33,6 +39,7 @@ from cvdownload.qubits import (
     apply_balancing_povm,
     cluster_state,
     fidelity,
+    graph_phases,
     trace_distance,
 )
 
@@ -308,8 +315,6 @@ class TestRunDownload:
         assert np.allclose(doc["q"], records[0].q)
         assert doc["outcomes"][0][0] in ("keep", "delete")
         assert "post_state" in doc
-        slim = records[0].to_json(include_state=False)
-        assert "post_state" not in slim
 
 
 def _gate_by_gate_register(params, record):
@@ -357,6 +362,113 @@ class TestOnePassRegister:
     def test_refuses_above_cap(self):
         params = _params(path_graph(DEFAULT_MAX_QUBITS + 1), 1.0, 0.0)
         assert_refused_before_allocating(lambda: run_download(params, 1, keep_states=True))
+
+
+def _per_shot_reference(params, shots, keep_states):
+    """Oracle for run_download: the shot loop one shot at a time, each shot
+    deciding its own imbalances, keeps and phase from a private A, with the
+    counts kept as running totals."""
+    graph = params.graph
+    n = graph.n
+    r0, sigma2 = params.mixture()
+    if keep_states:
+        target = cluster_state(graph)
+        phases = graph_phases(graph, params.cphase_strength)
+        coherence = 1.0 - 2.0 * dephasing_rate(sigma2)
+    a = adjacency_matrix(graph)
+    records = []
+    kept_counts = np.zeros(n, dtype=int)
+    histogram = [0] * (n + 1)
+    fidelities = []
+    for child in np.random.SeedSequence(params.seed).spawn(shots):
+        rng = np.random.default_rng(child)
+        q = sample_outcomes(params, rng)
+        gamma = np.asarray(amplitude_imbalance(q, r0), dtype=float)
+        kept = rng.random(n) < keep_probability(gamma)
+        codes = 2 * kept + (gamma > 1.0)
+        outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes.tolist()))
+        deleted = n - int(np.count_nonzero(kept))
+        kept_counts += kept
+        histogram[deleted] += 1
+        state = None
+        if keep_states:
+            state = _register_from_pattern(outcomes, coherence, phases)
+            if not deleted:
+                fidelities.append(fidelity(target, state))
+        phi = params.cphase_strength * SQRT_PI * (a @ q)
+        records.append(DownloadRecord(q, phi, gamma, outcomes, state))
+    per_qubit = shots - kept_counts
+    summary = DownloadSummary(
+        shots=shots,
+        n=n,
+        p_del_empirical=float(per_qubit.sum()) / (shots * n),
+        p_del_analytic=p_del_analytic(r0),
+        all_kept_shots=histogram[0],
+        mean_kept_fidelity=float(np.mean(fidelities)) if fidelities else math.nan,
+        per_qubit_deletions=tuple(int(c) for c in per_qubit),
+        deletions_histogram=tuple(histogram),
+    )
+    return records, summary
+
+
+def _assert_matches_reference(params, shots, keep_states):
+    records, summary = run_download(params, shots, keep_states)
+    expected, expected_summary = _per_shot_reference(params, shots, keep_states)
+    assert len(records) == len(expected) == shots
+    g = params.cphase_strength
+    a = adjacency_matrix(params.graph)
+    for rec, ref in zip(records, expected):
+        assert np.array_equal(rec.q, ref.q)
+        assert np.array_equal(rec.gamma, ref.gamma)
+        assert rec.outcomes == ref.outcomes
+        # phi = g * (sqrt(pi) A q); the reference rounds (g sqrt(pi)) (A q),
+        # the same three factors in another order, so the two agree bit for
+        # bit at g = 1 and within two roundings of each other otherwise.  At
+        # a subnormal g the reference's g sqrt(pi) is off by up to half the
+        # smallest subnormal, an error that A q then scales.
+        aq = a @ rec.q
+        assert np.array_equal(rec.phi, g * (SQRT_PI * aq))
+        if g == 1.0:
+            assert np.array_equal(rec.phi, ref.phi)
+        else:
+            eps, tiny = np.finfo(float).eps, math.ulp(0.0)
+            bound = 3.0 * eps * np.abs(ref.phi) + (np.abs(aq) + 2.0) * tiny
+            assert np.all(np.abs(rec.phi - ref.phi) <= bound)
+        if keep_states:
+            assert np.array_equal(rec.post_state.rho, ref.post_state.rho)
+        else:
+            assert rec.post_state is None and ref.post_state is None
+    assert json.dumps(summary.to_json()) == json.dumps(expected_summary.to_json())
+
+
+class TestBatchedShotLoop:
+    """``run_download`` draws per shot and decides over the stacked arrays;
+    every output matches the one-shot-at-a-time reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graph=small_graphs(),
+        strength=st.one_of(
+            st.just(1.0), st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
+        ),
+        r=st.floats(-300.0, 2.0),
+        nbar=st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e6)),
+        seed=st.integers(0, 2**31 - 1),
+        shots=st.integers(1, 12),
+        keep_states=st.booleans(),
+    )
+    def test_matches_per_shot_reference(
+        self, graph, strength, r, nbar, seed, shots, keep_states
+    ):
+        params = _params(graph, r, nbar, seed=seed, strength=strength)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_matches_reference(params, shots, keep_states)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.2])
+    def test_grid_statistics_match_per_shot_reference(self, nbar):
+        params = _params(grid2d_graph(10, 10), 1.15, nbar, seed=31)
+        _assert_matches_reference(params, 300, keep_states=False)
 
 
 class TestNegativeSqueezing:

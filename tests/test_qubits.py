@@ -178,10 +178,17 @@ class TestBalancingPovm:
 
     def test_gamma_one_always_keeps(self, rng):
         rho = _random_pure(1, rng).density_matrix()
-        res = apply_balancing_povm(rho, 0, 1.0, rng=rng)
+        res = apply_balancing_povm(rho, 0, 1.0, force="keep")
         assert res.outcome == "keep"
         assert abs(res.probability - 1.0) < 1e-12
         assert trace_distance(res.state, rho) < 1e-12
+        with pytest.raises(ValueError, match="zero-probability outcome 'delete'"):
+            apply_balancing_povm(rho, 0, 1.0, force="delete")
+
+    def test_outcome_must_be_named(self, rng):
+        rho = _random_pure(1, rng).density_matrix()
+        with pytest.raises(ValueError, match="force must be 'keep' or 'delete'"):
+            apply_balancing_povm(rho, 0, 0.5, force="erase")
 
     def test_keep_branch_preserves_relative_phase(self):
         alpha = 1.234
