@@ -4,10 +4,10 @@ Measuring the q quadrature of a p-squeezed mode (q variance
 ``exp(2 r0) / 2``) that carries one qubit of a superposition leaves the
 qubit in
 
-    psi(q) |0> + exp(-i p0 sqrt(pi)) psi(q - sqrt(pi)) |1>   (unnormalized),
+    psi(q) |0> + psi(q - sqrt(pi)) |1>   (unnormalized),
 
-where ``psi`` is the squeezed-vacuum wavefunction and ``p0`` an optional
-p displacement.  Everything in this module follows from that one state:
+where ``psi`` is the squeezed-vacuum wavefunction.  Everything in this
+module follows from that one state:
 
 * the outcome density ``P(q)`` is an equal mixture of two Gaussians
   centered at 0 and sqrt(pi);
@@ -16,8 +16,9 @@ p displacement.  Everything in this module follows from that one state:
 * the balancing POVM keeps the qubit with probability
   ``2 min(1, gamma^2) / (1 + gamma^2)``, and averaging over outcomes
   gives the deletion probability ``erf(exp(-r0) sqrt(pi) / 2)``;
-* Gaussian p-displacement noise of parameter variance ``sigma^2``
-  dephases the kept qubit with probability
+* a p displacement ``p0`` multiplies the ``|1>`` amplitude by
+  ``exp(-i p0 sqrt(pi))``, so Gaussian p-displacement noise of parameter
+  variance ``sigma^2`` dephases the kept qubit with probability
   ``(1 - exp(-pi sigma^2 / 2)) / 2``.
 
 Squeezing is quoted in dB through the variance ratio convention
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .graphs import SQRT_PI
 from .qubits import QubitPureState
@@ -102,12 +103,12 @@ def keep_probability(gamma):
     return 2.0 * np.minimum(g2, 1.0) / (1.0 + g2)
 
 
-def qubit_given_outcome(q: float, r0: float, p0: float = 0.0) -> QubitPureState:
+def qubit_given_outcome(q: float, r0: float) -> QubitPureState:
     """Normalized qubit state conditioned on outcome ``q``.
 
-    Amplitudes are proportional to ``(psi(q), e^{-i p0 sqrt(pi)}
-    psi(q - sqrt(pi)))``.  The ratio is computed in log space, so extreme
-    outcomes far into either Gaussian tail stay finite.
+    Amplitudes are proportional to ``(psi(q), psi(q - sqrt(pi)))``.  The
+    ratio is computed in log space, so extreme outcomes far into either
+    Gaussian tail stay finite.
     """
     log_gamma = _log_imbalance(q, r0)
     if log_gamma <= 0.0:
@@ -117,7 +118,7 @@ def qubit_given_outcome(q: float, r0: float, p0: float = 0.0) -> QubitPureState:
         inv = math.exp(-log_gamma)
         a1 = 1.0 / math.sqrt(1.0 + inv * inv)
         a0 = inv * a1
-    return QubitPureState(1, np.array([a0, a1 * np.exp(-1j * p0 * SQRT_PI)]))
+    return QubitPureState(1, np.array([a0, a1]))
 
 
 def p_del_analytic(r0: float) -> float:
@@ -200,9 +201,9 @@ _R0_BRACKET = (0.0, 10.0)
 def squeezing_db_for_pdel(p_target: float) -> float:
     """Invert the deletion law: squeezing (dB) that yields ``p_del = p_target``.
 
-    ``p_del`` decreases monotonically in ``r0``, so plain bisection on
-    ``r0 in [0, 10]`` is exact to float precision.  Targets outside the
-    range achievable on that bracket are rejected.
+    ``erf(exp(-r0) sqrt(pi) / 2) = p`` solves in closed form to
+    ``r0 = -log(2 erfinv(p) / sqrt(pi))``.  Targets outside the range
+    that ``r0 in [0, 10]`` achieves are rejected.
     """
     lo, hi = _R0_BRACKET
     p_hi, p_lo = p_del_analytic(lo), p_del_analytic(hi)
@@ -210,15 +211,7 @@ def squeezing_db_for_pdel(p_target: float) -> float:
         raise ValueError(
             f"target {p_target!r} outside achievable range ({p_lo:.3e}, {p_hi:.6f})"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if p_del_analytic(mid) > p_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return squeezing_to_db(0.5 * (lo + hi))
+    return squeezing_to_db(-math.log(2.0 * float(special.erfinv(p_target)) / SQRT_PI))
 
 
 def vertex_disconnect_prob(p_del: float, n_rails: int) -> float:

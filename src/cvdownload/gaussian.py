@@ -188,14 +188,14 @@ def apply_detector_noise(state: GaussianState, eps2: float) -> GaussianState:
     return GaussianState(n, cov)
 
 
-def apply_orthogonal(state: GaussianState, o: np.ndarray, tol: float = 1e-10) -> GaussianState:
+def apply_orthogonal(state: GaussianState, o: np.ndarray) -> GaussianState:
     """Passive network acting as the same orthogonal ``O`` on q and p blocks."""
     o = np.asarray(o, dtype=float)
     n = state.n
     if o.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {o.shape}")
     dev = float(np.abs(o @ o.T - np.eye(n)).max())
-    if dev > tol:
+    if dev > 1e-10:
         raise ValueError(f"matrix is not orthogonal (deviation {dev:.3e})")
     u = np.zeros((2 * n, 2 * n))
     u[:n, :n] = o
@@ -231,16 +231,14 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 # composite constructions
 # ---------------------------------------------------------------------------
 
-def thermal_cvcs(
-    graph: Graph, params: SqueezedThermalParams, strength: float = 1.0
-) -> GaussianState:
+def thermal_cvcs(graph: Graph, params: SqueezedThermalParams) -> GaussianState:
     """Continuous-variable cluster state built from squeezed-thermal modes.
 
-    With unit strength and per-mode variances ``(B1, B2)`` the covariance
-    works out to ``[[B1 I, B1 A], [B1 A, B2 I + B1 A^2]]``; tests pin the
-    channel composition against that closed form.
+    Every CPHASE has unit strength.  With per-mode variances ``(B1, B2)``
+    the covariance works out to ``[[B1 I, B1 A], [B1 A, B2 I + B1 A^2]]``;
+    tests pin the channel composition against that closed form.
     """
-    return apply_cphase(squeezed_thermal(params, graph.n), graph, strength)
+    return apply_cphase(squeezed_thermal(params, graph.n), graph)
 
 
 def collective_mode_covariance(state: GaussianState, copies: int) -> np.ndarray:

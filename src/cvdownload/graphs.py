@@ -231,8 +231,7 @@ def neighbor_phase(graph: Graph, q: np.ndarray) -> np.ndarray:
     ``q`` has shape ``(..., n)``: one outcome vector, or a stack of them
     such as one row per shot.  A is built once per call, and each row of
     the result is bit-identical to the call on that row alone.  This is
-    the one place the formula is written; a strength-``g`` CPHASE network
-    scales the result by ``g``.
+    the one place the formula is written.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (graph.n,):

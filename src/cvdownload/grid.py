@@ -69,26 +69,18 @@ def total_mass(state: HybridGridState) -> float:
     return float(np.sum(np.abs(state.amps) ** 2) * state.dq**state.modes)
 
 
-def make_grid_state(
-    r0: float, modes: int, k: int = 64, length: float | None = None
-) -> HybridGridState:
+def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
     """Squeezed vacuum on every mode, ``|+>`` on every qubit.
 
     ``k`` cells per sqrt(pi) shift (at least 16); the grid spans
-    ``[-length, length)`` with ``length`` at least
-    :func:`required_length` so that tails and one full displacement fit.
+    ``[-length, length)`` with ``length =`` :func:`required_length`, so
+    that tails and one full displacement fit.
     """
     if modes not in (1, 2):
         raise ValueError(f"grid simulator supports 1 or 2 modes, got {modes}")
     if k < MIN_CELLS_PER_SHIFT:
         raise ValueError(f"k must be >= {MIN_CELLS_PER_SHIFT}, got {k}")
-    lmin = required_length(r0)
-    if length is None:
-        length = lmin
-    elif length < lmin - 1e-12:
-        raise ValueError(
-            f"length {length} too small for r0 = {r0}; need >= {lmin:.3f}"
-        )
+    length = required_length(r0)
     dq = SQRT_PI / k
     cells = int(math.ceil(2.0 * length / dq))
     grid = -length + dq * np.arange(cells)
@@ -105,27 +97,22 @@ def make_grid_state(
     return state
 
 
-def apply_cphase_grid(state: HybridGridState, i: int = 0, j: int = 1) -> HybridGridState:
-    """Elementwise two-mode phase ``exp(i q_i q_j)`` (in place)."""
+def apply_cphase_grid(state: HybridGridState) -> HybridGridState:
+    """Elementwise two-mode phase ``exp(i q_0 q_1)`` (in place)."""
     if state.modes != 2:
         raise ValueError("CPHASE needs a two-mode grid state")
-    if {i, j} != {0, 1}:
-        raise ValueError(f"mode indices must be 0 and 1, got ({i}, {j})")
     phase = np.exp(1j * np.multiply.outer(state.grid, state.grid))
     state.amps *= phase[..., None]
     return state
 
 
-def apply_cd_grid(
-    state: HybridGridState, mode: int, inverse: bool = False
-) -> HybridGridState:
+def apply_cd_grid(state: HybridGridState, mode: int) -> HybridGridState:
     """Conditional displacement: shift mode ``mode`` by ``+sqrt(pi)`` (exactly
     ``k`` cells) on the components where its partner qubit is ``|1>``.
 
     Amplitude about to be pushed past the grid edge must be negligible
     (mass below ``BOUNDARY_MASS_TOL``), otherwise the truncation would
-    corrupt the state and an error is raised instead.  ``inverse`` shifts
-    the opposite way (used for involution checks).
+    corrupt the state and an error is raised instead.
     """
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
@@ -133,22 +120,18 @@ def apply_cd_grid(
     cell_volume = state.dq**state.modes
     moved = np.moveaxis(state.amps, mode, 0)  # view; last axis is still qubits
     bit_one = [b for b in range(2**state.modes) if (b >> mode) & 1]
-    edge = slice(-k, None) if not inverse else slice(None, k)
     boundary_mass = 0.0
     for b in bit_one:
-        boundary_mass += float(np.sum(np.abs(moved[edge, ..., b]) ** 2) * cell_volume)
+        boundary_mass += float(np.sum(np.abs(moved[-k:, ..., b]) ** 2) * cell_volume)
     if boundary_mass >= BOUNDARY_MASS_TOL:
         raise ValueError(
             f"conditional displacement would push mass {boundary_mass:.3e} "
-            f"past the grid edge; enlarge the grid"
+            f"past the grid edge; the grid fits one displacement per mode"
         )
     for b in bit_one:
         block = moved[..., b]
         shifted = np.zeros_like(block)
-        if inverse:
-            shifted[:-k] = block[k:]
-        else:
-            shifted[k:] = block[:-k]
+        shifted[k:] = block[:-k]
         moved[..., b] = shifted
     return state
 

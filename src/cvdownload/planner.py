@@ -338,7 +338,7 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     state = apply_cphase(state, graph, plan_.g_prime)
     state = apply_loss(state, noise.eps1)
     state = apply_detector_noise(state, noise.eps2)
-    target = thermal_cvcs(graph, source, 1.0)
+    target = thermal_cvcs(graph, source)
     return float(np.abs(state.cov - target.cov).max())
 
 
@@ -397,9 +397,7 @@ def compose_network(
     return out
 
 
-def givens_network(
-    o: np.ndarray, tol: float = 1e-10
-) -> tuple[tuple[GivensRotation, ...], np.ndarray]:
+def givens_network(o: np.ndarray) -> tuple[tuple[GivensRotation, ...], np.ndarray]:
     """Factor an orthogonal matrix into two-mode rotations plus sign flips.
 
     Standard QR-style elimination (the triangular Reck et al. layout):
@@ -424,7 +422,7 @@ def givens_network(
     n = o.shape[0]
     if o.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {o.shape}")
-    if float(np.abs(o @ o.T - np.eye(n)).max()) > tol:
+    if float(np.abs(o @ o.T - np.eye(n)).max()) > 1e-10:
         raise ValueError("matrix is not orthogonal within tolerance")
     work = o.copy()
     cols, rows, angles = [], [], []

@@ -17,7 +17,7 @@ contributes a phase in the q representation: the joint amplitude of
 outcome ``q`` and qubit bitstring ``b`` is
 
     prod_i psi(q_i - sqrt(pi) b_i)
-        * exp(i g/2 (q - sqrt(pi) b)^T A (q - sqrt(pi) b)) / 2^{n/2},
+        * exp(i/2 (q - sqrt(pi) b)^T A (q - sqrt(pi) b)) / 2^{n/2},
 
 so ``|amplitude|^2`` is independent of the phase and the outcome density
 ``sum_b`` factorizes into the per-mode equal mixture of two Gaussians
@@ -38,8 +38,7 @@ the stacked draws.  Once the balancing POVM has acted, every error sits
 ahead of the diagonal entangling layer, so a shot's register is fixed
 by its keep/delete pattern alone: a kept qubit is ``|+><+|`` dephased
 at the thermal rate, a deleted qubit is its basis state ``|b><b|``, and
-the graph contributes the diagonal phase
-``s(b) = prod_edges exp(i pi g b_i b_j)``
+the graph contributes the CZ sign ``s(b) = prod_edges (-1)^(b_i b_j)``
 (:func:`~cvdownload.qubits.graph_phases`).  :func:`run_download` builds
 that register in one pass; the gate-by-gate route (the equivalent
 circuit followed by one forced POVM per qubit) is its oracle in the
@@ -70,7 +69,6 @@ from .qubits import (
     _check_dense_size,
     apply_dephasing,
     cluster_state,
-    dm_apply_cphase,
     dm_apply_cz,
     dm_tensor,
     fidelity,
@@ -78,6 +76,7 @@ from .qubits import (
 )
 
 __all__ = [
+    "DIRECT_R0_MAX",
     "ProtocolParams",
     "DownloadRecord",
     "DownloadSummary",
@@ -88,19 +87,27 @@ __all__ = [
 ]
 
 
+#: Largest mixture ``r0`` the direct register accepts.  Its phase sums
+#: terms of size ``q^2 ~ exp(2 r0)`` that cancel to O(1), so round-off
+#: grows with ``r0``: against the equivalent circuit, on 300 random graphs
+#: with n <= 6 and sampled outcomes, the worst trace distance was 4.5e-12
+#: at r0 = 4, 1.3e-11 at 4.5 and 3.7e-11 at 5.  The bound keeps the worst
+#: case at least ten times below the 1e-10 agreement gate.
+DIRECT_R0_MAX = 4.0
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Full description of one protocol configuration.
 
-    ``cphase_strength`` scales every CPHASE uniformly; at the default 1
-    the downloaded register carries the qubit cluster state of ``graph``.
-    ``seed`` feeds a documented splitting rule (one spawned child stream
-    per shot), so runs are reproducible for any shot count.
+    Every CPHASE has unit strength, so the downloaded register carries
+    the qubit cluster state of ``graph``.  ``seed`` feeds a documented
+    splitting rule (one spawned child stream per shot), so runs are
+    reproducible for any shot count.
     """
 
     graph: Graph
     source: SqueezedThermalParams
-    cphase_strength: float = 1.0
     seed: int = 0
 
     def mixture(self):
@@ -122,27 +129,32 @@ def _bit_matrix(n: int) -> np.ndarray:
 def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensityMatrix:
     """Downloaded register from the defining amplitudes, given outcomes ``q``.
 
-    Includes the corrective phases ``phi = g sqrt(pi) A q`` (as relative
+    Includes the corrective phases ``phi = sqrt(pi) A q`` (as relative
     phases ``exp(i phi . b)``); for thermal sources the bitstring
     coherences are damped by ``exp(-pi sigma^2 / 2 * hamming(b, b'))``.
     Magnitudes are computed in log space so far-tail outcomes stay finite.
-    Registers above ``DEFAULT_MAX_QUBITS`` are refused before any
-    allocation.
+    Registers above ``DEFAULT_MAX_QUBITS`` and sources with ``r0`` above
+    ``DIRECT_R0_MAX`` are refused before any allocation.
     """
-    graph, g = params.graph, params.cphase_strength
+    graph = params.graph
     n = graph.n
     _check_dense_size(n)
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} outcomes, got shape {q.shape}")
     r0, sigma2 = params.mixture()
+    if r0 > DIRECT_R0_MAX:
+        raise ValueError(
+            f"r0 = {r0:.6g} exceeds DIRECT_R0_MAX = {DIRECT_R0_MAX}: the direct "
+            "register's phases lose precision there"
+        )
     a = adjacency_matrix(graph)
     bits = _bit_matrix(n)
     x = q[None, :] - SQRT_PI * bits
     with np.errstate(over="ignore"):  # -inf near -R0_LIMIT: weight exp(-inf) = 0
         log_mag = -np.sum(x**2, axis=1) / (2.0 * math.exp(2.0 * r0))
-    phase = 0.5 * g * np.einsum("bi,ij,bj->b", x, a, x)
-    phase = phase + bits @ (g * neighbor_phase(graph, q))
+    phase = 0.5 * np.einsum("bi,ij,bj->b", x, a, x)
+    phase = phase + bits @ neighbor_phase(graph, q)
     amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
     rho = np.outer(amps, amps.conj())
     if sigma2 > 0.0:
@@ -163,13 +175,12 @@ def downloaded_state_equivalent(
 
     Builds the per-qubit conditional state for each outcome, applies
     single-qubit dephasing at the thermal rate, tensors, and finishes
-    with the graph's qubit entangling layer.  At unit strength that layer
-    is exact CZ; for other strengths it is the controlled phase
-    ``exp(i pi g b_i b_j)``, matching how the conditional displacements
-    commute through a strength-``g`` CPHASE.  Registers above
-    ``DEFAULT_MAX_QUBITS`` are refused before any allocation.
+    with one CZ per edge: the conditional displacements by ``sqrt(pi)``
+    commute through the unit CPHASE ``exp(i q_i q_j)`` as the phase
+    ``exp(i pi b_i b_j)``.  Registers above ``DEFAULT_MAX_QUBITS`` are
+    refused before any allocation.
     """
-    graph, g = params.graph, params.cphase_strength
+    graph = params.graph
     n = graph.n
     _check_dense_size(n)
     q = np.asarray(q, dtype=float)
@@ -185,10 +196,7 @@ def downloaded_state_equivalent(
         singles.append(dm)
     rho = dm_tensor(singles)
     for i, j in graph.edges:
-        if g == 1.0:
-            rho = dm_apply_cz(rho, i, j)
-        else:
-            rho = dm_apply_cphase(rho, i, j, math.pi * g)
+        rho = dm_apply_cz(rho, i, j)
     return rho
 
 
@@ -203,7 +211,7 @@ def _register_from_pattern(
     A kept qubit is ``[[1, c], [c, 1]] / 2`` with ``c = 1 - 2 p_phi``, a
     deleted one ``|b><b|``; their product (little-endian, as in
     :func:`~cvdownload.qubits.dm_tensor`) is conjugated by the diagonal
-    entangling layer ``phases``.  No dependence on ``q`` or ``gamma``.
+    CZ signs ``phases``.  No dependence on ``q`` or ``gamma``.
     """
     kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
     rho = np.ones((1, 1))
@@ -212,7 +220,7 @@ def _register_from_pattern(
         dim = 2 * rho.shape[0]  # np.kron(factor, rho), without its per-call overhead
         rho = (factor[:, None, :, None] * rho[None, :, None, :]).reshape(dim, dim)
     rho = rho * phases[:, None]
-    rho *= phases.conj()
+    rho *= phases
     return QubitDensityMatrix(len(outcomes), rho)
 
 
@@ -320,7 +328,7 @@ def run_download(
     r0, sigma2 = params.mixture()
     if keep_states:
         target = cluster_state(graph)  # refuses n above the dense cap
-        phases = graph_phases(graph, params.cphase_strength)
+        phases = graph_phases(graph)
         coherence = 1.0 - 2.0 * dephasing_rate(sigma2)
 
     q = np.empty((shots, n))
@@ -332,7 +340,7 @@ def run_download(
 
     gamma = amplitude_imbalance(q, r0)
     kept = uniforms < keep_probability(gamma)
-    phi = params.cphase_strength * neighbor_phase(graph, q)
+    phi = neighbor_phase(graph, q)
     deletions = n - np.count_nonzero(kept, axis=1)
     per_qubit = shots - np.count_nonzero(kept, axis=0)
 

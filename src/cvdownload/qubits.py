@@ -44,7 +44,6 @@ __all__ = [
     "tensor",
     "dm_tensor",
     "dm_apply_cz",
-    "dm_apply_cphase",
     "apply_dephasing",
     "balancing_povm_diagonals",
     "apply_balancing_povm",
@@ -160,20 +159,18 @@ def basis_state(n: int, bits) -> QubitPureState:
     return QubitPureState(n, amps)
 
 
-def graph_phases(graph: Graph, g: float = 1.0) -> np.ndarray:
-    """Diagonal ``s(b) = prod_edges exp(i pi g b_i b_j)`` of the entangling layer.
+def graph_phases(graph: Graph) -> np.ndarray:
+    """Diagonal ``s(b) = prod_edges (-1)^(b_i b_j)`` of the CZ entangling layer.
 
-    Exactly ``+-1`` (real) at unit strength, where the layer is CZ; the
-    graph-state sign rule of Hein, Eisert and Briegel (PRA 69, 062311).
+    Real and exactly ``+-1``: the graph-state sign rule of Hein, Eisert
+    and Briegel (PRA 69, 062311).
     """
     _check_dense_size(graph.n)
     idx = np.arange(2**graph.n)
     both = np.zeros(idx.shape, dtype=int)  # edges with both ends set
     for i, j in graph.edges:
         both += (idx >> i) & (idx >> j) & 1
-    if g == 1.0:
-        return np.where(both % 2 == 1, -1.0, 1.0)
-    return np.exp(1j * math.pi * g * both)
+    return np.where(both % 2 == 1, -1.0, 1.0)
 
 
 def cluster_state(graph: Graph) -> QubitPureState:
@@ -244,16 +241,6 @@ def dm_apply_cz(rho: QubitDensityMatrix, i: int, j: int) -> QubitDensityMatrix:
     both = _bit(rho.n, i) & _bit(rho.n, j)
     sign = np.where(both == 1, -1.0, 1.0)
     return QubitDensityMatrix(rho.n, rho.rho * np.outer(sign, sign))
-
-
-def dm_apply_cphase(
-    rho: QubitDensityMatrix, i: int, j: int, angle: float
-) -> QubitDensityMatrix:
-    if i == j:
-        raise ValueError("CPHASE needs two distinct qubits")
-    both = _bit(rho.n, i) & _bit(rho.n, j)
-    phase = np.where(both == 1, np.exp(1j * angle), 1.0)
-    return QubitDensityMatrix(rho.n, rho.rho * np.outer(phase, phase.conj()))
 
 
 def apply_dephasing(

@@ -53,12 +53,6 @@ class TestConditionalState:
             psi = qubit_given_outcome(float(q), 8.0)
             assert fidelity(psi, plus_state(1)) > 1.0 - 1e-6
 
-    def test_p0_phase_lands_on_one_component(self):
-        p0 = 0.83
-        psi = qubit_given_outcome(SQRT_PI / 2.0, 1.0, p0=p0)
-        ratio = psi.amps[1] / psi.amps[0]
-        assert abs(ratio - np.exp(-1j * p0 * SQRT_PI)) < 1e-12
-
     def test_extreme_outcomes_stay_normalized(self):
         for q in (-50.0, 55.0):
             psi = qubit_given_outcome(q, 0.3)

@@ -16,7 +16,6 @@ from cvdownload.grid import (
     make_grid_state,
     measure_q_grid,
     mode_marginal,
-    required_length,
     total_mass,
 )
 from cvdownload.protocol import ProtocolParams, downloaded_state_direct
@@ -57,10 +56,6 @@ class TestInitialization:
         with pytest.raises(ValueError):
             make_grid_state(0.0, 1, k=15)
 
-    def test_rejects_short_grid(self):
-        with pytest.raises(ValueError):
-            make_grid_state(1.0, 1, k=16, length=required_length(1.0) - 1.0)
-
     def test_rejects_three_modes(self):
         with pytest.raises(ValueError):
             make_grid_state(0.0, 3, k=16)
@@ -71,15 +66,6 @@ class TestInitialization:
 
 
 class TestGates:
-    def test_cd_involution(self):
-        # the roundtrip zeroes the top shift band, so give the tail a
-        # couple of extra units of room to fall below the tolerance
-        st = make_grid_state(0.3, 1, k=16, length=required_length(0.3) + 3.0)
-        before = st.amps.copy()
-        apply_cd_grid(st, 0)
-        apply_cd_grid(st, 0, inverse=True)
-        assert np.max(np.abs(st.amps - before)) < 1e-12
-
     def test_cd_preserves_norm(self):
         st = make_grid_state(0.5, 2, k=16)
         apply_cd_grid(st, 0)

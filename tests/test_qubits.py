@@ -104,13 +104,15 @@ class TestClusterStates:
         for _ in range(10):
             g = random_graph(int(rng.integers(1, 6)), 0.6, rng)
             assert fidelity(cluster_state(g), _dense_cluster_oracle(g)) > 1.0 - 1e-12
+            phases = graph_phases(g)  # the CZ signs: real and exactly +-1
+            assert phases.dtype == np.float64 and set(phases.tolist()) <= {-1.0, 1.0}
 
     def test_qubit_cap(self):
         graph = path_graph(13)
         assert_refused_before_allocating(lambda: plus_state(13))
         assert_refused_before_allocating(lambda: basis_state(13, 0))
         assert_refused_before_allocating(lambda: cluster_state(graph))
-        assert_refused_before_allocating(lambda: graph_phases(graph, 0.5))
+        assert_refused_before_allocating(lambda: graph_phases(graph))
 
 
 class TestStabilizers:
