@@ -38,6 +38,7 @@ from .protocol import (
     ProtocolParams,
     downloaded_state_direct,
     downloaded_state_equivalent,
+    register_from_outcomes,
     run_download,
 )
 from .qubits import (
@@ -83,6 +84,7 @@ __all__ = [
     "DownloadSummary",
     "downloaded_state_direct",
     "downloaded_state_equivalent",
+    "register_from_outcomes",
     "run_download",
     "NoiseParams",
     "DecorrelationPlan",

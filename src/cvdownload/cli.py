@@ -38,7 +38,7 @@ from .error_model import (
 from .gaussian import SqueezedThermalParams
 from .graphs import Graph, neighbor_phase, parse_graph_spec, path_graph, random_graph
 from .grid import apply_cd_grid, apply_cphase_grid, make_grid_state, measure_q_grid
-from .planner import NoiseParams, linearized_plan, plan, verify_plan
+from .planner import VERIFY_TOL, NoiseParams, linearized_plan, plan, verify_plan
 from .protocol import (
     ProtocolParams,
     downloaded_state_direct,
@@ -216,7 +216,7 @@ def _battery_planner(rng: np.random.Generator, inject_fault: bool) -> CheckResul
     name = "planner forward verification"
     if inject_fault:
         name += " (fault injected)"
-    return CheckResult(name, worst, 1e-9)
+    return CheckResult(name, worst, VERIFY_TOL)
 
 
 def _battery_povm(rng: np.random.Generator) -> CheckResult:
@@ -289,13 +289,15 @@ def cmd_download(args: argparse.Namespace) -> int:
         SqueezedThermalParams(r, float(config["nbar"])),
         seed=int(config["seed"]),
     )
-    keep_states = config["records"] is not None
-    records, summary = run_download(params, int(config["shots"]), keep_states)
+    records, summary = run_download(params, int(config["shots"]), keep_states=False)
 
     if config["records"] is not None:
+        # outcomes, c and the graph rebuild the register (register_from_outcomes)
+        post_state = {"format": "factored-v1", "coherence": params.coherence()}
         with open(str(config["records"]), "w", encoding="utf-8") as fh:
             for rec in records:
-                fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+                line = dict(rec.to_json(), post_state=post_state)
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
 
     header = ["r_db", "nbar", "shots", "p_del_emp", "p_del_analytic", "kept_fidelity_mean"]
     row = [
@@ -415,8 +417,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         "plan": p.to_json(),
         "verification": {
             "residual": residual,
-            "threshold": 1e-9,
-            "passed": bool(residual < 1e-9),
+            "threshold": VERIFY_TOL,
+            "passed": bool(residual < VERIFY_TOL),
         },
         "linearized": {
             "spectral": _linearized_or_none(graph, noise, False),

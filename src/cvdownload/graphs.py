@@ -73,10 +73,6 @@ class Graph:
             normalized.append(key)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def path_graph(n: int) -> Graph:
     """Open chain 0-1-2-...-(n-1).  ``n = 1`` gives a single bare vertex."""

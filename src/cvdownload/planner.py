@@ -78,6 +78,8 @@ __all__ = [
 
 # Largest |r'| for which exp(2 r') and exp(-2 r') are both finite and nonzero.
 R_PRIME_LIMIT = 0.5 * math.log(sys.float_info.max)
+# A plan counts as verified while its verify_plan residual stays below this.
+VERIFY_TOL = 1e-9
 # verify_plan refuses a replay whose covariance entries could exceed a
 # quarter of the largest float: each congruence adds its product to its
 # transpose, and the residual subtracts two such covariances.

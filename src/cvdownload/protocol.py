@@ -37,12 +37,13 @@ The shot loop uses neither, and per shot it only draws; the phases
 the stacked draws.  Once the balancing POVM has acted, every error sits
 ahead of the diagonal entangling layer, so a shot's register is fixed
 by its keep/delete pattern alone: a kept qubit is ``|+><+|`` dephased
-at the thermal rate, a deleted qubit is its basis state ``|b><b|``, and
-the graph contributes the CZ sign ``s(b) = prod_edges (-1)^(b_i b_j)``
-(:func:`~cvdownload.qubits.graph_phases`).  :func:`run_download` builds
-that register in one pass; the gate-by-gate route (the equivalent
-circuit followed by one forced POVM per qubit) is its oracle in the
-tests.
+to coherence ``c = 1 - 2 p_phi``, a deleted qubit is its basis state
+``|b><b|``, and the graph contributes the CZ sign ``s(b)``
+(:func:`~cvdownload.qubits.graph_phases`).  So every all-kept shot has
+fidelity ``(1 - p_phi)^n`` to the cluster state, which the summary
+reports without a register, and :func:`register_from_outcomes` is the
+one dense builder; the gate-by-gate route (the equivalent circuit
+followed by one forced POVM per qubit) is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -68,10 +69,8 @@ from .qubits import (
     QubitDensityMatrix,
     _check_dense_size,
     apply_dephasing,
-    cluster_state,
     dm_apply_cz,
     dm_tensor,
-    fidelity,
     graph_phases,
 )
 
@@ -83,6 +82,7 @@ __all__ = [
     "sample_outcomes",
     "downloaded_state_direct",
     "downloaded_state_equivalent",
+    "register_from_outcomes",
     "run_download",
 ]
 
@@ -112,6 +112,10 @@ class ProtocolParams:
 
     def mixture(self):
         return mixture_params(self.source)
+
+    def coherence(self) -> float:
+        """Coherence ``c = 1 - 2 p_phi`` of a kept qubit after the POVM."""
+        return 1.0 - 2.0 * dephasing_rate(self.mixture().sigma2)
 
 
 def sample_outcomes(params: ProtocolParams, rng: np.random.Generator) -> np.ndarray:
@@ -203,16 +207,17 @@ def downloaded_state_equivalent(
 _BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # |0><0|, |1><1|
 
 
-def _register_from_pattern(
-    outcomes: tuple[tuple[str, int | None], ...], coherence: float, phases: np.ndarray
+def register_from_outcomes(
+    graph: Graph, coherence: float, outcomes: tuple[tuple[str, int | None], ...]
 ) -> QubitDensityMatrix:
     """Post-POVM register of one shot, from its keep/delete pattern alone.
 
-    A kept qubit is ``[[1, c], [c, 1]] / 2`` with ``c = 1 - 2 p_phi``, a
+    A kept qubit is ``[[1, c], [c, 1]] / 2`` with ``c = coherence``, a
     deleted one ``|b><b|``; their product (little-endian, as in
-    :func:`~cvdownload.qubits.dm_tensor`) is conjugated by the diagonal
-    CZ signs ``phases``.  No dependence on ``q`` or ``gamma``.
+    :func:`~cvdownload.qubits.dm_tensor`) is conjugated by the CZ signs of
+    ``graph``.  No dependence on ``q`` or ``gamma``.
     """
+    phases = graph_phases(graph)
     kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
     rho = np.ones((1, 1))
     for kind, bit in outcomes:
@@ -221,7 +226,7 @@ def _register_from_pattern(
         rho = (factor[:, None, :, None] * rho[None, :, None, :]).reshape(dim, dim)
     rho = rho * phases[:, None]
     rho *= phases
-    return QubitDensityMatrix(len(outcomes), rho)
+    return QubitDensityMatrix(graph.n, rho)
 
 
 @dataclass(frozen=True)
@@ -230,8 +235,8 @@ class DownloadRecord:
 
     ``outcomes[i]`` is ``("keep", None)`` or ``("delete", bit)``; the
     deleted bit is the known basis state the erased qubit collapsed to.
-    ``post_state`` is the register after all POVMs (present unless the
-    run was asked not to keep states).
+    ``post_state`` is the dense register after all POVMs, present only
+    when the run was asked to keep states; :meth:`to_json` leaves it out.
     """
 
     q: np.ndarray
@@ -249,20 +254,19 @@ class DownloadRecord:
         return not bool(self.deletion_mask.any())
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "q": self.q.tolist(),
             "phi": self.phi.tolist(),
             "gamma": self.gamma.tolist(),
             "outcomes": [[o, b] for o, b in self.outcomes],
         }
-        if self.post_state is not None:
-            obj["post_state"] = self.post_state.to_json()
-        return obj
 
 
 @dataclass(frozen=True)
 class DownloadSummary:
-    """Aggregates over a run; ``mean_kept_fidelity`` is NaN when no shot kept all."""
+    """Aggregates over a run; ``mean_kept_fidelity`` is ``(1 - p_phi)^n``,
+    the fidelity of every all-kept shot, or NaN when no shot kept all.
+    """
 
     shots: int
     n: int
@@ -309,27 +313,26 @@ def run_download(
     another's outcome.
 
     With ``keep_states=True`` (default) each shot's post-POVM register
-    is built in one pass from its keep/delete pattern (see the module
-    notes); the gate-by-gate route through
+    comes from :func:`register_from_outcomes`, and graphs above the dense
+    cap are refused before any draw; the gate-by-gate route through
     :func:`downloaded_state_equivalent` and one forced
     :func:`~cvdownload.qubits.apply_balancing_povm` per qubit is the
-    oracle it is tested against.  ``keep_states=False`` skips the
-    density matrices entirely and produces the identical record sequence
-    with ``post_state=None``, which keeps large statistical runs cheap.
+    oracle it is tested against.  ``keep_states=False`` builds no register
+    and returns the identical records, with ``post_state=None``, and the
+    identical summary.
 
-    Returns the per-shot records and a summary whose kept-branch fidelity
-    is measured against the ideal qubit cluster state over shots where
-    every qubit was kept (NaN if there were none).
+    The summary's kept-branch fidelity is the law ``(1 - p_phi)^n`` (NaN
+    if no shot kept every qubit).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     graph = params.graph
     n = graph.n
     r0, sigma2 = params.mixture()
+    p_phi = dephasing_rate(sigma2)
     if keep_states:
-        target = cluster_state(graph)  # refuses n above the dense cap
-        phases = graph_phases(graph)
-        coherence = 1.0 - 2.0 * dephasing_rate(sigma2)
+        _check_dense_size(n)
+        coherence = params.coherence()
 
     q = np.empty((shots, n))
     uniforms = np.empty((shots, n))
@@ -345,15 +348,10 @@ def run_download(
     per_qubit = shots - np.count_nonzero(kept, axis=0)
 
     records: list[DownloadRecord] = []
-    fidelities: list[float] = []
     codes = (2 * kept + (gamma > 1.0)).tolist()
-    for q_k, phi_k, gamma_k, codes_k, deleted in zip(q, phi, gamma, codes, deletions):
+    for q_k, phi_k, gamma_k, codes_k in zip(q, phi, gamma, codes):
         outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes_k))
-        state = None
-        if keep_states:
-            state = _register_from_pattern(outcomes, coherence, phases)
-            if not deleted:
-                fidelities.append(fidelity(target, state))
+        state = register_from_outcomes(graph, coherence, outcomes) if keep_states else None
         records.append(
             DownloadRecord(q=q_k, phi=phi_k, gamma=gamma_k, outcomes=outcomes, post_state=state)
         )
@@ -365,7 +363,7 @@ def run_download(
         p_del_empirical=float(per_qubit.sum()) / (shots * n),
         p_del_analytic=p_del_analytic(r0),
         all_kept_shots=int(histogram[0]),
-        mean_kept_fidelity=float(np.mean(fidelities)) if fidelities else math.nan,
+        mean_kept_fidelity=(1.0 - p_phi) ** n if histogram[0] else math.nan,
         per_qubit_deletions=tuple(per_qubit.tolist()),
         deletions_histogram=tuple(histogram.tolist()),
     )

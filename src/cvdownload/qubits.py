@@ -126,13 +126,6 @@ class QubitDensityMatrix:
     def purity(self) -> float:
         return float(np.vdot(self.rho, self.rho).real)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "re": self.rho.real.tolist(),
-            "im": self.rho.imag.tolist(),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QubitDensityMatrix(n={self.n})"
 

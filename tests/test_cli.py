@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from cvdownload.cli import main
+from cvdownload.error_model import db_to_squeezing
+from cvdownload.gaussian import SqueezedThermalParams
+from cvdownload.graphs import parse_graph_spec
+from cvdownload.protocol import ProtocolParams, register_from_outcomes, run_download
+from cvdownload.qubits import DEFAULT_MAX_QUBITS
 
 
 def _read_rows(path):
@@ -99,6 +104,43 @@ class TestDownload:
         assert len(doc["q"]) == 2
         assert doc["outcomes"][0][0] in ("keep", "delete")
         assert "post_state" in doc
+
+    def test_records_rebuild_the_dense_registers(self, tmp_path):
+        rec_path = tmp_path / "shots.jsonl"
+        assert main([
+            "download", "--graph", "grid2d:3x3", "--nbar", "0.2", "--shots", "10",
+            "--seed", "4", "--records", str(rec_path), "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        graph = parse_graph_spec("grid2d:3x3")
+        source = SqueezedThermalParams(db_to_squeezing(10.0), 0.2)
+        records, _ = run_download(ProtocolParams(graph, source, seed=4), 10, keep_states=True)
+        lines = rec_path.read_text().splitlines()
+        assert len(lines) == len(records)
+        for line, rec in zip(lines, records):
+            doc = json.loads(line)
+            assert doc["post_state"]["format"] == "factored-v1"
+            rho = register_from_outcomes(graph, doc["post_state"]["coherence"], doc["outcomes"])
+            assert np.array_equal(rho.rho, rec.post_state.rho)
+
+    def test_records_above_the_dense_cap(self, tmp_path):
+        rec_path = tmp_path / "shots.jsonl"
+        assert parse_graph_spec("grid2d:4x4").n > DEFAULT_MAX_QUBITS
+        assert main([
+            "download", "--graph", "grid2d:4x4", "--nbar", "0.2", "--shots", "20",
+            "--records", str(rec_path), "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        lines = rec_path.read_text().splitlines()
+        assert len(lines) == 20
+        assert all(len(json.loads(line)["outcomes"]) == 16 for line in lines)
+
+    def test_records_leave_the_summary_unchanged(self, tmp_path):
+        args = ["download", "--graph", "path:3", "--nbar", "0.2", "--shots", "300"]
+        main(args + ["--out", str(tmp_path / "plain.csv")])
+        main(args + ["--records", str(tmp_path / "r.jsonl"), "--out", str(tmp_path / "rec.csv")])
+        _, header, plain = _read_rows(tmp_path / "plain.csv")
+        _, _, with_records = _read_rows(tmp_path / "rec.csv")
+        assert plain == with_records
+        assert plain[0][header.index("kept_fidelity_mean")] != "nan"
 
     def test_json_format(self, capsys):
         assert main(["download", "--shots", "20", "--format", "json"]) == 0

@@ -28,9 +28,9 @@ from cvdownload.protocol import (
     DownloadRecord,
     DownloadSummary,
     ProtocolParams,
-    _register_from_pattern,
     downloaded_state_direct,
     downloaded_state_equivalent,
+    register_from_outcomes,
     run_download,
     sample_outcomes,
 )
@@ -40,7 +40,6 @@ from cvdownload.qubits import (
     apply_balancing_povm,
     cluster_state,
     fidelity,
-    graph_phases,
     trace_distance,
 )
 
@@ -284,7 +283,7 @@ class TestRunDownload:
             assert np.array_equal(a.q, b.q)
             assert a.outcomes == b.outcomes
             assert b.post_state is None
-        assert sum_a.p_del_empirical == sum_b.p_del_empirical
+        assert sum_a == sum_b
 
     def test_deletion_rate_three_sigma(self):
         shots = 100_000
@@ -318,7 +317,7 @@ class TestRunDownload:
         doc = json.loads(json.dumps(records[0].to_json()))
         assert np.allclose(doc["q"], records[0].q)
         assert doc["outcomes"][0][0] in ("keep", "delete")
-        assert "post_state" in doc
+        assert "post_state" not in doc
 
 
 def _gate_by_gate_register(params, record):
@@ -348,10 +347,13 @@ class TestOnePassRegister:
     @settings(max_examples=80, deadline=None)
     @given(_download_cases())
     def test_matches_gate_by_gate_oracle(self, params):
-        records, _ = run_download(params, 3, keep_states=True)
+        records, summary = run_download(params, 3, keep_states=True)
+        target = cluster_state(params.graph)
         for rec in records:
             oracle = _gate_by_gate_register(params, rec)
             assert np.max(np.abs(rec.post_state.rho - oracle.rho)) <= 1e-12
+            if rec.all_kept:
+                assert abs(fidelity(target, rec.post_state) - summary.mean_kept_fidelity) <= 1e-12
 
     def test_unit_strength_register_is_real(self):
         params = _params(Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))), 0.7, 0.3, seed=4)
@@ -371,15 +373,11 @@ def _per_shot_reference(params, shots, keep_states):
     graph = params.graph
     n = graph.n
     r0, sigma2 = params.mixture()
-    if keep_states:
-        target = cluster_state(graph)
-        phases = graph_phases(graph)
-        coherence = 1.0 - 2.0 * dephasing_rate(sigma2)
+    p_phi = dephasing_rate(sigma2)
     a = adjacency_matrix(graph)
     records = []
     kept_counts = np.zeros(n, dtype=int)
     histogram = [0] * (n + 1)
-    fidelities = []
     for child in np.random.SeedSequence(params.seed).spawn(shots):
         rng = np.random.default_rng(child)
         q = sample_outcomes(params, rng)
@@ -392,9 +390,7 @@ def _per_shot_reference(params, shots, keep_states):
         histogram[deleted] += 1
         state = None
         if keep_states:
-            state = _register_from_pattern(outcomes, coherence, phases)
-            if not deleted:
-                fidelities.append(fidelity(target, state))
+            state = register_from_outcomes(graph, 1.0 - 2.0 * p_phi, outcomes)
         phi = SQRT_PI * (a @ q)
         records.append(DownloadRecord(q, phi, gamma, outcomes, state))
     per_qubit = shots - kept_counts
@@ -404,7 +400,7 @@ def _per_shot_reference(params, shots, keep_states):
         p_del_empirical=float(per_qubit.sum()) / (shots * n),
         p_del_analytic=p_del_analytic(r0),
         all_kept_shots=histogram[0],
-        mean_kept_fidelity=float(np.mean(fidelities)) if fidelities else math.nan,
+        mean_kept_fidelity=(1.0 - p_phi) ** n if histogram[0] else math.nan,
         per_qubit_deletions=tuple(int(c) for c in per_qubit),
         deletions_histogram=tuple(histogram),
     )
