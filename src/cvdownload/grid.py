@@ -6,10 +6,12 @@ an exact shift by ``k`` cells and never interpolates; discretization
 error is confined to the initial Gaussian and to the measurement
 statistics.  Each mode carries one partner qubit prepared in ``|+>``.
 
-Amplitudes are indexed ``amps[g_1, ..., g_m, b]`` where ``g_s`` is the
-grid index of mode ``s`` and ``b`` the little-endian qubit bitstring
-(qubit ``s`` belongs to mode ``s``).  Normalization counts the cell
-volume: ``sum |amps|^2 dq^m = 1``.
+Amplitudes are indexed ``amps[b, g_1, ..., g_m]`` where ``b`` is the
+little-endian qubit bitstring (qubit ``s`` belongs to mode ``s``) and
+``g_s`` the grid index of mode ``s``.  Each bitstring component
+``amps[b]`` is one contiguous plane, so every gate is a whole-plane
+operation.  Normalization counts the cell volume:
+``sum |amps|^2 dq^m = 1``.
 
 This module exists as an independent oracle for the analytic protocol
 states: it knows nothing about conditional wavefunctions, imbalances or
@@ -40,6 +42,7 @@ __all__ = [
 
 MIN_CELLS_PER_SHIFT = 16
 BOUNDARY_MASS_TOL = 1e-10
+_CHUNK = 1 << 16  # cells per pass of the per-cell sum in ``_abs2``
 
 
 class HybridGridState:
@@ -64,9 +67,30 @@ def required_length(r0: float) -> float:
     return 6.0 * max(math.exp(r0), 1.0) + SQRT_PI
 
 
+def _abs2(planes: np.ndarray, per_cell: bool = False) -> float | np.ndarray:
+    """``sum |planes|^2``, as sums of squares of the float view (real and
+    imaginary parts interleaved), with no complex or ``np.abs`` temporaries.
+
+    By default the sum runs over every entry and a float is returned.  With
+    ``per_cell`` it runs over the leading (bitstring) axis only and returns
+    one float per cell, shaped like ``planes[0]``; it is built ``_CHUNK``
+    cells at a time, so its only temporary is a fraction of a plane.
+    """
+    if not per_cell:
+        flat = planes.reshape(-1).view(float)
+        return float(flat @ flat)
+    flat = planes.reshape(len(planes), -1).view(float)
+    out = np.empty(flat.shape[1] // 2)
+    for start in range(0, len(out), _CHUNK):
+        part = flat[:, 2 * start : 2 * (start + _CHUNK)]
+        squares = np.einsum("bx,bx->x", part, part)
+        np.add(squares[0::2], squares[1::2], out=out[start : start + _CHUNK])
+    return out.reshape(planes.shape[1:])
+
+
 def total_mass(state: HybridGridState) -> float:
     """``sum |amps|^2 dq^m`` - exactly 1 after initialization."""
-    return float(np.sum(np.abs(state.amps) ** 2) * state.dq**state.modes)
+    return _abs2(state.amps) * state.dq**state.modes
 
 
 def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
@@ -84,25 +108,28 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
     dq = SQRT_PI / k
     cells = int(math.ceil(2.0 * length / dq))
     grid = -length + dq * np.arange(cells)
-    psi = squeezed_vacuum_psi(grid, r0).astype(complex)
+    psi = squeezed_vacuum_psi(grid, r0)
 
-    if modes == 1:
-        mode_amps = psi
-    else:
-        mode_amps = np.multiply.outer(psi, psi)
-    amps = np.repeat(mode_amps[..., None], 2**modes, axis=-1) * 2 ** (-modes / 2)
-
-    state = HybridGridState(modes, k, grid, amps)
-    state.amps /= math.sqrt(total_mass(state))
-    return state
+    # the real mode amplitude, scaled so that each of the 2^m bitstring
+    # planes carries mass 2^-m, is written into every plane
+    mode_amps = psi if modes == 1 else np.multiply.outer(psi, psi)
+    mode_amps /= math.sqrt(2**modes * _abs2(mode_amps) * dq**modes)
+    amps = np.empty((2**modes,) + mode_amps.shape, dtype=complex)
+    amps[...] = mode_amps
+    return HybridGridState(modes, k, grid, amps)
 
 
 def apply_cphase_grid(state: HybridGridState) -> HybridGridState:
     """Elementwise two-mode phase ``exp(i q_0 q_1)`` (in place)."""
     if state.modes != 2:
         raise ValueError("CPHASE needs a two-mode grid state")
-    phase = np.exp(1j * np.multiply.outer(state.grid, state.grid))
-    state.amps *= phase[..., None]
+    # cos and sin written into one complex plane give exp(1j * angle)
+    # (bit for bit with NumPy 2.4 on x86-64) without its complex temporaries
+    phase = np.empty((state.cells, state.cells), dtype=complex)
+    angle = np.multiply.outer(state.grid, state.grid, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    np.cos(angle, out=phase.real)
+    state.amps *= phase
     return state
 
 
@@ -117,22 +144,23 @@ def apply_cd_grid(state: HybridGridState, mode: int) -> HybridGridState:
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
     k = state.k
-    cell_volume = state.dq**state.modes
-    moved = np.moveaxis(state.amps, mode, 0)  # view; last axis is still qubits
-    bit_one = [b for b in range(2**state.modes) if (b >> mode) & 1]
-    boundary_mass = 0.0
-    for b in bit_one:
-        boundary_mass += float(np.sum(np.abs(moved[-k:, ..., b]) ** 2) * cell_volume)
+    planes = [state.amps[b] for b in range(2**state.modes) if (b >> mode) & 1]
+    boundary_mass = sum(_abs2(np.moveaxis(p, mode, 0)[-k:]) for p in planes)
+    boundary_mass *= state.dq**state.modes
     if boundary_mass >= BOUNDARY_MASS_TOL:
         raise ValueError(
             f"conditional displacement would push mass {boundary_mass:.3e} "
             f"past the grid edge; the grid fits one displacement per mode"
         )
-    for b in bit_one:
-        block = moved[..., b]
-        shifted = np.zeros_like(block)
-        shifted[k:] = block[:-k]
-        moved[..., b] = shifted
+    # k cells along ``mode`` are ``step`` flat entries.  A one-dimensional
+    # overlapping copy is a memmove, with no temporary; it carries each
+    # line's last k cells into the next line's first k, which are exactly
+    # the cells zeroed next.
+    step = k * state.cells ** (state.modes - 1 - mode)
+    for p in planes:
+        flat = p.reshape(-1)
+        flat[step:] = flat[:-step]
+        np.moveaxis(p, mode, 0)[:k] = 0.0
     return state
 
 
@@ -140,9 +168,9 @@ def mode_marginal(state: HybridGridState, mode: int) -> np.ndarray:
     """Probability of each grid point for one mode (sums to 1)."""
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
-    prob = np.abs(state.amps) ** 2
-    axes = tuple(ax for ax in range(state.modes) if ax != mode) + (state.modes,)
-    marg = prob.sum(axis=axes) * state.dq**state.modes
+    prob = _abs2(state.amps, per_cell=True)
+    others = tuple(ax for ax in range(state.modes) if ax != mode)
+    marg = prob.sum(axis=others) * state.dq**state.modes
     return marg / marg.sum()
 
 
@@ -150,20 +178,22 @@ def measure_q_grid(
     state: HybridGridState, rng: np.random.Generator
 ) -> tuple[np.ndarray, QubitPureState]:
     """Measure q on every mode; returns the grid-point outcomes and the
-    collapsed qubit register (the modes are consumed).
+    collapsed qubit register.
 
-    The joint outcome is sampled from ``|amps|^2`` summed over qubit
-    components; the qubit register collapses to the amplitudes at that
-    grid point, renormalized.
+    The state is left unchanged, so each call is an independent draw from
+    the same pre-measurement state.  The joint outcome is sampled from
+    ``|amps|^2`` summed over qubit components; the qubit register is the
+    amplitudes at that grid point, renormalized.
     """
-    weights = (np.abs(state.amps) ** 2).sum(axis=-1).ravel()
-    total = weights.sum()
+    cdf = _abs2(state.amps, per_cell=True).reshape(-1)
+    total = cdf.sum()
     if total <= 0.0:
         raise ValueError("state has no probability mass")
-    cdf = np.cumsum(weights / total)
+    cdf /= total
+    np.cumsum(cdf, out=cdf)
     flat_index = int(np.searchsorted(cdf, rng.random(), side="right"))
-    flat_index = min(flat_index, len(weights) - 1)
-    indices = np.unravel_index(flat_index, state.amps.shape[: state.modes])
+    flat_index = min(flat_index, len(cdf) - 1)
+    indices = np.unravel_index(flat_index, state.amps.shape[1:])
     q_values = state.grid[np.array(indices)]
-    qubit = QubitPureState(state.modes, state.amps[indices], normalize=True)
+    qubit = QubitPureState(state.modes, state.amps[(slice(None), *indices)], normalize=True)
     return q_values, qubit

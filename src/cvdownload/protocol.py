@@ -76,6 +76,7 @@ from .qubits import (
 
 __all__ = [
     "DIRECT_R0_MAX",
+    "DIRECT_PHASE_SCALE_MAX",
     "ProtocolParams",
     "DownloadRecord",
     "DownloadSummary",
@@ -94,6 +95,17 @@ __all__ = [
 #: at r0 = 4, 1.3e-11 at 4.5 and 3.7e-11 at 5.  The bound keeps the worst
 #: case at least ten times below the 1e-10 agreement gate.
 DIRECT_R0_MAX = 4.0
+
+#: Largest phase scale ``|q|^T A |q|`` (the summed magnitudes of the
+#: quadratic phase terms) the direct register accepts.  Its phase round-off
+#: grows with this scale, not with r0 alone, so far-tail outcomes lose
+#: precision at any r0 <= ``DIRECT_R0_MAX``.  Against the equivalent
+#: circuit, on random and complete graphs with n <= 10 and r0 <= 4, the
+#: worst trace distance was 9.9e-12 for scales in [6e4, 7e4) and 1.4e-11
+#: in [7e4, 1e5): ten times below the 1e-10 agreement gate up to the
+#: bound.  The error per unit scale grows slowly with n, to about 2e-16
+#: at the 12-qubit cap, where the margin at the bound is seven.
+DIRECT_PHASE_SCALE_MAX = 7e4
 
 
 @dataclass(frozen=True)
@@ -137,8 +149,9 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     phases ``exp(i phi . b)``); for thermal sources the bitstring
     coherences are damped by ``exp(-pi sigma^2 / 2 * hamming(b, b'))``.
     Magnitudes are computed in log space so far-tail outcomes stay finite.
-    Registers above ``DEFAULT_MAX_QUBITS`` and sources with ``r0`` above
-    ``DIRECT_R0_MAX`` are refused before any allocation.
+    Registers above ``DEFAULT_MAX_QUBITS``, sources with ``r0`` above
+    ``DIRECT_R0_MAX`` and outcomes with ``|q|^T A |q|`` above
+    ``DIRECT_PHASE_SCALE_MAX`` are refused before any allocation.
     """
     graph = params.graph
     n = graph.n
@@ -146,6 +159,8 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} outcomes, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"outcomes must be finite, got {q}")
     r0, sigma2 = params.mixture()
     if r0 > DIRECT_R0_MAX:
         raise ValueError(
@@ -153,6 +168,13 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
             "register's phases lose precision there"
         )
     a = adjacency_matrix(graph)
+    with np.errstate(over="ignore"):  # inf for outcomes near float max: refused
+        scale = float(np.abs(q) @ a @ np.abs(q))
+    if scale > DIRECT_PHASE_SCALE_MAX:
+        raise ValueError(
+            f"phase scale |q|^T A |q| = {scale:.6g} exceeds DIRECT_PHASE_SCALE_MAX = "
+            f"{DIRECT_PHASE_SCALE_MAX:g}: the direct register's phases lose precision there"
+        )
     bits = _bit_matrix(n)
     x = q[None, :] - SQRT_PI * bits
     with np.errstate(over="ignore"):  # -inf near -R0_LIMIT: weight exp(-inf) = 0

@@ -46,15 +46,16 @@ def small_graphs(draw, n_max=7):
     return Graph(n, tuple(pair for pair, k in zip(pairs, keep) if k))
 
 
-def assert_refused_before_allocating(call) -> None:
-    """``call()`` raises the dense-cap ``ValueError`` before allocating.
+def assert_refused_before_allocating(call, match: str = "dense-simulation cap") -> None:
+    """``call()`` raises a ``ValueError`` matching ``match`` (by default the
+    dense cap's) before allocating.
 
     The traced peak must stay under 64 KB; one 13-qubit state vector alone
     takes 128 KB, and a 13-qubit density matrix 1 GB.
     """
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="dense-simulation cap"):
+        with pytest.raises(ValueError, match=match):
             call()
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,25 +1,28 @@
 """Discretized-quadrature oracle for the hybrid download circuit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cvdownload.error_model import SQRT_PI, qubit_given_outcome
+from cvdownload.error_model import SQRT_PI, qubit_given_outcome, squeezed_vacuum_psi
 from cvdownload.gaussian import SqueezedThermalParams
 from cvdownload.graphs import path_graph
 from cvdownload.grid import (
     BOUNDARY_MASS_TOL,
+    HybridGridState,
     apply_cd_grid,
     apply_cphase_grid,
     make_grid_state,
     measure_q_grid,
     mode_marginal,
+    required_length,
     total_mass,
 )
 from cvdownload.protocol import ProtocolParams, downloaded_state_direct
-from cvdownload.qubits import apply_rz, fidelity, trace_distance
+from cvdownload.qubits import QubitPureState, apply_rz, fidelity, trace_distance
 
 
 def _mixture_cdf(x, r0):
@@ -32,6 +35,82 @@ def _one_mode_pipeline(r0, k):
     return apply_cd_grid(state, 0)
 
 
+# The qubit-last layout amps[g_1, ..., g_m, b] that the plane layout
+# replaced, with its own formulas, kept as a reference for the module.
+
+
+def _ref_make(r0, modes, k):
+    length = required_length(r0)
+    dq = SQRT_PI / k
+    grid = -length + dq * np.arange(int(math.ceil(2.0 * length / dq)))
+    psi = squeezed_vacuum_psi(grid, r0).astype(complex)
+    mode_amps = psi if modes == 1 else np.multiply.outer(psi, psi)
+    amps = np.repeat(mode_amps[..., None], 2**modes, axis=-1) * 2 ** (-modes / 2)
+    amps /= math.sqrt(np.sum(np.abs(amps) ** 2) * dq**modes)
+    return HybridGridState(modes, k, grid, amps)
+
+
+def _ref_cphase(st):
+    st.amps *= np.exp(1j * np.multiply.outer(st.grid, st.grid))[..., None]
+
+
+def _ref_cd(st, mode):
+    k = st.k
+    moved = np.moveaxis(st.amps, mode, 0)
+    bit_one = [b for b in range(2**st.modes) if (b >> mode) & 1]
+    mass = sum(float(np.sum(np.abs(moved[-k:, ..., b]) ** 2)) for b in bit_one)
+    if mass * st.dq**st.modes >= BOUNDARY_MASS_TOL:
+        raise ValueError("grid edge")
+    for b in bit_one:
+        shifted = np.zeros_like(moved[..., b])
+        shifted[k:] = moved[:-k, ..., b]
+        moved[..., b] = shifted
+
+
+def _ref_measure(st, rng):
+    weights = (np.abs(st.amps) ** 2).sum(axis=-1).ravel()
+    cdf = np.cumsum(weights / weights.sum())
+    flat_index = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+    indices = np.unravel_index(flat_index, st.amps.shape[: st.modes])
+    return st.grid[np.array(indices)], QubitPureState(st.modes, st.amps[indices], normalize=True)
+
+
+def _both_pipelines(r0, modes, k):
+    """New and reference states after make, CPHASE (two modes) and one CD
+    per mode."""
+    new, ref = make_grid_state(r0, modes, k=k), _ref_make(r0, modes, k)
+    if modes == 2:
+        apply_cphase_grid(new)
+        _ref_cphase(ref)
+    for mode in range(modes):
+        apply_cd_grid(new, mode)
+        _ref_cd(ref, mode)
+    return new, ref
+
+
+def _refusal_step(make, cd, r0, modes, mode):
+    """Number of displacements of ``mode`` accepted before the edge refusal."""
+    st = make(r0, modes, 16)
+    for step in range(20):
+        try:
+            cd(st, mode)
+        except ValueError as err:
+            assert "grid edge" in str(err)
+            return step
+    raise AssertionError("the boundary guard never tripped")
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestInitialization:
     def test_norm_one(self):
         for modes in (1, 2):
@@ -41,7 +120,7 @@ class TestInitialization:
     def test_second_moment(self):
         for r0 in (0.0, 0.8):
             st = make_grid_state(r0, 1, k=32)
-            prob = np.abs(st.amps[:, 0]) ** 2 + np.abs(st.amps[:, 1]) ** 2
+            prob = np.abs(st.amps[0]) ** 2 + np.abs(st.amps[1]) ** 2
             prob *= st.dq
             second = float(np.sum(prob * st.grid**2))
             assert abs(second - math.exp(2 * r0) / 2.0) < 1e-4
@@ -50,7 +129,7 @@ class TestInitialization:
         st = make_grid_state(0.5, 2, k=16)
         # all four bitstring components identical at every grid point
         for b in range(1, 4):
-            assert np.allclose(st.amps[..., b], st.amps[..., 0])
+            assert np.allclose(st.amps[b], st.amps[0])
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
@@ -76,8 +155,8 @@ class TestGates:
         st = make_grid_state(0.0, 1, k=16)
         before = st.amps.copy()
         apply_cd_grid(st, 0)
-        assert np.allclose(st.amps[:, 0], before[:, 0])
-        assert np.allclose(st.amps[st.k :, 1], before[: -st.k, 1])
+        assert np.allclose(st.amps[0], before[0])
+        assert np.allclose(st.amps[1, st.k :], before[1, : -st.k])
 
     def test_cphase_phase_only(self):
         st = make_grid_state(0.2, 2, k=16)
@@ -111,6 +190,16 @@ class TestMeasurement:
         q, _ = measure_q_grid(st, rng)
         assert q.shape == (1,)
         assert np.min(np.abs(st.grid - q[0])) < 1e-12
+
+    def test_measurement_leaves_the_state_unchanged(self):
+        st = make_grid_state(0.6, 2, k=16)
+        apply_cphase_grid(st)
+        apply_cd_grid(st, 0)
+        before = st.amps.copy()
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            measure_q_grid(st, rng)
+        assert np.array_equal(st.amps.view(np.uint64), before.view(np.uint64))
 
     def test_deterministic_for_fixed_seed(self):
         st = _one_mode_pipeline(0.4, 16)
@@ -196,3 +285,61 @@ class TestAgainstAnalyticStates:
             q, psi = measure_q_grid(st, rng)
             target = qubit_given_outcome(float(q[0]), 0.8)
             assert trace_distance(target.density_matrix(), psi.density_matrix()) < 1e-12
+
+
+class TestAgainstQubitLastLayout:
+    def test_pipeline_amplitudes_match_after_transpose(self):
+        new, ref = make_grid_state(0.6, 2, k=64), _ref_make(0.6, 2, 64)
+        steps = (
+            (lambda: None, lambda: None),
+            (lambda: apply_cphase_grid(new), lambda: _ref_cphase(ref)),
+            (lambda: apply_cd_grid(new, 0), lambda: _ref_cd(ref, 0)),
+            (lambda: apply_cd_grid(new, 1), lambda: _ref_cd(ref, 1)),
+        )
+        for step_new, step_ref in steps:
+            step_new()
+            step_ref()
+            assert np.array_equal(new.grid, ref.grid)
+            assert np.max(np.abs(new.amps - np.moveaxis(ref.amps, -1, 0))) < 1e-14
+
+    def test_seeded_outcomes_identical(self):
+        # 1000 draws on one mode and 20 on the two-mode pipeline, at k=64
+        for r0, modes, draws in ((0.8, 1, 1000), (0.6, 2, 20)):
+            new, ref = _both_pipelines(r0, modes, 64)
+            rng_new, rng_ref = np.random.default_rng(99), np.random.default_rng(99)
+            for _ in range(draws):
+                q_new, reg_new = measure_q_grid(new, rng_new)
+                q_ref, reg_ref = _ref_measure(ref, rng_ref)
+                assert np.array_equal(q_new, q_ref)
+                assert np.max(np.abs(reg_new.amps - reg_ref.amps)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "r0, modes, mode", [(0.0, 1, 0), (-0.5, 1, 0), (0.5, 2, 0), (0.5, 2, 1), (1.2, 2, 1)]
+    )
+    def test_boundary_refusal_on_the_same_step(self, r0, modes, mode):
+        new = _refusal_step(make_grid_state, apply_cd_grid, r0, modes, mode)
+        assert new == _refusal_step(_ref_make, _ref_cd, r0, modes, mode)
+
+
+class TestAllocation:
+    """Temporary peak of each operation on the two-mode k=64 state, in
+    planes (one bitstring component, ``amps.nbytes / 2**modes``)."""
+
+    def test_temporary_peaks(self):
+        st, peak = _traced_peak(lambda: make_grid_state(0.6, 2, k=64))
+        plane = st.amps.nbytes / 2**st.modes
+        planes = {"make": (peak - st.amps.nbytes) / plane}
+        calls = {
+            "cphase": lambda: apply_cphase_grid(st),
+            "cd 0": lambda: apply_cd_grid(st, 0),
+            "cd 1": lambda: apply_cd_grid(st, 1),
+            "measure": lambda: measure_q_grid(st, np.random.default_rng(1)),
+            "total_mass": lambda: total_mass(st),
+        }
+        for name, call in calls.items():
+            planes[name] = _traced_peak(call)[1] / plane
+        bounds = {
+            "make": 2.0, "cphase": 1.5, "cd 0": 1.0, "cd 1": 1.0, "measure": 1.5, "total_mass": 0.01
+        }
+        over = {name: planes[name] for name in bounds if planes[name] > bounds[name]}
+        assert not over, f"temporary peaks in planes above {bounds}: {over}"

@@ -19,11 +19,20 @@ from cvdownload.error_model import (
     outcome_density,
     p_del_analytic,
     qubit_given_outcome,
+    sample_q,
 )
 from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams
-from cvdownload.graphs import Graph, adjacency_matrix, grid2d_graph, path_graph, random_graph
+from cvdownload.graphs import (
+    Graph,
+    adjacency_matrix,
+    complete_graph,
+    grid2d_graph,
+    path_graph,
+    random_graph,
+)
 from cvdownload.protocol import (
     _OUTCOME_BY_CODE,
+    DIRECT_PHASE_SCALE_MAX,
     DIRECT_R0_MAX,
     DownloadRecord,
     DownloadSummary,
@@ -46,6 +55,10 @@ from cvdownload.qubits import (
 
 def _params(graph, r, nbar, seed=0):
     return ProtocolParams(graph=graph, source=SqueezedThermalParams(r, nbar), seed=seed)
+
+
+def _phase_scale(graph, q):
+    return float(np.abs(q) @ adjacency_matrix(graph) @ np.abs(q))
 
 
 def _random_case(rng, n_max=4, r_lo=0.0, r_hi=2.0, nbar_hi=2.0):
@@ -114,6 +127,37 @@ class TestDirectState:
         with pytest.raises(ValueError, match="DIRECT_R0_MAX"):
             downloaded_state_direct(params, sample_outcomes(params, np.random.default_rng(0)))
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_refuses_far_tail_outcomes(self, n, rng):
+        # outcomes at about 5 sigma on a complete graph at r0 = 3.5 lost
+        # precision silently (1.3e-10 against the equivalent circuit)
+        params = _params(complete_graph(n), 3.5, 0.0)
+        q = rng.choice([-1.0, 1.0], size=n) * 5.0 * math.exp(3.5) / math.sqrt(2.0)
+        q += rng.normal(0.0, 1.0, size=n)
+        assert _phase_scale(params.graph, q) > DIRECT_PHASE_SCALE_MAX
+        assert_refused_before_allocating(
+            lambda: downloaded_state_direct(params, q), match="DIRECT_PHASE_SCALE_MAX"
+        )
+
+    def test_refuses_non_finite_and_huge_outcomes(self):
+        params = _params(path_graph(2), 1.0, 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                downloaded_state_direct(params, np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="DIRECT_PHASE_SCALE_MAX"):
+            downloaded_state_direct(params, np.array([1e300, -1e300]))
+
+    def test_battery_outcomes_stay_far_inside(self):
+        # the densest graphs and widest sources that the verify battery
+        # (K4, r0 = 2.8) and the oracle benchmark (K8, r0 = 2.05) use:
+        # 10^5 draws each stay below a quarter of the bound
+        for n, r, nbar in ((4, 2.0, 2.0), (8, 1.5, 1.0)):
+            r0 = _params(path_graph(1), r, nbar).mixture()[0]
+            q = sample_q(r0, n * 100_000, np.random.default_rng(n)).reshape(-1, n)
+            a = adjacency_matrix(complete_graph(n))
+            scales = np.einsum("si,ij,sj->s", np.abs(q), a, np.abs(q))
+            assert scales.max() < DIRECT_PHASE_SCALE_MAX / 4.0
+
 
 def _direct_with_hamming_tensor(params, q):
     """Reference direct register: the Hamming distances come from the
@@ -165,6 +209,20 @@ class TestEquivalentCircuit:
             n = int(rng.integers(1, 7))
             params = _params(random_graph(n, float(rng.uniform(0.2, 1.0)), rng), DIRECT_R0_MAX, 0.0)
             q = sample_outcomes(params, rng)
+            direct = downloaded_state_direct(params, q)
+            equiv = downloaded_state_equivalent(params, q)
+            assert trace_distance(direct, equiv) < 1e-10
+
+    def test_agreement_at_the_phase_scale_bound(self, rng):
+        # dense graphs, outcomes scaled so |q|^T A |q| sits at the bound
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            graph = complete_graph(n) if rng.random() < 0.5 else random_graph(n, 0.8, rng)
+            if not graph.edges:
+                continue
+            params = _params(graph, float(rng.uniform(0.0, DIRECT_R0_MAX)), 0.0)
+            q = rng.normal(0.0, 1.0, size=n)
+            q *= math.sqrt(DIRECT_PHASE_SCALE_MAX / _phase_scale(graph, q)) * (1.0 - 1e-9)
             direct = downloaded_state_direct(params, q)
             equiv = downloaded_state_equivalent(params, q)
             assert trace_distance(direct, equiv) < 1e-10
