@@ -53,12 +53,19 @@ _FLOAT_FMT = ".17g"
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, _FLOAT_FMT)
+        return format(value, _FLOAT_FMT)  # nan and inf print as "nan" and "inf"
     if value is None:
         return ""
     return str(value)
+
+
+def _json_text(obj, **kwargs) -> str:
+    """The one JSON writer: strict RFC 8259 text, each NaN or +-inf as null."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:  # a non-finite float: read the document back with it as null
+        obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+        return json.dumps(obj, allow_nan=False, **kwargs)
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -75,7 +82,7 @@ def _meta_lines(command: str, config: dict) -> list[str]:
         f"# cvdownload {__version__}",
         f"# command: {command}",
         f"# seed: {config.get('seed', 0)}",
-        f"# config: {json.dumps(config, sort_keys=True)}",
+        f"# config: {_json_text(config, sort_keys=True)}",
     ]
 
 
@@ -98,7 +105,7 @@ def _json_output(path, command, config, payload: dict) -> None:
         }
     }
     doc.update(payload)
-    _write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
+    _write_lines(path, [_json_text(doc, indent=2, sort_keys=True)])
 
 
 def _check_config_value(key: str, value, default) -> None:
@@ -297,7 +304,7 @@ def cmd_download(args: argparse.Namespace) -> int:
         with open(str(config["records"]), "w", encoding="utf-8") as fh:
             for rec in records:
                 line = dict(rec.to_json(), post_state=post_state)
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+                fh.write(_json_text(line, sort_keys=True) + "\n")
 
     header = ["r_db", "nbar", "shots", "p_del_emp", "p_del_analytic", "kept_fidelity_mean"]
     row = [

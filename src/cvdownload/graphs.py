@@ -127,12 +127,26 @@ def random_graph(n: int, edge_probability: float, rng: np.random.Generator) -> G
     return Graph(n, edges)
 
 
-_FAMILIES = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "star": star_graph,
+#: Each graph kind: its builder and the keys it takes.  A ``family:size``
+#: spec lists a named family's integer sizes in this order.
+_KINDS = {
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "star": (star_graph, ("n",)),
+    "grid2d": (grid2d_graph, ("rows", "cols")),
+    "custom": (Graph, ("n", "edges")),
 }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_edge_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)) for e in value
+    )
 
 
 def make_graph(kind: str, **params) -> Graph:
@@ -140,16 +154,19 @@ def make_graph(kind: str, **params) -> Graph:
 
     Supported kinds: ``path``, ``cycle``, ``complete``, ``star`` (each
     takes ``n``), ``grid2d`` (takes ``rows`` and ``cols``) and ``custom``
-    (takes ``n`` and ``edges``).
+    (takes ``n`` and ``edges``, a list of ``[i, j]`` pairs).  A missing
+    or ill-typed key, and any other key, is refused with a ``ValueError``
+    that names it.
     """
-    kind = kind.lower()
-    if kind in _FAMILIES:
-        return _FAMILIES[kind](int(params["n"]))
-    if kind == "grid2d":
-        return grid2d_graph(int(params["rows"]), int(params["cols"]))
-    if kind == "custom":
-        return Graph(int(params["n"]), tuple(map(tuple, params["edges"])))
-    raise ValueError(f"unknown graph kind {kind!r}")
+    if not (isinstance(kind, str) and kind.lower() in _KINDS):
+        raise ValueError(f"graph key 'kind' cannot take {kind!r}: unknown graph kind")
+    build, keys = _KINDS[kind.lower()]
+    if set(params) != set(keys):
+        raise ValueError(f"graph kind {kind!r} takes keys {list(keys)}, got {sorted(params)}")
+    for key, value in params.items():
+        if not (_is_edge_list if key == "edges" else _is_int)(value):
+            raise ValueError(f"graph key {key!r} cannot take {value!r}")
+    return build(**params)
 
 
 def adjacency_matrix(graph: Graph) -> np.ndarray:
@@ -243,46 +260,41 @@ def graph_to_json(graph: Graph) -> dict:
     return {"n": graph.n, "edges": [list(e) for e in graph.edges]}
 
 
-def graph_from_json(obj: dict | str) -> Graph:
+def graph_from_json(obj: dict) -> Graph:
     """Accept either an explicit edge list or a named-family description.
 
-    Explicit form: ``{"n": 3, "edges": [[0, 1], [1, 2]]}``.
-    Named form: ``{"kind": "path", "n": 4}`` or
-    ``{"kind": "grid2d", "rows": 2, "cols": 3}``.
+    Explicit form: ``{"n": 3, "edges": [[0, 1], [1, 2]]}`` (``edges`` may
+    be left out).  Named form: ``{"kind": "path", "n": 4}`` or
+    ``{"kind": "grid2d", "rows": 2, "cols": 3}``.  Both go through
+    :func:`make_graph`, which refuses any key the form does not take.
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"graph JSON must be an object, got {type(obj).__name__}")
     if "kind" in obj:
-        params = {k: v for k, v in obj.items() if k != "kind"}
-        return make_graph(obj["kind"], **params)
-    if "n" not in obj:
-        raise ValueError("graph JSON needs either 'kind' or 'n'+'edges'")
-    return Graph(int(obj["n"]), tuple(map(tuple, obj.get("edges", ()))))
+        return make_graph(**obj)
+    return make_graph("custom", **{"edges": [], **obj})
 
 
 def parse_graph_spec(spec: str) -> Graph:
     """Parse a command-line graph description.
 
     Either the path of a JSON file (see :func:`graph_from_json`), or a
-    compact string: ``path:4``, ``cycle:5``, ``complete:3``, ``star:6``,
-    ``grid2d:2x3``.
+    compact ``family:size`` string: ``path:4``, ``cycle:5``,
+    ``complete:3``, ``star:6``, ``grid2d:2x3`` (sizes joined by ``x``).
     """
     if os.path.isfile(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return graph_from_json(json.load(fh))
-    kind, sep, arg = spec.partition(":")
+    kind, sep, size = spec.partition(":")
     if not sep:
         raise ValueError(
             f"graph spec {spec!r} is neither a file nor of the form kind:size"
         )
     kind = kind.strip().lower()
-    if kind == "grid2d":
-        rows, sep, cols = arg.partition("x")
-        if not sep:
-            raise ValueError(f"grid2d spec must look like grid2d:RxC, got {spec!r}")
-        return grid2d_graph(int(rows), int(cols))
-    if kind in _FAMILIES:
-        return _FAMILIES[kind](int(arg))
-    raise ValueError(f"unknown graph kind {kind!r} in spec {spec!r}")
+    if kind not in _KINDS or kind == "custom":
+        raise ValueError(f"unknown graph kind {kind!r} in spec {spec!r}")
+    keys = _KINDS[kind][1]
+    sizes = size.split("x")
+    if len(sizes) != len(keys):
+        raise ValueError(f"{kind} spec needs {' x '.join(keys)}, got {spec!r}")
+    return make_graph(kind, **dict(zip(keys, map(int, sizes))))

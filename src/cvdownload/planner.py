@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +66,7 @@ from .graphs import Graph, a_squared_spectrum, max_degree
 
 __all__ = [
     "NoiseParams",
-    "GivensRotation",
+    "NETWORK_DTYPE",
     "DecorrelationPlan",
     "LinearizedPlan",
     "plan",
@@ -117,10 +117,9 @@ class NoiseParams:
         return 0.5 * self.eps1
 
 
-class GivensRotation(NamedTuple):
-    i: int
-    j: int
-    angle: float
+#: One beam splitter per element: the plane rotation by ``angle`` in the
+#: ``(i, j)`` mode plane.  A network is a 1-d array of this dtype.
+NETWORK_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("angle", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,8 @@ class DecorrelationPlan:
     orthogonal network maps onto eigenvector ``k`` of ``A^2`` (columns of
     ``orthogonal``, principal first).  ``network`` realizes that
     orthogonal as at most ``n (n - 1) / 2`` two-mode rotations followed
-    by per-mode sign flips (see :func:`compose_network`).
+    by per-mode sign flips (see :func:`compose_network`); it is one array
+    of :data:`NETWORK_DTYPE`, with fields ``i``, ``j`` and ``angle``.
 
     :func:`plan` always sets ``physical=True, violated=None``; only a
     hand-built recipe can be unphysical, and :func:`verify_plan` refuses it.
@@ -150,29 +150,16 @@ class DecorrelationPlan:
     nbar_eff: float
     physical: bool
     violated: str | None
-    network: tuple[GivensRotation, ...]
+    network: np.ndarray
     sign_layer: np.ndarray
 
     def to_json(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "b1": self.b1,
-            "b2": self.b2,
-            "g_prime": self.g_prime,
-            "eig_a2": self.eig_a2.tolist(),
-            "orthogonal": self.orthogonal.tolist(),
-            "mode_squeezing": self.mode_squeezing.tolist(),
-            "mode_thermal": self.mode_thermal.tolist(),
-            "r_eff": self.r_eff,
-            "nbar_eff": self.nbar_eff,
-            "physical": self.physical,
-            "violated": self.violated,
-            "network": [
-                {"modes": [rot.i, rot.j], "angle": rot.angle} for rot in self.network
-            ],
-            "sign_layer": self.sign_layer.tolist(),
-        }
+        """Every field, arrays as nested lists; each rotation of ``network``
+        becomes ``{"modes": [i, j], "angle": angle}``."""
+        values = {field.name: getattr(self, field.name) for field in fields(self)}
+        doc = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+        doc["network"] = [{"modes": [i, j], "angle": angle} for i, j, angle in doc["network"]]
+        return doc
 
 
 def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
@@ -221,7 +208,7 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     r_eff = 0.25 * (math.log(b1) - math.log(b2))
     # B1 B2 >= 1/4 exactly; the clamp absorbs round-off at large |r'|
     nbar_eff = max(math.sqrt(b1) * math.sqrt(b2) - 0.5, 0.0)
-    rotations, signs = givens_network(o)
+    network, signs = givens_network(o)
 
     return DecorrelationPlan(
         c1=c1,
@@ -237,7 +224,7 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
         nbar_eff=nbar_eff,
         physical=True,
         violated=None,
-        network=rotations,
+        network=network,
         sign_layer=signs,
     )
 
@@ -367,45 +354,32 @@ def _replay_log_bound(
 # orthogonal-network synthesis
 # ---------------------------------------------------------------------------
 
-def _rotate_rows(
-    m: np.ndarray, i: int, j: int, c: float, s: float, start: int = 0
-) -> None:
-    """Left-multiply rows ``i, j`` of ``m`` by ``[[c, -s], [s, c]]`` in place.
-
-    Only columns ``start:`` are updated; O(n) per call.
-    """
-    row_i = m[i, start:].copy()
-    row_j = m[j, start:]
-    m[i, start:] = c * row_i - s * row_j
-    m[j, start:] = s * row_i + c * row_j
-
-
-def compose_network(
-    n: int, rotations: tuple[GivensRotation, ...], signs: np.ndarray
-) -> np.ndarray:
+def compose_network(n: int, network: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Multiply out ``R_1 R_2 ... R_m diag(signs)`` in the listed order.
 
-    ``R_k`` is the plane rotation by ``angle`` in the ``(i, j)`` plane
-    (``R[i, j] = -sin``, ``R[j, i] = sin``).  Each rotation updates two
-    rows of the running product in place: O(n) per rotation, O(n^3) in
-    total for a full network.
+    ``R_k`` is the plane rotation of ``network[k]`` (``R[i, j] = -sin``,
+    ``R[j, i] = sin``).  Each rotation updates two rows of the running
+    product in place: O(n) per rotation, O(n^3) in total for a full
+    network.
     """
     signs = np.asarray(signs, dtype=float)
     if signs.shape != (n,):
         raise ValueError(f"expected {n} signs, got shape {signs.shape}")
     out = np.diag(signs)
-    for rot in reversed(rotations):
-        _rotate_rows(out, rot.i, rot.j, math.cos(rot.angle), math.sin(rot.angle))
+    for i, j, angle in network[::-1].tolist():
+        c, s = math.cos(angle), math.sin(angle)
+        out[[i, j]] = np.array([[c, -s], [s, c]]) @ out[[i, j]]
     return out
 
 
-def givens_network(o: np.ndarray) -> tuple[tuple[GivensRotation, ...], np.ndarray]:
+def givens_network(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor an orthogonal matrix into two-mode rotations plus sign flips.
 
     Standard QR-style elimination (the triangular Reck et al. layout):
     rotations zero the below-diagonal entries column by column, leaving a
-    diagonal of +-1.  Returns ``(rotations, signs)`` such that
-    ``compose_network(n, rotations, signs)`` reproduces ``o``; at most
+    diagonal of +-1.  Returns ``(network, signs)``, ``network`` an array
+    of :data:`NETWORK_DTYPE` in application order, such that
+    ``compose_network(n, network, signs)`` reproduces ``o``; at most
     ``n (n - 1) / 2`` rotations, with entries below 1e-14 skipped, so a
     block-structured ``o`` (see :func:`graphs.a_squared_spectrum`) costs
     only the rotations inside its blocks.
@@ -427,7 +401,7 @@ def givens_network(o: np.ndarray) -> tuple[tuple[GivensRotation, ...], np.ndarra
     if float(np.abs(o @ o.T - np.eye(n)).max()) > 1e-10:
         raise ValueError("matrix is not orthogonal within tolerance")
     work = o.copy()
-    cols, rows, angles = [], [], []
+    steps = [np.empty(0, NETWORK_DTYPE)]
     for col in range(n - 1):
         active = col + 1 + np.flatnonzero(np.abs(work[col + 1:, col]) >= 1e-14)
         if active.size == 0:
@@ -444,14 +418,12 @@ def givens_network(o: np.ndarray) -> tuple[tuple[GivensRotation, ...], np.ndarra
         work[active, col:] = (r_prev[:, None] * block - x[:, None] * p_prev) / r[:, None]
         work[active, col] = 0.0
         work[col, col:] = pivots[-1]
-        cols.append(np.full(active.size, col))
-        rows.append(active)
-        angles.append(np.arctan2(x, r_prev))
+        step = np.empty(active.size, NETWORK_DTYPE)
+        step["i"] = col
+        step["j"] = active
+        step["angle"] = np.arctan2(x, r_prev)
+        steps.append(step)
     diag = np.diagonal(work)
     if float(np.abs(np.abs(diag) - 1.0).max()) > 1e-9:  # pragma: no cover
         raise RuntimeError("Givens reduction did not reach a signed identity")
-    signs = np.sign(diag)
-    if not cols:
-        return (), signs
-    i, j, angle = (np.concatenate(v).tolist() for v in (cols, rows, angles))
-    return tuple(map(GivensRotation, i, j, angle)), signs
+    return np.concatenate(steps), np.sign(diag)

@@ -13,6 +13,14 @@ from cvdownload.protocol import ProtocolParams, register_from_outcomes, run_down
 from cvdownload.qubits import DEFAULT_MAX_QUBITS
 
 
+def _strict_json(text):
+    """Parse RFC 8259 JSON: NaN, Infinity and -Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _read_rows(path):
     """Parse a CSV output file into (meta_lines, header, rows)."""
     meta, header, rows = [], None, []
@@ -148,6 +156,34 @@ class TestDownload:
         body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
         doc = json.loads(body)
         assert doc["summary"]["shots"] == 20
+
+    def test_json_writes_nan_as_null(self, capsys, tmp_path):
+        # no shot keeps all 100 qubits, so the mean kept fidelity is NaN
+        args = ["download", "--graph", "grid2d:10x10", "--shots", "200"]
+        assert main(args + ["--format", "json"]) == 0
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["summary"]["all_kept_shots"] == 0
+        assert doc["summary"]["mean_kept_fidelity"] is None
+        assert main(args + ["--out", str(tmp_path / "s.csv")]) == 0
+        _, header, rows = _read_rows(tmp_path / "s.csv")
+        assert rows[0][header.index("kept_fidelity_mean")] == "nan"  # CSV keeps nan
+
+    def test_records_write_infinite_gamma_as_null(self, tmp_path):
+        rec_path = tmp_path / "shots.jsonl"
+        assert main([
+            "download", "--r-db", "-60", "--shots", "20",
+            "--records", str(rec_path), "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        docs = [_strict_json(line) for line in rec_path.read_text().splitlines()]
+        assert len(docs) == 20
+        nulls = [
+            outcome
+            for doc in docs
+            for gamma, outcome in zip(doc["gamma"], doc["outcomes"])
+            if gamma is None
+        ]
+        # an imbalance above the float range deletes its qubit onto bit 1
+        assert nulls and all(outcome == ["delete", 1] for outcome in nulls)
 
 
 class TestThresholds:
@@ -312,6 +348,26 @@ class TestConfigHandling:
         main(["download", "--shots", "10", "--seed", "123", "--out", str(out)])
         meta, _, _ = _read_rows(out)
         assert any(line == "# seed: 123" for line in meta)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"kind": "path"}, "n"),  # missing size
+            ({"kind": "grid2d", "rows": 2}, "cols"),  # missing second size
+            ({"n": 3, "edges": [[0]]}, "edges"),  # an edge that is not a pair
+            ({"kind": 5, "n": 3}, "kind"),  # ill-typed kind
+            ({"kind": "path", "n": 3, "m": 1}, "m"),  # unknown key
+        ],
+    )
+    def test_malformed_graph_file_is_refused(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", "--graph", str(path), "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cvdownload plan: ")
+        assert repr(key) in captured.err
+        assert "Traceback" not in captured.err
 
     def test_bad_graph_spec_is_reported(self, capsys):
         assert main(["download", "--graph", "moebius:9"]) == 2

@@ -280,3 +280,26 @@ class TestSerialization:
     def test_parse_spec_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_graph_spec("moebius:7")
+
+    @pytest.mark.parametrize("spec", ["path:3x3", "grid2d:3", "grid2d:2x3x4", "custom:3"])
+    def test_parse_spec_rejects_wrong_size_shape(self, spec):
+        with pytest.raises(ValueError, match="spec"):
+            parse_graph_spec(spec)
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"kind": "path", "n": True}, "n"),
+            ({"kind": "path", "n": 3.0}, "n"),
+            ({"kind": "grid2d", "rows": 2, "cols": "3"}, "cols"),
+            ({"kind": "custom", "n": 3, "edges": [[0, 1, 2]]}, "edges"),
+            ({"kind": "custom", "n": 3, "edges": 1}, "edges"),
+            ({"kind": "star", "n": 3, "edges": []}, "edges"),
+        ],
+    )
+    def test_make_graph_names_the_bad_key(self, params, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            make_graph(**params)
+
+    def test_explicit_form_without_edges_is_edgeless(self):
+        assert graph_from_json({"n": 3}) == Graph(3)

@@ -1,6 +1,7 @@
 """Decorrelation planner: closed-form recipe, forward verification, networks."""
 
 import dataclasses
+import json
 import math
 import sys
 import warnings
@@ -29,8 +30,8 @@ from cvdownload.graphs import (
     random_graph,
 )
 from cvdownload.planner import (
+    NETWORK_DTYPE,
     R_PRIME_LIMIT,
-    GivensRotation,
     NoiseParams,
     compose_network,
     givens_network,
@@ -127,7 +128,7 @@ class TestPlanValues:
         assert np.allclose(p.mode_thermal, 0.0)
         assert abs(p.r_eff - 1.0) < 1e-12
         assert abs(p.nbar_eff) < 1e-12
-        assert p.network == ()
+        assert len(p.network) == 0 and p.network.dtype == NETWORK_DTYPE
         assert np.array_equal(p.orthogonal, np.eye(3))
         assert p.physical
 
@@ -441,11 +442,11 @@ def _rotation_matrix(n, i, j, angle):
     return r
 
 
-def _dense_compose(n, rotations, signs):
+def _dense_compose(n, network, signs):
     """Oracle for compose_network: the explicit product of n x n matrices."""
     out = np.diag(np.asarray(signs, dtype=float))
-    for rot in reversed(rotations):
-        out = _rotation_matrix(n, rot.i, rot.j, rot.angle) @ out
+    for i, j, angle in network[::-1].tolist():
+        out = _rotation_matrix(n, i, j, angle) @ out
     return out
 
 
@@ -465,8 +466,8 @@ def _sequential_givens(o):
             work[col, col:] = c * pivot + s * work[row, col:]
             work[row, col:] = c * work[row, col:] - s * pivot
             work[row, col] = 0.0
-            rotations.append(GivensRotation(col, row, angle))
-    return tuple(rotations), np.sign(np.diagonal(work))
+            rotations.append((col, row, angle))
+    return np.array(rotations, dtype=NETWORK_DTYPE), np.sign(np.diagonal(work))
 
 
 def _test_orthogonal(kind, n, rng):
@@ -480,9 +481,10 @@ def _test_orthogonal(kind, n, rng):
 
 class TestGivensNetwork:
     def test_identity_empty(self):
-        rotations, signs = givens_network(np.eye(4))
-        assert rotations == ()
+        network, signs = givens_network(np.eye(4))
+        assert network.shape == (0,) and network.dtype == NETWORK_DTYPE
         assert np.array_equal(signs, np.ones(4))
+        assert np.array_equal(compose_network(4, network, signs), np.eye(4))
 
     def test_single_rotation(self):
         th = 0.6
@@ -495,7 +497,7 @@ class TestGivensNetwork:
     def test_sign_layer(self):
         o = np.diag([1.0, -1.0, 1.0])
         rotations, signs = givens_network(o)
-        assert rotations == ()
+        assert len(rotations) == 0
         assert np.array_equal(signs, np.array([1.0, -1.0, 1.0]))
 
     def test_random_recomposition(self, rng):
@@ -516,7 +518,8 @@ class TestGivensNetwork:
         o = _test_orthogonal(kind, n, np.random.default_rng(seed))
         rotations, signs = givens_network(o)
         assert len(rotations) <= n * (n - 1) // 2
-        assert all(0 <= rot.i < rot.j < n for rot in rotations)
+        i, j = rotations["i"], rotations["j"]
+        assert np.all((0 <= i) & (i < j) & (j < n))
         assert set(np.abs(signs)) <= {1.0}
         recomposed = compose_network(n, rotations, signs)
         assert np.max(np.abs(recomposed - o)) < 1e-9
@@ -532,9 +535,9 @@ class TestGivensNetwork:
         o = _test_orthogonal(kind, n, np.random.default_rng(seed))
         rotations, signs = givens_network(o)
         expected, expected_signs = _sequential_givens(o)
-        assert [(r.i, r.j) for r in rotations] == [(r.i, r.j) for r in expected]
-        for got, want in zip(rotations, expected):
-            assert abs(got.angle - want.angle) <= 1e-12
+        assert np.array_equal(rotations["i"], expected["i"])
+        assert np.array_equal(rotations["j"], expected["j"])
+        assert np.all(np.abs(rotations["angle"] - expected["angle"]) <= 1e-12)
         assert np.array_equal(signs, expected_signs)
         assert np.max(np.abs(compose_network(n, rotations, signs) - o), initial=0.0) <= 1e-12
 
@@ -549,19 +552,17 @@ class TestGivensNetwork:
     def test_compose_matches_dense_product(self, rng):
         # arbitrary plane pairs in either order, not only synthesis output
         for n in (2, 3, 6, 11):
-            rotations = []
-            for _ in range(3 * n):
+            rotations = np.empty(3 * n, NETWORK_DTYPE)
+            for k in range(3 * n):
                 i, j = rng.choice(n, size=2, replace=False)
-                rotations.append(
-                    GivensRotation(int(i), int(j), float(rng.uniform(-math.pi, math.pi)))
-                )
+                rotations[k] = (i, j, rng.uniform(-math.pi, math.pi))
             signs = rng.choice([-1.0, 1.0], size=n)
-            got = compose_network(n, tuple(rotations), signs)
+            got = compose_network(n, rotations, signs)
             assert np.max(np.abs(got - _dense_compose(n, rotations, signs))) < 1e-12
 
     def test_compose_rejects_wrong_sign_count(self):
         with pytest.raises(ValueError):
-            compose_network(3, (), np.ones(2))
+            compose_network(3, np.empty(0, NETWORK_DTYPE), np.ones(2))
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
@@ -574,6 +575,8 @@ class TestGivensNetwork:
         n = rows * cols
         p = plan(grid2d_graph(rows, cols), NoiseParams(0.02, 0.01, 1.0))
         assert len(p.network) <= n * n / 4 + n
+        if (rows, cols) == (12, 12):  # the rotation count the benchmark reads
+            assert len(p.network) == 5020
 
     def test_balanced_bipartite_rotation_ceiling(self, rng):
         for _ in range(10):
@@ -592,6 +595,8 @@ class TestGivensNetwork:
     def test_plan_network_matches_orthogonal(self, rng):
         g = random_graph(5, 0.6, rng)
         p = plan(g, NoiseParams(0.02, 0.01, 1.0))
+        assert p.network.dtype == NETWORK_DTYPE and not p.network.dtype.hasobject
+        assert p.network["angle"].dtype == np.float64
         recomposed = compose_network(g.n, p.network, p.sign_layer)
         assert np.max(np.abs(recomposed - p.orthogonal)) < 1e-9
 
@@ -603,5 +608,11 @@ class TestPlanSerialization:
         assert doc["physical"] is True
         assert len(doc["orthogonal"]) == 3
         assert all(set(entry) == {"modes", "angle"} for entry in doc["network"])
+        # the written entries alone rebuild the orthogonal they realize
+        entries = json.loads(json.dumps(doc["network"]))
+        network = np.array([(*e["modes"], e["angle"]) for e in entries], NETWORK_DTYPE)
+        recomposed = compose_network(3, network, doc["sign_layer"])
+        assert len(network) > 0
+        assert np.max(np.abs(recomposed - p.orthogonal)) < 1e-9
         assert doc["g_prime"] >= 1.0
         assert len(doc["mode_squeezing"]) == 3
