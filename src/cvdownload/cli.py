@@ -8,11 +8,12 @@ thresholds  squeezing-versus-erasure tables plus target inversions
 plan        hardware decorrelation recipe for loss / inefficiency
 sweep       cartesian feasibility sweep of the planner
 
-Configuration precedence is command-line flags over ``--config`` file
-over built-in defaults.  Every output starts with a metadata header
-(tool version, command, seed, resolved config) sufficient to reproduce
-it byte for byte; no timestamps, so identical inputs give identical
-files.  Floats are printed with 17 significant digits.
+``COMMANDS`` holds each key's type, default and help once; its flag and
+its ``--config`` value (see ``_convert``) both take that type, with flags
+over the config file over the defaults.  Every output starts with a
+metadata header (tool version, command, seed, resolved typed config)
+sufficient to reproduce it byte for byte; no timestamps, so identical
+inputs give identical files.  Floats print with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,7 +83,7 @@ def _meta_lines(command: str, config: dict) -> list[str]:
     return [
         f"# cvdownload {__version__}",
         f"# command: {command}",
-        f"# seed: {config.get('seed', 0)}",
+        f"# seed: {config['seed']}",
         f"# config: {_json_text(config, sort_keys=True)}",
     ]
 
@@ -100,7 +102,7 @@ def _json_output(path, command, config, payload: dict) -> None:
             "tool": "cvdownload",
             "version": __version__,
             "command": command,
-            "seed": config.get("seed", 0),
+            "seed": config["seed"],
             "config": config,
         }
     }
@@ -108,37 +110,53 @@ def _json_output(path, command, config, payload: dict) -> None:
     _write_lines(path, [_json_text(doc, indent=2, sort_keys=True)])
 
 
-def _check_config_value(key: str, value, default) -> None:
-    """Refuse config-file values that the subcommands cannot convert cleanly.
+class Setting(NamedTuple):
+    """One key of a subcommand: its type, its default and its flag's help
+    (``None`` hides the flag)."""
 
-    Values must be JSON scalars; null is allowed only where the default is
-    ``None``, and a bool exactly where the default is a bool.  A number
-    where the default is a string stays allowed (``{"eps1": 0.01}``).
+    type: type
+    default: object
+    help: str | None
+
+
+#: The JSON scalar types that each key type takes from a config file.
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str, int, float)}
+
+
+def _convert(key: str, setting: Setting, value):
+    """A config-file value as its key's type, or a ValueError naming the key.
+
+    An int key takes a JSON integer, a float key any JSON number, a string
+    key a string or a number (kept as its text); ``true``/``false`` only a
+    bool key and ``null`` only a key whose default is ``None``.
     """
-    if value is None:
-        ok = default is None
-    else:
-        ok = isinstance(value, (str, int, float)) and (
-            isinstance(value, bool) == isinstance(default, bool)
-        )
-    if not ok:
-        raise ValueError(f"config key {key!r} cannot take {json.dumps(value)}")
+    if value is None and setting.default is None:
+        return None
+    if isinstance(value, _ACCEPTS[setting.type]) and (
+        isinstance(value, bool) == (setting.type is bool)
+    ):
+        try:
+            return setting.type(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"config key {key!r} cannot take {json.dumps(value)}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags into one dict."""
-    config = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args: argparse.Namespace, settings: dict[str, Setting]) -> dict:
+    """Merge defaults < config file < explicit flags into one typed dict."""
+    config = {key: setting.default for key, setting in settings.items()}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(defaults)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold one JSON object")
+        unknown = set(loaded) - set(settings)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
-            _check_config_value(key, value, defaults[key])
-        config.update(loaded)
-    for key in defaults:
-        value = getattr(args, key, None)
+            config[key] = _convert(key, settings[key], value)
+    for key in settings:
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
     return config
@@ -236,13 +254,11 @@ def _battery_povm(rng: np.random.Generator) -> CheckResult:
     return CheckResult("POVM completeness", worst, 1e-12)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    defaults = {"seed": 0, "inject_fault": False}
-    config = _resolve(args, defaults)
-    rng = np.random.default_rng(int(config["seed"]))
+def cmd_verify(args: argparse.Namespace, config: dict) -> int:
+    rng = np.random.default_rng(config["seed"])
     checks = [_battery_equivalent_circuit(rng)]
     checks.extend(_battery_grid(rng))
-    checks.append(_battery_planner(rng, bool(config["inject_fault"])))
+    checks.append(_battery_planner(rng, config["inject_fault"]))
     checks.append(_battery_povm(rng))
 
     n_pass = sum(c.passed for c in checks)
@@ -279,37 +295,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # download
 # ---------------------------------------------------------------------------
 
-def cmd_download(args: argparse.Namespace) -> int:
-    defaults = {
-        "graph": "path:3",
-        "r_db": 10.0,
-        "nbar": 0.0,
-        "shots": 1000,
-        "seed": 0,
-        "records": None,
-    }
-    config = _resolve(args, defaults)
-    graph = parse_graph_spec(str(config["graph"]))
-    r = db_to_squeezing(float(config["r_db"]))
+def cmd_download(args: argparse.Namespace, config: dict) -> int:
+    graph = parse_graph_spec(config["graph"])
+    r = db_to_squeezing(config["r_db"])
     params = ProtocolParams(
-        graph,
-        SqueezedThermalParams(r, float(config["nbar"])),
-        seed=int(config["seed"]),
+        graph, SqueezedThermalParams(r, config["nbar"]), seed=config["seed"]
     )
-    records, summary = run_download(params, int(config["shots"]), keep_states=False)
+    records, summary = run_download(params, config["shots"], keep_states=False)
 
     if config["records"] is not None:
         # outcomes, c and the graph rebuild the register (register_from_outcomes)
         post_state = {"format": "factored-v1", "coherence": params.coherence()}
-        with open(str(config["records"]), "w", encoding="utf-8") as fh:
+        with open(config["records"], "w", encoding="utf-8") as fh:
             for rec in records:
                 line = dict(rec.to_json(), post_state=post_state)
                 fh.write(_json_text(line, sort_keys=True) + "\n")
 
     header = ["r_db", "nbar", "shots", "p_del_emp", "p_del_analytic", "kept_fidelity_mean"]
     row = [
-        float(config["r_db"]),
-        float(config["nbar"]),
+        config["r_db"],
+        config["nbar"],
         summary.shots,
         summary.p_del_empirical,
         summary.p_del_analytic,
@@ -326,22 +331,21 @@ def cmd_download(args: argparse.Namespace) -> int:
 # thresholds
 # ---------------------------------------------------------------------------
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
-    defaults = {
-        "db_range": "2:16:1",
-        "targets": "0.249,0.5",
-        "rails": 1,
-        "shots": 0,
-        "seed": 0,
-    }
-    config = _resolve(args, defaults)
-    start, stop, step = (float(tok) for tok in str(config["db_range"]).split(":"))
-    if step <= 0:
-        raise ValueError("db range step must be positive")
-    db_values = list(np.arange(start, stop + 1e-9, step))
-    rails = int(config["rails"])
-    shots = int(config["shots"])
-    rng = np.random.default_rng(int(config["seed"]))
+def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
+    try:
+        bounds = [float(tok) for tok in config["db_range"].split(":")]
+    except ValueError:
+        bounds = []
+    if len(bounds) != 3 or not all(map(math.isfinite, bounds)) or bounds[2] <= 0:
+        raise ValueError("db_range must be start:stop:step with finite numbers and "
+                         f"a positive step, got {config['db_range']!r}")
+    start, stop, step = bounds
+    db_values = np.arange(start, stop + 1e-9, step)
+    rails = config["rails"]
+    shots = config["shots"]
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0 (0 turns Monte Carlo off), got {shots}")
+    rng = np.random.default_rng(config["seed"])
 
     header = ["db", "r0", "p_del", "p_del_mc", "stderr", "n_rails", "p_vertex"]
     rows = []
@@ -357,7 +361,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
     for db in db_values:
         rows.append(one_row(float(db)))
-    for target in _float_list(str(config["targets"])):
+    for target in _float_list(config["targets"]):
         rows.append(one_row(squeezing_db_for_pdel(target)))
 
     if args.format == "json":
@@ -400,19 +404,9 @@ def _linearized_or_none(graph: Graph, noise: NoiseParams, use_degree_bound: bool
         return None
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    defaults = {
-        "graph": "path:3",
-        "eps1": 0.01,
-        "eps2": 0.01,
-        "r_prime": 1.0,
-        "seed": 0,
-    }
-    config = _resolve(args, defaults)
-    graph = parse_graph_spec(str(config["graph"]))
-    noise = NoiseParams(
-        float(config["eps1"]), float(config["eps2"]), float(config["r_prime"])
-    )
+def cmd_plan(args: argparse.Namespace, config: dict) -> int:
+    graph = parse_graph_spec(config["graph"])
+    noise = NoiseParams(config["eps1"], config["eps2"], config["r_prime"])
     p, row = _plan_row(graph, noise)
     residual = verify_plan(p, graph, noise)
 
@@ -436,20 +430,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    defaults = {
-        "graph": "path:3",
-        "eps1": "0,0.01,0.02",
-        "eps2": "0,0.01",
-        "r_prime": "0.5,1.0",
-        "seed": 0,
-    }
-    config = _resolve(args, defaults)
-    graph = parse_graph_spec(str(config["graph"]))
+def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
+    graph = parse_graph_spec(config["graph"])
     rows = []
-    for e1 in _float_list(str(config["eps1"])):
-        for e2 in _float_list(str(config["eps2"])):
-            for rp in _float_list(str(config["r_prime"])):
+    for e1 in _float_list(config["eps1"]):
+        for e2 in _float_list(config["eps2"]):
+            for rp in _float_list(config["r_prime"]):
                 try:
                     _, row = _plan_row(graph, NoiseParams(e1, e2, rp))
                 except ValueError as exc:
@@ -468,6 +454,57 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+class Command(NamedTuple):
+    """One subcommand: its handler, its help, its keys and its default format."""
+
+    run: Callable[[argparse.Namespace, dict], int]
+    help: str
+    settings: dict[str, Setting]
+    format: str = "csv"
+
+
+_SEED = Setting(int, 0, "RNG seed")
+_GRAPH = Setting(str, "path:3", "graph spec or JSON file")
+
+#: Each subcommand and its keys.  A key ``a_b`` is the flag ``--a-b`` and
+#: the config-file key ``a_b``.
+COMMANDS = {
+    "verify": Command(cmd_verify, "run cross-module consistency batteries", {
+        "seed": _SEED,
+        "inject_fault": Setting(bool, False, None),  # proves the batteries can fail
+    }),
+    "download": Command(cmd_download, "Monte Carlo protocol run", {
+        "seed": _SEED,
+        "graph": _GRAPH,
+        "r_db": Setting(float, 10.0, "source squeezing in dB"),
+        "nbar": Setting(float, 0.0, "thermal occupation"),
+        "shots": Setting(int, 1000, "number of shots"),
+        "records": Setting(str, None, "also write per-shot records to this JSONL file"),
+    }),
+    "thresholds": Command(cmd_thresholds, "squeezing-versus-erasure tables", {
+        "seed": _SEED,
+        "db_range": Setting(str, "2:16:1", "start:stop:step in dB"),
+        "targets": Setting(str, "0.249,0.5", "comma list of deletion probabilities to invert"),
+        "rails": Setting(int, 1, "redundant rails per vertex"),
+        "shots": Setting(int, 0, "Monte Carlo shots per row, 0 disables"),
+    }),
+    "plan": Command(cmd_plan, "decorrelation recipe for one noise point", {
+        "seed": _SEED,
+        "graph": _GRAPH,
+        "eps1": Setting(float, 0.01, "photon loss"),
+        "eps2": Setting(float, 0.01, "detector inefficiency"),
+        "r_prime": Setting(float, 1.0, "hardware squeezing budget (nepers)"),
+    }, format="json"),
+    "sweep": Command(cmd_sweep, "cartesian planner feasibility sweep", {
+        "seed": _SEED,
+        "graph": _GRAPH,
+        "eps1": Setting(str, "0,0.01,0.02", "comma list of loss values"),
+        "eps2": Setting(str, "0,0.01", "comma list of inefficiency values"),
+        "r_prime": Setting(str, "0.5,1.0", "comma list of squeezing budgets"),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvdownload",
@@ -476,80 +513,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, fmt_default: str = "csv") -> None:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file (flags take precedence)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument(
             "--format",
             choices=("json", "csv"),
-            default=fmt_default,
-            help=f"output format (default {fmt_default})",
+            default=command.format,
+            help=f"output format (default {command.format})",
         )
-
-    p_verify = sub.add_parser("verify", help="run cross-module consistency batteries")
-    common(p_verify)
-    p_verify.add_argument(
-        "--inject-fault",
-        dest="inject_fault",
-        action="store_const",
-        const=True,
-        default=None,
-        help=argparse.SUPPRESS,  # used to prove the batteries can fail
-    )
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_dl = sub.add_parser("download", help="Monte Carlo protocol run")
-    common(p_dl)
-    p_dl.add_argument("--graph", default=None, help="graph spec or JSON file")
-    p_dl.add_argument("--r-db", dest="r_db", type=float, default=None,
-                      help="source squeezing in dB")
-    p_dl.add_argument("--nbar", type=float, default=None, help="thermal occupation")
-    p_dl.add_argument("--shots", type=int, default=None, help="number of shots")
-    p_dl.add_argument("--records", default=None,
-                      help="also write per-shot records to this JSONL file")
-    p_dl.set_defaults(func=cmd_download)
-
-    p_th = sub.add_parser("thresholds", help="squeezing-versus-erasure tables")
-    common(p_th)
-    p_th.add_argument("--db-range", dest="db_range", default=None,
-                      help="start:stop:step in dB")
-    p_th.add_argument("--targets", default=None,
-                      help="comma list of deletion probabilities to invert")
-    p_th.add_argument("--rails", type=int, default=None,
-                      help="redundant rails per vertex")
-    p_th.add_argument("--shots", type=int, default=None,
-                      help="Monte Carlo shots per row (0 disables)")
-    p_th.set_defaults(func=cmd_thresholds)
-
-    p_plan = sub.add_parser("plan", help="decorrelation recipe for one noise point")
-    common(p_plan, fmt_default="json")
-    p_plan.add_argument("--graph", default=None, help="graph spec or JSON file")
-    p_plan.add_argument("--eps1", type=float, default=None, help="photon loss")
-    p_plan.add_argument("--eps2", type=float, default=None,
-                        help="detector inefficiency")
-    p_plan.add_argument("--r-prime", dest="r_prime", type=float, default=None,
-                        help="hardware squeezing budget (nepers)")
-    p_plan.set_defaults(func=cmd_plan)
-
-    p_sw = sub.add_parser("sweep", help="cartesian planner feasibility sweep")
-    common(p_sw)
-    p_sw.add_argument("--graph", default=None, help="graph spec or JSON file")
-    p_sw.add_argument("--eps1", default=None, help="comma list of loss values")
-    p_sw.add_argument("--eps2", default=None,
-                      help="comma list of inefficiency values")
-    p_sw.add_argument("--r-prime", dest="r_prime", default=None,
-                      help="comma list of squeezing budgets")
-    p_sw.set_defaults(func=cmd_sweep)
-
+        for key, (kind, default, text) in command.settings.items():
+            if text and default is not None:
+                text += f" (default {default})"
+            action = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=text or argparse.SUPPRESS, **action)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command.run(args, _resolve(args, command.settings))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"cvdownload {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -45,20 +45,25 @@ class Graph:
     """Undirected simple graph on vertices ``0 .. n-1``.
 
     Edges are normalized to a sorted tuple of ``(i, j)`` pairs with
-    ``i < j``.  Construction rejects out-of-range endpoints, self-loops
-    and duplicate edges with a diagnostic.
+    ``i < j``.  Construction rejects a non-integer vertex count or
+    endpoint (NumPy integers are fine), out-of-range endpoints,
+    self-loops and duplicate edges with a diagnostic.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if int(self.n) < 1:
+        if not _is_int(self.n):
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
+        if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         seen: set[tuple[int, int]] = set()
         normalized = []
         for edge in self.edges:
+            if not (len(edge) == 2 and all(map(_is_int, edge))):
+                raise ValueError(f"edge {edge!r} is not a pair of integers")
             i, j = (int(edge[0]), int(edge[1]))
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cvdownload.cli import main
+from cvdownload.cli import COMMANDS, main
 from cvdownload.error_model import db_to_squeezing
 from cvdownload.gaussian import SqueezedThermalParams
 from cvdownload.graphs import parse_graph_spec
@@ -233,6 +233,25 @@ class TestThresholds:
         pv = float(rows[0][header.index("p_vertex")])
         assert abs(pv - p**3) < 1e-12
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--db-range", "5"], "db_range"),  # not start:stop:step
+            (["--db-range", "2:16"], "db_range"),
+            (["--db-range", "2:x:1"], "db_range"),
+            (["--db-range", "nan:16:1"], "db_range"),
+            (["--db-range", "2:inf:1"], "db_range"),
+            (["--db-range", "2:16:0"], "db_range"),
+            (["--db-range", "2:16:-1"], "db_range"),
+            (["--shots", "-5"], "shots"),
+        ],
+    )
+    def test_bad_range_or_shots_refused(self, capsys, flags, key):
+        assert main(["thresholds", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cvdownload thresholds: {key} ")
+
 
 class TestPlan:
     def test_noiseless_identity_network(self, capsys):
@@ -393,6 +412,12 @@ class TestConfigHandling:
             ("download", {"r_db": None}, "r_db"),  # null where the default is not
             ("download", {"shots": True}, "shots"),  # int(True) would pass silently
             ("verify", {"inject_fault": 1}, "inject_fault"),  # bool key, non-bool value
+            ("download", {"shots": 2.7}, "shots"),  # int() would truncate to 2
+            ("download", {"seed": 1.9}, "seed"),  # int() would truncate to 1
+            ("thresholds", {"rails": 2.5}, "rails"),  # int() would truncate to 2
+            ("download", {"shots": "5"}, "shots"),  # an int key takes only integers
+            ("download", {"r_db": 10**400}, "r_db"),  # beyond the float range
+            ("plan", {"graph": True}, "graph"),  # a bool is not text
         ],
     )
     def test_config_value_type_rejected(self, tmp_path, capsys, command, loaded, key):
@@ -403,6 +428,24 @@ class TestConfigHandling:
         assert err.startswith(f"cvdownload {command}: ")
         assert repr(key) in err
 
+    @pytest.mark.parametrize("loaded", [5, [], "shots"])
+    def test_config_file_must_be_an_object(self, tmp_path, capsys, loaded):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        assert main(["download", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "JSON object" in captured.err
+
+    def test_flags_and_config_give_identical_output(self, tmp_path, capsys):
+        assert main(["download", "--r-db", "10", "--shots", "3"]) == 0
+        from_flags = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r_db": 10, "shots": 3}))
+        assert main(["download", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == from_flags
+        assert '"r_db": 10.0' in from_flags
+
     def test_config_numbers_and_null_where_allowed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eps1": 0.01, "eps2": 0, "r_prime": 1.0}))
@@ -412,3 +455,17 @@ class TestConfigHandling:
         assert len(rows) == 1
         cfg.write_text(json.dumps({"records": None, "shots": 5}))
         assert main(["download", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_names_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key, setting in COMMANDS[command].settings.items():
+        flag = "--" + key.replace("_", "-")
+        # a setting without help is a hidden flag
+        assert (flag in out) == (setting.help is not None), flag
+    for flag in ("--config", "--out", "--format"):
+        assert flag in out

@@ -94,6 +94,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             Graph(0, ())
 
+    @pytest.mark.parametrize(
+        "n, edges, match",
+        [
+            (3.7, (), "vertex count"),  # int() would truncate to 3
+            ("3", (), "vertex count"),
+            (True, (), "vertex count"),  # int(True) would give 1
+            (3, ((0, 1.9),), "pair of integers"),
+            (3, (("1", "2"),), "pair of integers"),
+            (3, ((False, 1),), "pair of integers"),
+            (3, ((0, 1, 2),), "pair of integers"),
+        ],
+    )
+    def test_rejects_non_integers(self, n, edges, match):
+        with pytest.raises(ValueError, match=match):
+            Graph(n, edges)
+
+    def test_accepts_numpy_integers(self):
+        g = Graph(np.int64(3), ((np.int32(0), np.int64(1)), (np.uint8(1), 2)))
+        assert g == Graph(3, ((0, 1), (1, 2)))
+        assert type(g.n) is int and all(type(v) is int for e in g.edges for v in e)
+
     def test_edges_normalized_and_sorted(self):
         g = Graph(4, ((3, 1), (1, 0)))
         assert g.edges == ((0, 1), (1, 3))
