@@ -162,8 +162,11 @@ def _resolve(args: argparse.Namespace, settings: dict[str, Setting]) -> dict:
     return config
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(config: dict, key: str) -> list[float]:
+    try:
+        return [float(tok) for tok in config[key].split(",") if tok.strip()]
+    except ValueError as exc:  # float() names the bad token
+        raise ValueError(f"{key} must be a comma list of numbers ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +334,9 @@ def cmd_download(args: argparse.Namespace, config: dict) -> int:
 # thresholds
 # ---------------------------------------------------------------------------
 
+_MAX_THRESHOLD_ROWS = 100_000  # dB rows per table; the default range has 15
+
+
 def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
     try:
         bounds = [float(tok) for tok in config["db_range"].split(":")]
@@ -340,6 +346,11 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
         raise ValueError("db_range must be start:stop:step with finite numbers and "
                          f"a positive step, got {config['db_range']!r}")
     start, stop, step = bounds
+    count = (stop + 1e-9 - start) / step  # np.arange makes ceil(count) rows
+    if count > _MAX_THRESHOLD_ROWS:
+        rows = math.ceil(count) if math.isfinite(count) else count
+        raise ValueError(f"db_range asks for {rows:.6g} rows, above the cap of "
+                         f"{_MAX_THRESHOLD_ROWS}")
     db_values = np.arange(start, stop + 1e-9, step)
     rails = config["rails"]
     shots = config["shots"]
@@ -361,7 +372,7 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
 
     for db in db_values:
         rows.append(one_row(float(db)))
-    for target in _float_list(config["targets"]):
+    for target in _float_list(config, "targets"):
         rows.append(one_row(squeezing_db_for_pdel(target)))
 
     if args.format == "json":
@@ -433,9 +444,9 @@ def cmd_plan(args: argparse.Namespace, config: dict) -> int:
 def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     graph = parse_graph_spec(config["graph"])
     rows = []
-    for e1 in _float_list(config["eps1"]):
-        for e2 in _float_list(config["eps2"]):
-            for rp in _float_list(config["r_prime"]):
+    for e1 in _float_list(config, "eps1"):
+        for e2 in _float_list(config, "eps2"):
+            for rp in _float_list(config, "r_prime"):
                 try:
                     _, row = _plan_row(graph, NoiseParams(e1, e2, rp))
                 except ValueError as exc:

@@ -67,7 +67,9 @@ from .gaussian import SqueezedThermalParams, mixture_params
 from .graphs import Graph, adjacency_matrix, neighbor_phase
 from .qubits import (
     QubitDensityMatrix,
+    _bits,
     _check_dense_size,
+    _tensor_product,
     apply_dephasing,
     dm_apply_cz,
     dm_tensor,
@@ -75,7 +77,6 @@ from .qubits import (
 )
 
 __all__ = [
-    "DIRECT_R0_MAX",
     "DIRECT_PHASE_SCALE_MAX",
     "ProtocolParams",
     "DownloadRecord",
@@ -88,23 +89,14 @@ __all__ = [
 ]
 
 
-#: Largest mixture ``r0`` the direct register accepts.  Its phase sums
-#: terms of size ``q^2 ~ exp(2 r0)`` that cancel to O(1), so round-off
-#: grows with ``r0``: against the equivalent circuit, on 300 random graphs
-#: with n <= 6 and sampled outcomes, the worst trace distance was 4.5e-12
-#: at r0 = 4, 1.3e-11 at 4.5 and 3.7e-11 at 5.  The bound keeps the worst
-#: case at least ten times below the 1e-10 agreement gate.
-DIRECT_R0_MAX = 4.0
-
-#: Largest phase scale ``|q|^T A |q|`` (the summed magnitudes of the
-#: quadratic phase terms) the direct register accepts.  Its phase round-off
-#: grows with this scale, not with r0 alone, so far-tail outcomes lose
-#: precision at any r0 <= ``DIRECT_R0_MAX``.  Against the equivalent
-#: circuit, on random and complete graphs with n <= 10 and r0 <= 4, the
-#: worst trace distance was 9.9e-12 for scales in [6e4, 7e4) and 1.4e-11
-#: in [7e4, 1e5): ten times below the 1e-10 agreement gate up to the
-#: bound.  The error per unit scale grows slowly with n, to about 2e-16
-#: at the 12-qubit cap, where the margin at the bound is seven.
+#: Largest phase scale ``sqrt(n/2) |q|^T A |q|`` the direct register
+#: accepts.  Its phase sums terms of size ``|q|^T A |q|`` that cancel to
+#: O(1), with round-off per unit of that sum growing about as ``sqrt(n)``
+#: (5e-17 at n = 2, 2.0e-16 at n = 12), so the bound holds one margin at
+#: every n.  Against the equivalent circuit (random and complete graphs,
+#: n <= 10, nbar 0 or 0.5, r from 4 to 300, outcomes at or under the
+#: bound) the worst trace distance was 5.6e-12, ten times below the 1e-10
+#: gate.  Outcomes of size ``e^{r0}`` meet it, so r0 needs no bound.
 DIRECT_PHASE_SCALE_MAX = 7e4
 
 
@@ -136,12 +128,6 @@ def sample_outcomes(params: ProtocolParams, rng: np.random.Generator) -> np.ndar
     return sample_q(r0, params.graph.n, rng)
 
 
-def _bit_matrix(n: int) -> np.ndarray:
-    """All bitstrings as a ``(2^n, n)`` 0/1 matrix, little-endian columns."""
-    idx = np.arange(2**n)
-    return ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-
-
 def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensityMatrix:
     """Downloaded register from the defining amplitudes, given outcomes ``q``.
 
@@ -149,9 +135,10 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     phases ``exp(i phi . b)``); for thermal sources the bitstring
     coherences are damped by ``exp(-pi sigma^2 / 2 * hamming(b, b'))``.
     Magnitudes are computed in log space so far-tail outcomes stay finite.
-    Registers above ``DEFAULT_MAX_QUBITS``, sources with ``r0`` above
-    ``DIRECT_R0_MAX`` and outcomes with ``|q|^T A |q|`` above
-    ``DIRECT_PHASE_SCALE_MAX`` are refused before any allocation.
+    Besides ``DEFAULT_MAX_QUBITS``, two rules refuse before any 4^n
+    allocation: a phase scale ``sqrt(n/2) |q|^T A |q|`` above
+    ``DIRECT_PHASE_SCALE_MAX``, and outcomes that give no bitstring a
+    finite weight (non-finite ``q``, or every log magnitude past the float range).
     """
     graph = params.graph
     n = graph.n
@@ -159,26 +146,21 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} outcomes, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError(f"outcomes must be finite, got {q}")
     r0, sigma2 = params.mixture()
-    if r0 > DIRECT_R0_MAX:
-        raise ValueError(
-            f"r0 = {r0:.6g} exceeds DIRECT_R0_MAX = {DIRECT_R0_MAX}: the direct "
-            "register's phases lose precision there"
-        )
     a = adjacency_matrix(graph)
-    with np.errstate(over="ignore"):  # inf for outcomes near float max: refused
-        scale = float(np.abs(q) @ a @ np.abs(q))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused here or below
+        scale = math.sqrt(n / 2.0) * float(np.abs(q) @ a @ np.abs(q))
     if scale > DIRECT_PHASE_SCALE_MAX:
         raise ValueError(
-            f"phase scale |q|^T A |q| = {scale:.6g} exceeds DIRECT_PHASE_SCALE_MAX = "
-            f"{DIRECT_PHASE_SCALE_MAX:g}: the direct register's phases lose precision there"
+            f"phase scale sqrt(n/2) |q|^T A |q| = {scale:.6g} exceeds DIRECT_PHASE_SCALE_MAX"
+            f" = {DIRECT_PHASE_SCALE_MAX:g}: the direct register's phases lose precision there"
         )
-    bits = _bit_matrix(n)
+    bits = _bits(n).astype(float)
     x = q[None, :] - SQRT_PI * bits
-    with np.errstate(over="ignore"):  # -inf near -R0_LIMIT: weight exp(-inf) = 0
+    with np.errstate(over="ignore"):  # -inf where a weight underflows: exp(-inf) = 0
         log_mag = -np.sum(x**2, axis=1) / (2.0 * math.exp(2.0 * r0))
+    if not np.isfinite(log_mag.max()):
+        raise ValueError(f"outcomes {q} give no bitstring a finite weight at r0 = {r0:.6g}")
     phase = 0.5 * np.einsum("bi,ij,bj->b", x, a, x)
     phase = phase + bits @ neighbor_phase(graph, q)
     amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
@@ -241,11 +223,8 @@ def register_from_outcomes(
     """
     phases = graph_phases(graph)
     kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
-    rho = np.ones((1, 1))
-    for kind, bit in outcomes:
-        factor = kept if kind == "keep" else _BASIS_PROJECTORS[bit]
-        dim = 2 * rho.shape[0]  # np.kron(factor, rho), without its per-call overhead
-        rho = (factor[:, None, :, None] * rho[None, :, None, :]).reshape(dim, dim)
+    factors = [kept if kind == "keep" else _BASIS_PROJECTORS[bit] for kind, bit in outcomes]
+    rho = _tensor_product(factors, np.ones((1, 1)))
     rho = rho * phases[:, None]
     rho *= phases
     return QubitDensityMatrix(graph.n, rho)

@@ -67,11 +67,25 @@ def _check_dense_size(n: int) -> None:
         )
 
 
+def _bits(n: int) -> np.ndarray:
+    """All 2^n bitstrings as a ``(2^n, n)`` 0/1 table, qubit ``i`` in column ``i``."""
+    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+
+
 def _bit(n: int, site: int) -> np.ndarray:
     """Value of bit ``site`` for every basis index of an n-qubit register."""
     if not 0 <= site < n:
         raise ValueError(f"site {site} out of range for {n} qubits")
-    return (np.arange(2**n) >> site) & 1
+    return _bits(n)[:, site]
+
+
+def _tensor_product(factors, one: np.ndarray) -> np.ndarray:
+    """Product of matrices from ``one`` on, each factor on the next higher bits
+    (little-endian): per factor one broadcast ``np.kron(factor, out)``."""
+    out = one
+    for f in factors:
+        out = (f[:, None, :, None] * out[None, :, None, :]).reshape(f.shape[0] * out.shape[0], -1)
+    return out
 
 
 class QubitPureState:
@@ -159,10 +173,10 @@ def graph_phases(graph: Graph) -> np.ndarray:
     and Briegel (PRA 69, 062311).
     """
     _check_dense_size(graph.n)
-    idx = np.arange(2**graph.n)
-    both = np.zeros(idx.shape, dtype=int)  # edges with both ends set
+    bits = _bits(graph.n)
+    both = np.zeros(2**graph.n, dtype=int)  # edges with both ends set
     for i, j in graph.edges:
-        both += (idx >> i) & (idx >> j) & 1
+        both += bits[:, i] & bits[:, j]
     return np.where(both % 2 == 1, -1.0, 1.0)
 
 
@@ -206,12 +220,8 @@ def inner(a: QubitPureState, b: QubitPureState) -> complex:
 
 def tensor(states: list[QubitPureState]) -> QubitPureState:
     """Tensor product with qubit 0 of ``states[0]`` as the least significant bit."""
-    amps = np.ones(1, dtype=complex)
-    n = 0
-    for s in states:
-        amps = np.kron(s.amps, amps)
-        n += s.n
-    return QubitPureState(n, amps)
+    amps = _tensor_product([s.amps[None, :] for s in states], np.ones((1, 1), dtype=complex))
+    return QubitPureState(sum(s.n for s in states), amps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +230,8 @@ def tensor(states: list[QubitPureState]) -> QubitPureState:
 
 def dm_tensor(dms: list[QubitDensityMatrix]) -> QubitDensityMatrix:
     """Tensor product, same bit ordering as :func:`tensor`."""
-    rho = np.ones((1, 1), dtype=complex)
-    n = 0
-    for d in dms:
-        rho = np.kron(d.rho, rho)
-        n += d.n
-    return QubitDensityMatrix(n, rho)
+    rho = _tensor_product([d.rho for d in dms], np.ones((1, 1), dtype=complex))
+    return QubitDensityMatrix(sum(d.n for d in dms), rho)
 
 
 def dm_apply_cz(rho: QubitDensityMatrix, i: int, j: int) -> QubitDensityMatrix:

@@ -244,6 +244,8 @@ class TestThresholds:
             (["--db-range", "2:16:0"], "db_range"),
             (["--db-range", "2:16:-1"], "db_range"),
             (["--shots", "-5"], "shots"),
+            (["--db-range", "0:1e12:1e-3"], "db_range"),  # 1e15 rows, refused before allocating
+            (["--db-range", "0:16:1e-300"], "db_range"),  # beyond what np.arange can size
         ],
     )
     def test_bad_range_or_shots_refused(self, capsys, flags, key):
@@ -427,6 +429,27 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"cvdownload {command}: ")
         assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "command, flags, loaded, key, token",
+        [
+            ("thresholds", ["--targets", "0.2,x"], None, "targets", "x"),
+            ("sweep", ["--eps1", "0,y"], None, "eps1", "y"),
+            ("sweep", [], {"r_prime": "1,z"}, "r_prime", "z"),
+        ],
+    )
+    def test_bad_comma_list_token_names_its_key(
+        self, tmp_path, capsys, command, flags, loaded, key, token
+    ):
+        if loaded is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(loaded))
+            flags = ["--config", str(cfg)]
+        assert main([command, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cvdownload {command}: {key} ")
+        assert repr(token) in captured.err
 
     @pytest.mark.parametrize("loaded", [5, [], "shots"])
     def test_config_file_must_be_an_object(self, tmp_path, capsys, loaded):

@@ -9,6 +9,9 @@ from conftest import assert_refused_before_allocating
 from cvdownload.graphs import Graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from cvdownload.qubits import (
     QubitDensityMatrix,
+    _bit,
+    _bits,
+    _tensor_product,
     QubitPureState,
     apply_balancing_povm,
     apply_dephasing,
@@ -318,6 +321,35 @@ class TestDensityOps:
         lhs = dm_apply_cz(psi.density_matrix(), 0, 1)
         rhs = QubitPureState(2, psi.amps * graph_phases(path_graph(2))).density_matrix()
         assert trace_distance(lhs, rhs) < 1e-12
+
+
+class TestRegisterLayout:
+    """One bit table and one product give every dense register its layout."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_bit_table_is_little_endian(self, n):
+        table = _bits(n)
+        assert table.shape == (2**n, n)
+        for index in range(2**n):
+            assert table[index].tolist() == [(index >> i) & 1 for i in range(n)]
+        for site in range(n):
+            assert np.array_equal(_bit(n, site), table[:, site])
+        with pytest.raises(ValueError, match="out of range"):
+            _bit(n, n)
+
+    @pytest.mark.parametrize("rows, dtype", [(True, complex), (False, complex), (False, float)])
+    def test_product_is_the_kron_fold_bit_for_bit(self, rng, rows, dtype):
+        # square factors as density matrices, 1 x d rows as state vectors
+        for _ in range(200):
+            dims = 2 ** rng.integers(0, 3, size=rng.integers(1, 4))
+            factors = [rng.normal(size=(1 if rows else d, d)).astype(dtype) for d in dims]
+            if dtype is complex:
+                factors = [f + 1j * rng.normal(size=f.shape) for f in factors]
+            one = np.ones((1, 1), dtype=dtype)
+            expected = one
+            for f in factors:
+                expected = np.kron(f, expected)
+            assert np.array_equal(_tensor_product(factors, one), expected)
 
 
 class TestPostprocessing:
