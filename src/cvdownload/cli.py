@@ -342,9 +342,10 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
         bounds = [float(tok) for tok in config["db_range"].split(":")]
     except ValueError:
         bounds = []
-    if len(bounds) != 3 or not all(map(math.isfinite, bounds)) or bounds[2] <= 0:
-        raise ValueError("db_range must be start:stop:step with finite numbers and "
-                         f"a positive step, got {config['db_range']!r}")
+    if (len(bounds) != 3 or not all(map(math.isfinite, bounds)) or bounds[2] <= 0
+            or bounds[1] < bounds[0]):
+        raise ValueError("db_range must be start:stop:step with finite numbers, "
+                         f"stop >= start and a positive step, got {config['db_range']!r}")
     start, stop, step = bounds
     count = (stop + 1e-9 - start) / step  # np.arange makes ceil(count) rows
     if count > _MAX_THRESHOLD_ROWS:

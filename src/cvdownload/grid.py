@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .error_model import SQRT_PI, squeezed_vacuum_psi
-from .qubits import QubitPureState
+from .qubits import DEFAULT_MAX_QUBITS, QubitPureState
 
 __all__ = [
     "MIN_CELLS_PER_SHIFT",
@@ -98,7 +98,8 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
 
     ``k`` cells per sqrt(pi) shift (at least 16); the grid spans
     ``[-length, length)`` with ``length =`` :func:`required_length`, so
-    that tails and one full displacement fit.
+    that tails and one full displacement fit.  Grids of more amplitudes
+    than the largest dense register are refused before allocating.
     """
     if modes not in (1, 2):
         raise ValueError(f"grid simulator supports 1 or 2 modes, got {modes}")
@@ -107,6 +108,9 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
     length = required_length(r0)
     dq = SQRT_PI / k
     cells = int(math.ceil(2.0 * length / dq))
+    if 2**modes * cells**modes > 4**DEFAULT_MAX_QUBITS:
+        raise ValueError(f"{modes} mode(s) of {cells} cells need more amplitudes than the"
+                         f" dense budget 4**DEFAULT_MAX_QUBITS = {4**DEFAULT_MAX_QUBITS}")
     grid = -length + dq * np.arange(cells)
     psi = squeezed_vacuum_psi(grid, r0)
 

@@ -24,13 +24,13 @@ so ``|amplitude|^2`` is independent of the phase and the outcome density
 ``P(q_i)``.  No quadrature integration is ever needed.
 
 Two independent constructions of the post-measurement qubit register are
-provided.  The direct one evaluates the amplitude above (plus the phase
-correction and, for thermal sources, the off-diagonal damping
-``exp(-pi sigma^2 / 2 (b_i - b_i')^2)``).  The equivalent-circuit one
-commutes the conditional displacements through the CPHASE network:
-per-qubit conditional states, single-qubit dephasing at the thermal
-rate, then the qubit CZ network of the same graph.  Their agreement is a
-simulator-independent identity and is enforced in the tests.
+provided.  The direct one evaluates the amplitude above with the phase
+correction; its magnitude and (for thermal sources) the damping
+``exp(-pi sigma^2 / 2 (b_i - b_i')^2)`` are products of per-mode factors.
+The equivalent-circuit one commutes the conditional displacements
+through the CPHASE network: per-qubit conditional states, single-qubit
+dephasing at the thermal rate, then the qubit CZ network of the same
+graph.  Their agreement is a simulator-independent identity, tested.
 
 The shot loop uses neither, and per shot it only draws; the phases
 (:func:`~cvdownload.graphs.neighbor_phase`) and keep decisions come from
@@ -49,13 +49,13 @@ followed by one forced POVM per qubit) is its oracle in the tests.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .error_model import (
     SQRT_PI,
+    _log_imbalance,
     amplitude_imbalance,
     dephasing_rate,
     keep_probability,
@@ -89,14 +89,14 @@ __all__ = [
 ]
 
 
-#: Largest phase scale ``sqrt(n/2) |q|^T A |q|`` the direct register
-#: accepts.  Its phase sums terms of size ``|q|^T A |q|`` that cancel to
-#: O(1), with round-off per unit of that sum growing about as ``sqrt(n)``
-#: (5e-17 at n = 2, 2.0e-16 at n = 12), so the bound holds one margin at
-#: every n.  Against the equivalent circuit (random and complete graphs,
-#: n <= 10, nbar 0 or 0.5, r from 4 to 300, outcomes at or under the
-#: bound) the worst trace distance was 5.6e-12, ten times below the 1e-10
-#: gate.  Outcomes of size ``e^{r0}`` meet it, so r0 needs no bound.
+#: Largest phase scale ``sqrt(n/2) m^T A m``, ``m = max(|q|, |q - sqrt(pi)|)``,
+#: the direct register accepts.  Its phase sums terms ``(q - sqrt(pi) b)_i
+#: A_ij (q - sqrt(pi) b)_j`` that cancel to O(1), with round-off per unit
+#: of ``m^T A m`` growing about as ``sqrt(n)`` (5e-17 at n = 2, 2e-16 at 12).
+#: Against the equivalent circuit (random and complete graphs, n <= 10,
+#: nbar 0 or 0.5, r from 4 to 300, outcomes at or under the bound) the
+#: worst trace distance was 5.6e-12, ten times below the 1e-10 gate.
+#: Outcomes of size ``e^{r0}`` meet it, so r0 needs no bound.
 DIRECT_PHASE_SCALE_MAX = 7e4
 
 
@@ -132,13 +132,14 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     """Downloaded register from the defining amplitudes, given outcomes ``q``.
 
     Includes the corrective phases ``phi = sqrt(pi) A q`` (as relative
-    phases ``exp(i phi . b)``); for thermal sources the bitstring
-    coherences are damped by ``exp(-pi sigma^2 / 2 * hamming(b, b'))``.
-    Magnitudes are computed in log space so far-tail outcomes stay finite.
+    phases ``exp(i phi . b)``).  Magnitudes and thermal damping are
+    Kronecker products of the per-qubit rows ``(e^{-max(l_i, 0)},
+    e^{min(l_i, 0)})``, ``l = log gamma`` (so far-tail outcomes give exact
+    basis states), and of ``[[1, d], [d, 1]]``, ``d = exp(-pi sigma^2 / 2)``.
     Besides ``DEFAULT_MAX_QUBITS``, two rules refuse before any 4^n
-    allocation: a phase scale ``sqrt(n/2) |q|^T A |q|`` above
-    ``DIRECT_PHASE_SCALE_MAX``, and outcomes that give no bitstring a
-    finite weight (non-finite ``q``, or every log magnitude past the float range).
+    allocation: non-finite outcomes, and a phase scale ``sqrt(n/2) m^T A m``,
+    ``m = max(|q|, |q - sqrt(pi)|)``, not within ``DIRECT_PHASE_SCALE_MAX``
+    (so only an isolated vertex takes an outcome far beyond both peaks).
     """
     graph = params.graph
     n = graph.n
@@ -146,33 +147,30 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} outcomes, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"outcomes must be finite, got {q}")
     r0, sigma2 = params.mixture()
     a = adjacency_matrix(graph)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused here or below
-        scale = math.sqrt(n / 2.0) * float(np.abs(q) @ a @ np.abs(q))
-    if scale > DIRECT_PHASE_SCALE_MAX:
+    m = np.abs(q - 0.5 * SQRT_PI) + 0.5 * SQRT_PI  # the larger |q - sqrt(pi) b|
+    with np.errstate(over="ignore"):  # inf: refused here
+        scale = math.sqrt(n / 2.0) * float(m @ a @ m)
+    if not scale <= DIRECT_PHASE_SCALE_MAX:
         raise ValueError(
-            f"phase scale sqrt(n/2) |q|^T A |q| = {scale:.6g} exceeds DIRECT_PHASE_SCALE_MAX"
+            f"phase scale sqrt(n/2) m^T A m = {scale:.6g} is not within DIRECT_PHASE_SCALE_MAX"
             f" = {DIRECT_PHASE_SCALE_MAX:g}: the direct register's phases lose precision there"
         )
+    with np.errstate(over="ignore"):  # l = +-inf: an exact basis state
+        ell = _log_imbalance(q, r0)
+    rows = np.exp(np.stack([-np.maximum(ell, 0.0), np.minimum(ell, 0.0)], axis=-1))[:, None, :]
     bits = _bits(n).astype(float)
     x = q[None, :] - SQRT_PI * bits
-    with np.errstate(over="ignore"):  # -inf where a weight underflows: exp(-inf) = 0
-        log_mag = -np.sum(x**2, axis=1) / (2.0 * math.exp(2.0 * r0))
-    if not np.isfinite(log_mag.max()):
-        raise ValueError(f"outcomes {q} give no bitstring a finite weight at r0 = {r0:.6g}")
     phase = 0.5 * np.einsum("bi,ij,bj->b", x, a, x)
     phase = phase + bits @ neighbor_phase(graph, q)
-    amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
+    amps = _tensor_product(rows, np.ones((1, 1)))[0] * np.exp(1j * phase)
     rho = np.outer(amps, amps.conj())
     if sigma2 > 0.0:
-        # exact (2^n, 2^n) count of differing bits
-        hamming = bits @ (1.0 - bits).T + (1.0 - bits) @ bits.T
-        # sigma2 is inf near -R0_LIMIT; the capped rate keeps the diagonal's
-        # damping exp(-rate * 0) at 1 and takes every coherence to 0
-        rate = min(0.5 * math.pi * sigma2, sys.float_info.max)
-        with np.errstate(over="ignore"):
-            rho = rho * np.exp(-rate * hamming)
+        d = math.exp(-0.5 * math.pi * sigma2)  # 0 at sigma2 = inf
+        rho *= _tensor_product([np.array([[1.0, d], [d, 1.0]])] * n, np.ones((1, 1)))
     return QubitDensityMatrix(n, rho, normalize=True)
 
 
@@ -247,12 +245,8 @@ class DownloadRecord:
     post_state: QubitDensityMatrix | None
 
     @property
-    def deletion_mask(self) -> np.ndarray:
-        return np.array([o[0] == "delete" for o in self.outcomes])
-
-    @property
     def all_kept(self) -> bool:
-        return not bool(self.deletion_mask.any())
+        return all(kind == "keep" for kind, _ in self.outcomes)
 
     def to_json(self) -> dict:
         return {

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import assert_refused_before_allocating
 from scipy import stats
 
 from cvdownload.error_model import SQRT_PI, qubit_given_outcome, squeezed_vacuum_psi
@@ -138,6 +139,13 @@ class TestInitialization:
     def test_rejects_three_modes(self):
         with pytest.raises(ValueError):
             make_grid_state(0.0, 3, k=16)
+
+    @pytest.mark.parametrize("r0, modes, k", [(3.0, 2, 64), (5.0, 2, 64), (12.0, 1, 16)])
+    def test_refuses_above_the_dense_budget_before_allocating(self, r0, modes, k):
+        # 312M, 1.7e10 and 35M amplitudes, against 4**12 = 16.8M
+        assert_refused_before_allocating(
+            lambda: make_grid_state(r0, modes, k=k), match="DEFAULT_MAX_QUBITS"
+        )
 
     def test_shift_is_exact_cell_count(self):
         st = make_grid_state(0.0, 1, k=24)

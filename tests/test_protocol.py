@@ -9,7 +9,7 @@ import pytest
 from conftest import assert_refused_before_allocating, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from cvdownload.error_model import (
     SQRT_PI,
@@ -57,29 +57,39 @@ def _params(graph, r, nbar, seed=0):
 
 
 def _phase_scale(graph, q):
-    """The n-aware phase scale ``sqrt(n/2) |q|^T A |q|`` that the direct
-    register bounds by ``DIRECT_PHASE_SCALE_MAX`` (inf past float max)."""
+    """The n-aware phase scale ``sqrt(n/2) m^T A m``, ``m = max(|q|, |q - sqrt(pi)|)``,
+    that the direct register bounds by ``DIRECT_PHASE_SCALE_MAX`` (inf past float max)."""
+    m = np.abs(np.asarray(q) - SQRT_PI / 2.0) + SQRT_PI / 2.0
     with np.errstate(over="ignore"):
-        return math.sqrt(graph.n / 2.0) * float(np.abs(q) @ adjacency_matrix(graph) @ np.abs(q))
+        return math.sqrt(graph.n / 2.0) * float(m @ adjacency_matrix(graph) @ m)
 
 
 def _onto_the_bound(graph, q):
-    """``q`` with its outcomes on vertices that have edges scaled so the phase
-    scale sits just under the bound; isolated vertices do not enter it."""
+    """``q`` with its outcomes on vertices that have edges scaled, up or down,
+    so the phase scale sits just under the bound; isolated vertices do not
+    enter it."""
     on_edges = np.zeros(graph.n, dtype=bool)
     on_edges[[v for edge in graph.edges for v in edge]] = True
     unit = np.where(on_edges, q / np.abs(q[on_edges]).max(), q)  # a finite scale
-    factor = math.sqrt(DIRECT_PHASE_SCALE_MAX / _phase_scale(graph, unit)) * (1.0 - 1e-9)
-    return np.where(on_edges, unit * factor, q)
+
+    def excess(factor):
+        scaled = np.where(on_edges, unit * factor, q)
+        return _phase_scale(graph, scaled) - DIRECT_PHASE_SCALE_MAX * (1.0 - 1e-9)
+
+    high = 1.0  # excess(0) < 0: m = sqrt(pi) on every edge is far inside
+    while excess(high) < 0.0:
+        high *= 2.0
+    return np.where(on_edges, unit * optimize.brentq(excess, 0.0, high), q)
 
 
 def _assert_agreement_or_refusal(params, q):
     """The direct and equivalent registers agree, or the direct one refuses
-    by one of its two rules; tier-1 turns any RuntimeWarning into an error."""
+    by its phase-scale rule, the one rule finite outcomes can meet; tier-1
+    turns any RuntimeWarning into an error."""
     try:
         direct = downloaded_state_direct(params, q)
     except ValueError as exc:
-        assert "DIRECT_PHASE_SCALE_MAX" in str(exc) or "finite weight" in str(exc)
+        assert "DIRECT_PHASE_SCALE_MAX" in str(exc)
         return
     assert trace_distance(direct, downloaded_state_equivalent(params, q)) < 1e-10
 
@@ -163,18 +173,19 @@ class TestDirectState:
         "n, r, sigmas",
         [(10, -R0_LIMIT, None), (1, R0_LIMIT, 6.0), (4, R0_LIMIT, 6.0), (12, R0_LIMIT, 6.0)],
     )
-    def test_refuses_when_no_weight_is_finite(self, n, r, sigmas):
-        # edgeless, so no phase scale: at -R0_LIMIT the midpoint outcomes'
-        # log magnitudes all overflow to -inf from n = 9 on, and at +R0_LIMIT
-        # 6 sigma outcomes square past float max; without this rule both
-        # give a NaN register
+    def test_agrees_at_extreme_r0(self, n, r, sigmas):
+        # edgeless, so no phase scale: at -R0_LIMIT the midpoint outcomes
+        # balance every qubit exactly, and at +R0_LIMIT 6 sigma outcomes
+        # square past float max
         params = _params(Graph(n), r, 0.0)
         r0 = params.mixture()[0]
         q = np.full(n, SQRT_PI / 2.0 if sigmas is None else sigmas * math.exp(r0) / math.sqrt(2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite weight"):
-                downloaded_state_direct(params, q)
+            direct = downloaded_state_direct(params, q)
+            if n <= 10:
+                equiv = downloaded_state_equivalent(params, q)
+                assert trace_distance(direct, equiv) < 1e-10
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_refuses_far_tail_outcomes(self, n, rng):
@@ -204,13 +215,15 @@ class TestDirectState:
             r0 = _params(path_graph(1), r, nbar).mixture()[0]
             q = sample_q(r0, n * 100_000, np.random.default_rng(n)).reshape(-1, n)
             a = adjacency_matrix(complete_graph(n))
-            scales = math.sqrt(n / 2.0) * np.einsum("si,ij,sj->s", np.abs(q), a, np.abs(q))
+            m = np.abs(q - SQRT_PI / 2.0) + SQRT_PI / 2.0
+            scales = math.sqrt(n / 2.0) * np.einsum("si,ij,sj->s", m, a, m)
             assert scales.max() < DIRECT_PHASE_SCALE_MAX / 4.0
 
 
 def _direct_with_hamming_tensor(params, q):
-    """Reference direct register: the Hamming distances come from the
-    full (2^n, 2^n, n) difference array instead of two matrix products."""
+    """Reference direct register built over whole bitstrings: magnitudes
+    from one joint log-sum, and the Hamming distances of the damping from
+    the full (2^n, 2^n, n) difference array, instead of per-qubit factors."""
     n = params.graph.n
     r0, sigma2 = params.mixture()
     a = adjacency_matrix(params.graph)
@@ -228,13 +241,13 @@ def _direct_with_hamming_tensor(params, q):
 
 
 class TestDirectStateMemory:
-    def test_bit_identical_to_hamming_tensor(self, rng):
+    def test_matches_hamming_tensor(self, rng):
         for n in range(1, 9):
             g = random_graph(n, 0.6, rng)
             q = rng.uniform(-1.0, 1.0 + SQRT_PI, size=n)
             params = _params(g, float(rng.uniform(0.0, 2.0)), 0.7)
-            expected = _direct_with_hamming_tensor(params, q).rho
-            assert np.array_equal(downloaded_state_direct(params, q).rho, expected)
+            expected = _direct_with_hamming_tensor(params, q)
+            assert trace_distance(downloaded_state_direct(params, q), expected) <= 1e-14
 
     def test_refuses_above_cap_before_allocating(self):
         n = DEFAULT_MAX_QUBITS + 1
@@ -283,8 +296,8 @@ class TestEquivalentCircuit:
     @pytest.mark.parametrize("r", [-R0_LIMIT, -R0_LIMIT + 1e-9])
     @pytest.mark.parametrize("nbar", [0.0, 0.1, 10.0, 1e6])
     def test_agreement_at_the_lower_source_limit(self, r, nbar, rng):
-        # exp(2 r0) is near its floor: the log magnitudes overflow to -inf
-        # from n = 3 on, and sigma2 is inf once nbar is about 1 or more
+        # exp(2 r0) is near its floor: log gamma is +-inf, so every qubit is
+        # an exact basis state, and sigma2 is inf once nbar is about 1 or more
         for n in range(3, 9):
             params = _params(random_graph(n, 0.6, rng), r, nbar)
             q = sample_outcomes(params, rng)
@@ -628,13 +641,10 @@ class TestSqueezingRange:
 class TestDirectOracleDomain:
     """Over every graph to n = 8 and every source ``SqueezedThermalParams``
     accepts, the direct register agrees with the equivalent circuit or is
-    refused cleanly, for sampled outcomes and, where those lie above the
-    phase-scale bound, for the same outcomes moved down onto it.
-
-    Outcomes below the bound are not scaled up onto it: a factor of up to
-    1e16 leaves the sampled distribution for outcomes 1e8 or more from
-    both peaks, where the summed magnitudes lose precision
-    (:meth:`test_far_tail_magnitudes_lose_precision`)."""
+    refused cleanly, for sampled outcomes and for the same outcomes moved
+    onto the phase-scale bound, up or down.  The bound keeps every outcome
+    on a vertex with edges within about 4e4 of both peaks; only an isolated
+    vertex takes any finite outcome."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(n_max=8), _sources_within_limit(), st.integers(0, 2**31 - 1))
@@ -642,20 +652,49 @@ class TestDirectOracleDomain:
         params = ProtocolParams(graph, source)
         q = sample_outcomes(params, np.random.default_rng(seed))
         _assert_agreement_or_refusal(params, q)
-        if _phase_scale(graph, q) > DIRECT_PHASE_SCALE_MAX:
+        if graph.edges:
             _assert_agreement_or_refusal(params, _onto_the_bound(graph, q))
 
-    @pytest.mark.xfail(strict=True, reason="a known gap: sum((q - sqrt(pi) b)^2) rounds "
-                       "away sqrt(pi)-sized differences once |q| is about 1e8 or more")
+    @pytest.mark.parametrize("outcome", [1e17, -1e17])
+    def test_far_tail_magnitudes_agree(self, outcome):
+        # no edge, so no phase scale: the register is a basis state, which a
+        # sum of (q - sqrt(pi) b)^2 over bits rounds to balanced
+        params = _params(Graph(1), 1.0, 0.0)
+        q = np.array([outcome])
+        assert trace_distance(downloaded_state_direct(params, q),
+                              downloaded_state_equivalent(params, q)) < 1e-10
+
     @pytest.mark.parametrize(
-        "graph, r, q",
-        [(Graph(1), 1.0, [1e17]), (Graph(2, ((0, 1),)), -27.0, [1.96e8, -1.0e-4])],
+        "r, q", [(1.0, [1e300, 0.0]), (1.0, [1e17, 0.0]), (-27.0, [1.96e8, -1.0e-4])]
     )
-    def test_far_tail_magnitudes_lose_precision(self, graph, r, q):
-        # accepted by both rules (no edge, or phase scale 3.9e4), yet the
-        # direct register weighs both values of a bit alike where the
-        # equivalent one is a basis state (trace distance 0.707)
-        _assert_agreement_or_refusal(_params(graph, r, 0.0), np.array(q))
+    def test_far_tail_refused_on_an_edge(self, r, q):
+        # |q|^T A |q| is 0, 0 and 3.9e4, but the phase multiplies q - sqrt(pi) b:
+        # once sqrt(pi) b_0 rounds away, so does the CZ phase pi/2 b_0 b_1
+        # (trace distance 0.98 at q = (1e300, 0) were it accepted)
+        params = _params(Graph(2, ((0, 1),)), r, 0.0)
+        q = np.array(q)
+        assert _phase_scale(params.graph, q) > DIRECT_PHASE_SCALE_MAX
+        assert_refused_before_allocating(
+            lambda: downloaded_state_direct(params, q), match="DIRECT_PHASE_SCALE_MAX"
+        )
+
+    @pytest.mark.parametrize("outcome", [1e300, -1e300])
+    def test_isolated_vertex_accepts_any_finite_outcome(self, outcome):
+        # an isolated vertex does not enter the phase scale
+        params = _params(Graph(3, ((0, 1),)), 1.0, 0.5)
+        q = np.array([0.3, 1.2, outcome])
+        direct = downloaded_state_direct(params, q)
+        assert trace_distance(direct, downloaded_state_equivalent(params, q)) < 1e-10
+
+    def test_overflowing_phase_scale_refused(self):
+        # 1e308 + 1e308 overflows: the scale is inf (nan in |q|^T A |q|,
+        # where the inf meets the zero outcome)
+        params = _params(path_graph(3), 1.0, 0.0)
+        q = np.array([1e308, 0.0, 1e308])
+        assert _phase_scale(params.graph, q) == math.inf
+        assert_refused_before_allocating(
+            lambda: downloaded_state_direct(params, q), match="DIRECT_PHASE_SCALE_MAX"
+        )
 
 
 class TestKeptStateQuality:
