@@ -15,6 +15,7 @@ from .error_model import (
     amplitude_imbalance,
     dephasing_rate,
     keep_probability,
+    log_imbalance,
     p_del_analytic,
     p_del_monte_carlo,
     p_succ_quadrature,
@@ -71,6 +72,7 @@ __all__ = [
     "symplectic_eigenvalues",
     "thermal_cvcs",
     "qubit_given_outcome",
+    "log_imbalance",
     "amplitude_imbalance",
     "keep_probability",
     "p_del_analytic",

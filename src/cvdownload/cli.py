@@ -251,8 +251,7 @@ def _battery_povm(rng: np.random.Generator) -> CheckResult:
     """Completeness of the balancing POVM across imbalance scales."""
     worst = 0.0
     for _ in range(200):
-        gamma = math.exp(rng.uniform(-3.0, 3.0))
-        keep, delete, _ = balancing_povm_diagonals(gamma)
+        keep, delete, _ = balancing_povm_diagonals(rng.uniform(-3.0, 3.0))
         worst = max(worst, float(np.abs(keep**2 + delete**2 - 1.0).max()))
     return CheckResult("POVM completeness", worst, 1e-12)
 
@@ -335,6 +334,7 @@ def cmd_download(args: argparse.Namespace, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 _MAX_THRESHOLD_ROWS = 100_000  # dB rows per table; the default range has 15
+_MAX_THRESHOLD_SHOTS = 10_000_000  # Monte Carlo shots per row, at 48 B each about 480 MB
 
 
 def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
@@ -355,8 +355,9 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
     db_values = np.arange(start, stop + 1e-9, step)
     rails = config["rails"]
     shots = config["shots"]
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0 (0 turns Monte Carlo off), got {shots}")
+    if not 0 <= shots <= _MAX_THRESHOLD_SHOTS:
+        raise ValueError(f"shots must lie within [0, {_MAX_THRESHOLD_SHOTS}] (0 turns Monte"
+                         f" Carlo off), got {shots}")
     rng = np.random.default_rng(config["seed"])
 
     header = ["db", "r0", "p_del", "p_del_mc", "stderr", "n_rails", "p_vertex"]

@@ -11,15 +11,18 @@ module follows from that one state:
 
 * the outcome density ``P(q)`` is an equal mixture of two Gaussians
   centered at 0 and sqrt(pi);
-* the amplitude imbalance is ``gamma(q) = exp(sqrt(pi) (2 q - sqrt(pi))
-  / (2 exp(2 r0)))``, balanced exactly at ``q = sqrt(pi) / 2``;
-* the balancing POVM keeps the qubit with probability
-  ``2 min(1, gamma^2) / (1 + gamma^2)``, and averaging over outcomes
-  gives the deletion probability ``erf(exp(-r0) sqrt(pi) / 2)``;
+* the amplitude imbalance ``gamma(q)`` has the log ``l = sqrt(pi) (2 q -
+  sqrt(pi)) / (2 exp(2 r0))``, zero exactly at ``q = sqrt(pi) / 2``;
+* the balancing POVM keeps the qubit with probability ``2 e / (1 + e)``,
+  ``e = exp(-2 |l|)``, and averaging over outcomes gives the deletion
+  probability ``erf(exp(-r0) sqrt(pi) / 2)``;
 * a p displacement ``p0`` multiplies the ``|1>`` amplitude by
   ``exp(-i p0 sqrt(pi))``, so Gaussian p-displacement noise of parameter
   variance ``sigma^2`` dephases the kept qubit with probability
   ``(1 - exp(-pi sigma^2 / 2)) / 2``.
+
+The imbalance laws take ``l`` (:func:`log_imbalance`) and hold for every
+float ``l`` but NaN; ``gamma`` (:func:`amplitude_imbalance`) is only reported.
 
 Squeezing is quoted in dB through the variance ratio convention
 ``dB = 10 log10(exp(2 r0))``.
@@ -40,6 +43,7 @@ __all__ = [
     "squeezed_vacuum_psi",
     "outcome_density",
     "sample_q",
+    "log_imbalance",
     "amplitude_imbalance",
     "keep_probability",
     "qubit_given_outcome",
@@ -76,49 +80,37 @@ def sample_q(r0: float, shots: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(centers, math.exp(r0) / math.sqrt(2.0))
 
 
-def _log_imbalance(q, r0: float):
-    """``log gamma(q) = sqrt(pi) (2 q - sqrt(pi)) / (2 e^{2 r0})``, for a float or an array."""
+def log_imbalance(q, r0: float):
+    """``l = log gamma(q) = sqrt(pi) (2 q - sqrt(pi)) / (2 e^{2 r0})``, for a float or an array."""
     return SQRT_PI * (2.0 * q - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
 
 
 def amplitude_imbalance(q, r0: float):
-    """``gamma(q) = |<1|psi_q>| / |<0|psi_q>|``; below 1 exactly when q < sqrt(pi)/2.
-
-    Where ``log gamma`` exceeds the float range (far tails at strongly
-    negative ``r0``) the result is ``inf``, without an overflow warning.
-    """
-    log_gamma = _log_imbalance(np.asarray(q), r0)
-    with np.errstate(over="ignore"):
-        return np.exp(log_gamma)
-
-
-def keep_probability(gamma):
-    """Keep probability of the balancing POVM, ``2 min(1, gamma^2) / (1 + gamma^2)``.
-
-    An imbalance whose square overflows counts as ``gamma^2 = inf``, so
-    its keep probability is exactly 0 and no warning is raised.
+    """``gamma(q) = |<1|psi_q>| / |<0|psi_q>| = exp(l)``; below 1 exactly when
+    q < sqrt(pi)/2, ``inf`` (without a warning) where ``l`` exceeds the float
+    range.  Reported only: the law itself is computed from ``l``.
     """
     with np.errstate(over="ignore"):
-        g2 = np.square(np.asarray(gamma, dtype=float))
-    return 2.0 * np.minimum(g2, 1.0) / (1.0 + g2)
+        return np.exp(log_imbalance(np.asarray(q), r0))
+
+
+def keep_probability(log_gamma):
+    """Keep probability of the balancing POVM, ``2 e / (1 + e)`` with
+    ``e = exp(-2 |l|)``: exactly 1 at ``l = 0`` and 0 at ``l = +-inf``.
+    """
+    e = np.square(np.exp(-np.abs(log_gamma)))  # exp(-|l|)^2: -2 |l| could overflow
+    return 2.0 * e / (1.0 + e)
 
 
 def qubit_given_outcome(q: float, r0: float) -> QubitPureState:
     """Normalized qubit state conditioned on outcome ``q``.
 
-    Amplitudes are proportional to ``(psi(q), psi(q - sqrt(pi)))``.  The
-    ratio is computed in log space, so extreme outcomes far into either
-    Gaussian tail stay finite.
+    Amplitudes are proportional to ``(psi(q), psi(q - sqrt(pi)))``, that is
+    to ``(e^{-max(l, 0)}, e^{min(l, 0)})``, so outcomes far into either
+    Gaussian tail give finite rows and, at ``l = +-inf``, a basis state.
     """
-    log_gamma = _log_imbalance(q, r0)
-    if log_gamma <= 0.0:
-        a0 = 1.0 / math.sqrt(1.0 + math.exp(2.0 * log_gamma))
-        a1 = math.exp(log_gamma) * a0
-    else:
-        inv = math.exp(-log_gamma)
-        a1 = 1.0 / math.sqrt(1.0 + inv * inv)
-        a0 = inv * a1
-    return QubitPureState(1, np.array([a0, a1]))
+    ell = log_imbalance(q, r0)
+    return QubitPureState(1, np.exp([-max(ell, 0.0), min(ell, 0.0)]), normalize=True)
 
 
 def p_del_analytic(r0: float) -> float:
@@ -136,7 +128,7 @@ def p_succ_quadrature(r0: float) -> float:
 
     def integrand(q: float) -> float:
         return float(
-            outcome_density(q, r0) * keep_probability(amplitude_imbalance(q, r0))
+            outcome_density(q, r0) * keep_probability(log_imbalance(q, r0))
         )
 
     half_width = 12.0 * math.exp(r0) / math.sqrt(2.0)  # 12 sigma beyond each center
@@ -168,7 +160,7 @@ def p_del_monte_carlo(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     q = sample_q(r0, shots, rng)
-    deleted = rng.random(shots) >= keep_probability(amplitude_imbalance(q, r0))
+    deleted = rng.random(shots) >= keep_probability(log_imbalance(q, r0))
     p_hat = float(np.mean(deleted))
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / shots)
     return p_hat, stderr

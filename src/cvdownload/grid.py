@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from .error_model import SQRT_PI, squeezed_vacuum_psi
+from .gaussian import R0_LIMIT
 from .qubits import DEFAULT_MAX_QUBITS, QubitPureState
 
 __all__ = [
@@ -98,26 +99,36 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
 
     ``k`` cells per sqrt(pi) shift (at least 16); the grid spans
     ``[-length, length)`` with ``length =`` :func:`required_length`, so
-    that tails and one full displacement fit.  Grids of more amplitudes
-    than the largest dense register are refused before allocating.
+    that tails and one full displacement fit.  Refused before allocating:
+    ``r0`` beyond ``+-R0_LIMIT`` (the source's own range, where
+    ``e^{2 r0}`` leaves the float range) and grids of more amplitudes than
+    the largest dense register; refused before normalizing: a squeezed
+    vacuum so narrow that it puts no mass on any cell.
     """
     if modes not in (1, 2):
         raise ValueError(f"grid simulator supports 1 or 2 modes, got {modes}")
     if k < MIN_CELLS_PER_SHIFT:
         raise ValueError(f"k must be >= {MIN_CELLS_PER_SHIFT}, got {k}")
+    if not abs(r0) <= R0_LIMIT:  # NaN fails too
+        raise ValueError(f"r0 = {r0!r} must lie within +-R0_LIMIT = {R0_LIMIT!r}")
     length = required_length(r0)
     dq = SQRT_PI / k
-    cells = int(math.ceil(2.0 * length / dq))
+    cells = math.ceil(2.0 * length / dq)  # an exact int, however large
     if 2**modes * cells**modes > 4**DEFAULT_MAX_QUBITS:
-        raise ValueError(f"{modes} mode(s) of {cells} cells need more amplitudes than the"
-                         f" dense budget 4**DEFAULT_MAX_QUBITS = {4**DEFAULT_MAX_QUBITS}")
+        raise ValueError(f"r0 = {r0!r} needs {modes} mode(s) of {cells:.6g} cells, more amplitudes"
+                         f" than the dense budget 4**DEFAULT_MAX_QUBITS = {4**DEFAULT_MAX_QUBITS}")
     grid = -length + dq * np.arange(cells)
-    psi = squeezed_vacuum_psi(grid, r0)
+    with np.errstate(over="ignore"):  # an exponent beyond the float range: amplitude 0
+        psi = squeezed_vacuum_psi(grid, r0)
 
     # the real mode amplitude, scaled so that each of the 2^m bitstring
     # planes carries mass 2^-m, is written into every plane
     mode_amps = psi if modes == 1 else np.multiply.outer(psi, psi)
-    mode_amps /= math.sqrt(2**modes * _abs2(mode_amps) * dq**modes)
+    mass = _abs2(mode_amps) * dq**modes
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"r0 = {r0!r} puts mass {mass!r} on the grid, not a positive finite"
+                         f" one: the squeezed vacuum is narrower than its cells of {dq:.3g}")
+    mode_amps /= math.sqrt(2**modes * mass)
     amps = np.empty((2**modes,) + mode_amps.shape, dtype=complex)
     amps[...] = mode_amps
     return HybridGridState(modes, k, grid, amps)

@@ -55,10 +55,10 @@ import numpy as np
 
 from .error_model import (
     SQRT_PI,
-    _log_imbalance,
     amplitude_imbalance,
     dephasing_rate,
     keep_probability,
+    log_imbalance,
     p_del_analytic,
     qubit_given_outcome,
     sample_q,
@@ -160,7 +160,7 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
             f" = {DIRECT_PHASE_SCALE_MAX:g}: the direct register's phases lose precision there"
         )
     with np.errstate(over="ignore"):  # l = +-inf: an exact basis state
-        ell = _log_imbalance(q, r0)
+        ell = log_imbalance(q, r0)
     rows = np.exp(np.stack([-np.maximum(ell, 0.0), np.minimum(ell, 0.0)], axis=-1))[:, None, :]
     bits = _bits(n).astype(float)
     x = q[None, :] - SQRT_PI * bits
@@ -285,7 +285,7 @@ class DownloadSummary:
         }
 
 
-#: Outcome of a qubit by ``2 * kept + (gamma > 1)``: a deleted qubit
+#: Outcome of a qubit by ``2 * kept + (l > 0)``, ``l = log gamma``: a deleted qubit
 #: collapsed onto the basis state its imbalance favours.
 _OUTCOME_BY_CODE = (("delete", 0), ("delete", 1), ("keep", None), ("keep", None))
 
@@ -301,7 +301,8 @@ def run_download(
     (ascending site order); imbalances, keep decisions, phases and counts
     follow once over the stacked ``(shots, n)`` draws.  Keep/delete is
     decided against the per-qubit keep probability
-    ``2 min(1, gamma_i^2) / (1 + gamma_i^2)``, which equals the
+    ``2 e_i / (1 + e_i)``, ``e_i = exp(-2 |l_i|)`` with ``l = log gamma``
+    (a deleted qubit collapses onto bit ``l_i > 0``), which equals the
     registered POVM branch weight exactly: the register's diagonal stays
     a product over qubits (diagonal entangling layer, diagonal dephasing,
     diagonal POVM updates), so no qubit's branch weight depends on
@@ -336,14 +337,15 @@ def run_download(
         q[k] = sample_q(r0, n, rng)
         uniforms[k] = rng.random(n)
 
-    gamma = amplitude_imbalance(q, r0)
-    kept = uniforms < keep_probability(gamma)
+    ell = log_imbalance(q, r0)
+    kept = uniforms < keep_probability(ell)
+    gamma = amplitude_imbalance(q, r0)  # for the records only
     phi = neighbor_phase(graph, q)
     deletions = n - np.count_nonzero(kept, axis=1)
     per_qubit = shots - np.count_nonzero(kept, axis=0)
 
     records: list[DownloadRecord] = []
-    codes = (2 * kept + (gamma > 1.0)).tolist()
+    codes = (2 * kept + (ell > 0.0)).tolist()
     for q_k, phi_k, gamma_k, codes_k in zip(q, phi, gamma, codes):
         outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes_k))
         state = register_from_outcomes(graph, coherence, outcomes) if keep_states else None

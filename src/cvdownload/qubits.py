@@ -2,10 +2,10 @@
 
 The engine is an oracle: the protocol's production path is checked
 against it, not built from it.  It provides cluster states, diagonal
-phase gates, Pauli gates, the two-outcome amplitude-balancing POVM,
-single-site dephasing, and fidelity / trace-distance metrics.  It is the
-one home of the graph's entangling diagonal (:func:`graph_phases`) and
-of the dense size cap.
+phase gates, Pauli gates, the two-outcome amplitude-balancing POVM in
+``l = log gamma``, single-site dephasing, and fidelity / trace-distance
+metrics.  It is the one home of the graph's entangling diagonal
+(:func:`graph_phases`) and of the dense size cap.
 
 Conventions
 -----------
@@ -57,6 +57,7 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 12
 
 _NORM_TOL = 1e-12
+_HERMITIAN_BLOCK = 1 << 16  # entries per pass of the Hermiticity check
 
 
 def _check_dense_size(n: int) -> None:
@@ -124,14 +125,16 @@ class QubitDensityMatrix:
         dim = 2**n
         if rho.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
-        herm_dev = float(np.abs(rho - rho.conj().T).max())
-        if not herm_dev <= 1e-12:  # NaN fails too
-            raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
+        step = max(1, _HERMITIAN_BLOCK // dim)  # row blocks: small temporaries
+        for s in range(0, dim, step):
+            herm_dev = float(np.abs(rho[s : s + step] - rho[:, s : s + step].conj().T).max())
+            if not herm_dev <= 1e-12:  # NaN fails too
+                raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
         tr = float(rho.trace().real)
         if normalize:
             if not tr > 0.0:
                 raise ValueError("cannot normalize: trace is not positive")
-            rho = rho / tr
+            rho /= tr
         elif not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace is {tr!r}, expected 1")
         self.n = n
@@ -257,27 +260,24 @@ def apply_dephasing(
 # amplitude-balancing POVM
 # ---------------------------------------------------------------------------
 
-def balancing_povm_diagonals(gamma: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Single-qubit POVM diagonals ``(m_keep, m_delete, deleted_bit)``.
+def balancing_povm_diagonals(log_gamma: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Single-qubit POVM diagonals ``(m_keep, m_delete, deleted_bit)`` for
+    the log imbalance ``l = log gamma``.
 
-    For imbalance ``gamma < 1`` (the ``|1>`` amplitude dominated by
-    ``|0>``): ``m_keep = diag(gamma, 1)`` rebalances the superposition,
-    and the delete operator ``diag(sqrt(1 - gamma^2), 0)`` collapses onto
-    ``|0>``.  For ``gamma > 1`` the roles mirror with ``1/gamma`` and the
-    delete branch collapses onto ``|1>``.  Both cases satisfy
-    ``m_keep^2 + m_delete^2 = 1`` elementwise (completeness).
+    ``m_keep = diag(e^{min(l, 0)}, e^{-max(l, 0)})`` scales the dominant
+    amplitude down to the other one, rebalancing the superposition; the
+    delete operator ``sqrt(1 - e^{-2 |l|})`` acts on the dominant bit
+    ``deleted_bit = (l > 0)`` alone, collapsing onto it.  So
+    ``m_keep^2 + m_delete^2 = 1`` elementwise (completeness) for every
+    ``l``, and ``l = +-inf`` is a basis-state POVM; NaN is refused.
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"imbalance must be positive and finite, got {gamma}")
-    if gamma <= 1.0:
-        keep = np.array([gamma, 1.0])
-        delete = np.array([math.sqrt(max(0.0, 1.0 - gamma * gamma)), 0.0])
-        deleted_bit = 0
-    else:
-        inv = 1.0 / gamma
-        keep = np.array([1.0, inv])
-        delete = np.array([0.0, math.sqrt(max(0.0, 1.0 - inv * inv))])
-        deleted_bit = 1
+    ell = float(log_gamma)
+    if math.isnan(ell):
+        raise ValueError(f"log imbalance must not be NaN, got {log_gamma}")
+    keep = np.exp([min(ell, 0.0), -max(ell, 0.0)])
+    deleted_bit = int(ell > 0.0)
+    delete = np.zeros(2)
+    delete[deleted_bit] = math.sqrt(-math.expm1(-2.0 * abs(ell)))
     return keep, delete, deleted_bit
 
 
@@ -290,18 +290,18 @@ class PovmResult:
 
 
 def apply_balancing_povm(
-    rho: QubitDensityMatrix, site: int, gamma: float, force: str
+    rho: QubitDensityMatrix, site: int, log_gamma: float, force: str
 ) -> PovmResult:
     """Two-outcome balancing measurement on one qubit of a register.
 
     The keep branch restores a balanced superposition on the target qubit
-    (probability ``2 min(1, gamma^2) / (1 + gamma^2)`` when the qubit was
-    in the imbalanced pure state); the delete branch projects onto a
+    (probability ``2 e / (1 + e)``, ``e = exp(-2 |log_gamma|)``, when the
+    qubit was in the imbalanced pure state); the delete branch projects onto a
     computational basis state of known value, i.e. a located erasure.
     ``force`` names the branch to realize, drawn by the caller; a branch
     of zero probability is refused.
     """
-    keep, delete, deleted_bit = balancing_povm_diagonals(gamma)
+    keep, delete, deleted_bit = balancing_povm_diagonals(log_gamma)
     b = _bit(rho.n, site)
     w_keep = np.where(b == 1, keep[1], keep[0])
     w_del = np.where(b == 1, delete[1], delete[0])
@@ -315,11 +315,14 @@ def apply_balancing_povm(
     weights, prob = (w_keep, p_keep) if force == "keep" else (w_del, p_del)
     if prob <= 0.0:
         raise ValueError(f"cannot realize zero-probability outcome {force!r}")
-    post = weights[:, None] * rho.rho * weights[None, :] / prob
+    # a complex register divided by a subnormal prob overflows, and such a
+    # prob has too few digits for unit trace: scale the weights, then normalize
+    weights = weights / math.sqrt(prob)
+    post = weights[:, None] * rho.rho * weights[None, :]
     return PovmResult(
         force,
         prob,
-        QubitDensityMatrix(rho.n, post),
+        QubitDensityMatrix(rho.n, post, normalize=True),
         None if force == "keep" else deleted_bit,
     )
 

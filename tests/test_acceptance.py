@@ -14,8 +14,8 @@ import numpy as np
 from conftest import ACCEPTANCE_REPORT, random_test_graph
 from cvdownload.error_model import (
     SQRT_PI,
-    amplitude_imbalance,
     dephasing_rate,
+    log_imbalance,
     p_del_analytic,
     p_del_monte_carlo,
     p_succ_quadrature,
@@ -91,8 +91,7 @@ def test_c02_exact_erasure_conversion():
         q = sample_outcomes(params, rng)
         state = downloaded_state_equivalent(params, q)
         for site in range(graph.n):
-            gamma = float(amplitude_imbalance(q[site], r))
-            state = apply_balancing_povm(state, site, gamma, force="keep").state
+            state = apply_balancing_povm(state, site, log_imbalance(q[site], r), force="keep").state
         worst = max(worst, 1.0 - fidelity(cluster_state(graph), state))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 10.0

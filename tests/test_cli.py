@@ -247,6 +247,7 @@ class TestThresholds:
             (["--db-range", "0:1e12:1e-3"], "db_range"),  # 1e15 rows, refused before allocating
             (["--db-range", "0:16:1e-300"], "db_range"),  # beyond what np.arange can size
             (["--db-range", "16:2:1"], "db_range"),  # stop below start: no rows
+            (["--shots", "1000000000000"], "shots"),  # 48 TB of draws, refused before any
         ],
     )
     def test_bad_range_or_shots_refused(self, capsys, flags, key):

@@ -1,10 +1,13 @@
 """Single-qubit error laws: conditional states, erasure, dephasing, thresholds."""
 
 import math
+import sys
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -14,6 +17,7 @@ from cvdownload.error_model import (
     db_to_squeezing,
     dephasing_rate,
     keep_probability,
+    log_imbalance,
     outcome_density,
     p_del_analytic,
     p_del_monte_carlo,
@@ -25,7 +29,13 @@ from cvdownload.error_model import (
     vertex_disconnect_prob,
 )
 from cvdownload.gaussian import SqueezedThermalParams, mixture_params
-from cvdownload.qubits import apply_balancing_povm, fidelity, plus_state
+from cvdownload.qubits import (
+    QubitPureState,
+    apply_balancing_povm,
+    balancing_povm_diagonals,
+    fidelity,
+    plus_state,
+)
 
 
 def _integrated_cdf(r0, lo, hi, points=20001):
@@ -74,13 +84,13 @@ class TestConditionalState:
             assert abs(abs(psi.amps[1] / psi.amps[0]) - gamma) < 1e-9 * max(1.0, gamma)
 
     def test_povm_restores_plus_from_conditional_state(self, rng):
-        # gamma extracted from the outcome balances the conditional state
+        # log gamma extracted from the outcome balances the conditional state
         for _ in range(20):
             q = float(rng.uniform(-0.3, 1.8))
             r0 = float(rng.uniform(0.2, 1.2))
             psi = qubit_given_outcome(q, r0)
-            gamma = float(amplitude_imbalance(q, r0))
-            res = apply_balancing_povm(psi.density_matrix(), 0, gamma, force="keep")
+            ell = float(log_imbalance(q, r0))
+            res = apply_balancing_povm(psi.density_matrix(), 0, ell, force="keep")
             assert fidelity(plus_state(1), res.state) > 1.0 - 1e-12
 
 
@@ -116,16 +126,16 @@ class TestOutcomeLaw:
 
 class TestKeepProbability:
     def test_balanced_point(self):
-        assert keep_probability(1.0) == 1.0
+        assert keep_probability(0.0) == 1.0
 
     def test_matches_branch_probability(self):
         # gamma=1/2: P(keep) = 2 gamma^2/(1+gamma^2) = 0.4, same for gamma=2
-        assert abs(keep_probability(0.5) - 0.4) < 1e-14
-        assert abs(keep_probability(2.0) - 0.4) < 1e-14
+        assert abs(keep_probability(math.log(0.5)) - 0.4) < 1e-14
+        assert abs(keep_probability(math.log(2.0)) - 0.4) < 1e-14
 
     def test_vectorized(self):
-        gammas = np.array([0.5, 1.0, 2.0])
-        assert np.allclose(keep_probability(gammas), [0.4, 1.0, 0.4])
+        log_gammas = np.log([0.5, 1.0, 2.0])
+        assert np.allclose(keep_probability(log_gammas), [0.4, 1.0, 0.4])
 
 
 def _imbalance_reference(q, r0):
@@ -134,11 +144,24 @@ def _imbalance_reference(q, r0):
         return np.exp(SQRT_PI * (2.0 * np.asarray(q) - SQRT_PI) / (2.0 * math.exp(2.0 * r0)))
 
 
-def _keep_probability_reference(gamma):
-    """Both branches of ``2 min(1, g^2) / (1 + g^2)`` evaluated, then selected."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g2 = np.square(np.asarray(gamma, dtype=float))
-        return np.where(g2 <= 1.0, 2.0 * g2 / (1.0 + g2), 2.0 / (1.0 + g2))
+def _keep_probability_reference(ell: float) -> Decimal:
+    """``2 e / (1 + e)``, ``e = exp(-2 |l|)``, to 40 digits (test oracle)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        e = (-2 * abs(Decimal(ell))).exp()
+        return 2 * e / (1 + e)
+
+
+#: Every float log imbalance but NaN; the edges are always tried, among them
+#: +-360, where the keep probability and the branch weights are subnormal.
+_EVERY_LOG_GAMMA = st.floats(allow_nan=False)
+_EDGES = (math.inf, -math.inf, sys.float_info.max, -sys.float_info.max, 0.0, 5e-324, -360.0, 360.0)
+
+
+def _with_edges(test):
+    for ell in _EDGES:
+        test = example(ell)(test)
+    return test
 
 
 class TestFloatRange:
@@ -155,19 +178,45 @@ class TestFloatRange:
         assert got.tobytes() == _imbalance_reference(np.array(q), r0).tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(min_value=0.0), min_size=1, max_size=8))
-    def test_keep_probability_bit_identical(self, gammas):
-        got = keep_probability(np.array(gammas))
-        assert got.tobytes() == _keep_probability_reference(np.array(gammas)).tobytes()
+    @given(_EVERY_LOG_GAMMA)
+    @_with_edges
+    def test_keep_probability_within_two_ulp(self, ell):
+        got = float(keep_probability(ell))
+        ref = _keep_probability_reference(ell)
+        unit = math.ulp(float(ref)) if float(ref) >= sys.float_info.min else math.ulp(0.0)
+        assert abs(Decimal(got) - ref) <= 2 * Decimal(unit)
 
     def test_extremes_without_warnings(self):
-        big = [2.0**512, 1e200, math.inf]
-        assert np.array_equal(keep_probability(big), [0.0, 0.0, 0.0])
-        assert keep_probability(2.0**511) > 0.0
+        big = [-sys.float_info.max, 1e200, 373.0, math.inf, -math.inf]
+        assert np.array_equal(keep_probability(big), [0.0] * 5)
+        assert keep_probability(-372.0) > 0.0  # e = exp(-744) is subnormal
         assert amplitude_imbalance(10.0, -4.0) == math.inf
         assert amplitude_imbalance(-10.0, -4.0) == 0.0
         q = np.array([-10.0, SQRT_PI / 2.0, 10.0])
-        assert np.array_equal(keep_probability(amplitude_imbalance(q, -4.0)), [0.0, 1.0, 0.0])
+        assert np.array_equal(keep_probability(log_imbalance(q, -4.0)), [0.0, 1.0, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_EVERY_LOG_GAMMA)
+    @_with_edges
+    def test_povm_complete_and_matching_keep_law(self, ell):
+        # the conditional state of log imbalance l has rows
+        # (e^{-max(l, 0)}, e^{min(l, 0)}); its keep branch weighs keep_probability(l)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keep, delete, bit = balancing_povm_diagonals(ell)
+            assert np.abs(keep**2 + delete**2 - 1.0).max() <= 1e-15
+            assert bit == int(ell > 0.0)
+            rho = QubitPureState(
+                1, np.exp([-max(ell, 0.0), min(ell, 0.0)]), normalize=True
+            ).density_matrix()
+            p_keep = float(keep_probability(ell))
+            if p_keep > 0.0:
+                res = apply_balancing_povm(rho, 0, ell, force="keep")
+                assert math.isclose(res.probability, p_keep, rel_tol=1e-15, abs_tol=1e-300)
+            else:
+                with pytest.raises(ValueError, match="zero-probability outcome 'keep'"):
+                    apply_balancing_povm(rho, 0, ell, force="keep")
+                assert apply_balancing_povm(rho, 0, ell, force="delete").probability == 1.0
 
 
 class TestDeletionProbability:

@@ -1,6 +1,7 @@
 """Discretized-quadrature oracle for the hybrid download circuit."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import assert_refused_before_allocating
 from scipy import stats
 
 from cvdownload.error_model import SQRT_PI, qubit_given_outcome, squeezed_vacuum_psi
-from cvdownload.gaussian import SqueezedThermalParams
+from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams
 from cvdownload.graphs import path_graph
 from cvdownload.grid import (
     BOUNDARY_MASS_TOL,
@@ -140,11 +141,19 @@ class TestInitialization:
         with pytest.raises(ValueError):
             make_grid_state(0.0, 3, k=16)
 
-    @pytest.mark.parametrize("r0, modes, k", [(3.0, 2, 64), (5.0, 2, 64), (12.0, 1, 16)])
+    @pytest.mark.parametrize("r0, modes, k", [
+        (3.0, 2, 64), (5.0, 2, 64), (12.0, 1, 16),  # 312M, 1.7e10, 35M amplitudes > 4**12
+        (708.0, 1, 16), (710.0, 1, 16), (math.inf, 1, 16), (math.nan, 1, 16),
+        (-400.0, 1, 16), (-math.inf, 1, 16),  # beyond +-R0_LIMIT
+        (-30.0, 1, 16), (-30.0, 1, 64),  # narrower than a cell: no mass on the grid
+    ])
     def test_refuses_above_the_dense_budget_before_allocating(self, r0, modes, k):
-        # 312M, 1.7e10 and 35M amplitudes, against 4**12 = 16.8M
+        if not abs(r0) <= R0_LIMIT:
+            reason = "R0_LIMIT"
+        else:
+            reason = "DEFAULT_MAX_QUBITS" if r0 > 0 else "puts mass 0.0 on the grid"
         assert_refused_before_allocating(
-            lambda: make_grid_state(r0, modes, k=k), match="DEFAULT_MAX_QUBITS"
+            lambda: make_grid_state(r0, modes, k=k), match=f"^r0 = {re.escape(repr(r0))} .*{reason}"
         )
 
     def test_shift_is_exact_cell_count(self):

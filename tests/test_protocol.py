@@ -16,6 +16,7 @@ from cvdownload.error_model import (
     amplitude_imbalance,
     dephasing_rate,
     keep_probability,
+    log_imbalance,
     outcome_density,
     p_del_analytic,
     qubit_given_outcome,
@@ -447,8 +448,9 @@ class TestRunDownload:
 def _gate_by_gate_register(params, record):
     """Oracle for a kept-state shot: equivalent circuit, then one forced POVM per site."""
     state = downloaded_state_equivalent(params, record.q)
+    ell = log_imbalance(record.q, params.mixture().r0)
     for site, (kind, _) in enumerate(record.outcomes):
-        state = apply_balancing_povm(state, site, float(record.gamma[site]), force=kind).state
+        state = apply_balancing_povm(state, site, ell[site], force=kind).state
     return state
 
 
@@ -505,9 +507,10 @@ def _per_shot_reference(params, shots, keep_states):
     for child in np.random.SeedSequence(params.seed).spawn(shots):
         rng = np.random.default_rng(child)
         q = sample_outcomes(params, rng)
+        ell = log_imbalance(q, r0)
+        kept = rng.random(n) < keep_probability(ell)
+        codes = 2 * kept + (ell > 0.0)
         gamma = np.asarray(amplitude_imbalance(q, r0), dtype=float)
-        kept = rng.random(n) < keep_probability(gamma)
-        codes = 2 * kept + (gamma > 1.0)
         outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes.tolist()))
         deleted = n - int(np.count_nonzero(kept))
         kept_counts += kept

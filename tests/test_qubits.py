@@ -1,6 +1,7 @@
 """Dense qubit engine: cluster states, gates, POVMs, dephasing, metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,24 @@ class TestStateTypes:
     def test_nan_density_matrix_rejected(self, normalize):
         with pytest.raises(ValueError):
             QubitDensityMatrix(1, np.full((2, 2), np.nan), normalize=normalize)
+
+    def test_nan_in_the_last_hermiticity_block_rejected(self):
+        # n = 10 is checked in blocks of 64 rows; a NaN pair off the diagonal
+        # of the last one leaves the trace finite, so only that block sees it
+        rho = np.eye(2**10, dtype=complex) / 2**10
+        rho[-1, -2] = rho[-2, -1] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QubitDensityMatrix(10, rho)
+
+    def test_density_matrix_temporaries_stay_small(self):
+        rho = np.eye(2**10, dtype=complex) / 2**10
+        tracemalloc.start()
+        try:
+            QubitDensityMatrix(10, rho, normalize=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * rho.nbytes  # the copy plus blocks; was 3x
 
     def test_purity_of_pure_projector(self):
         rho = plus_state(2).density_matrix()
@@ -170,80 +189,89 @@ class TestBalancingPovm:
     def test_keep_probability_gamma_half(self):
         gamma = 0.5
         psi = QubitPureState(1, np.array([1.0, gamma]), normalize=True)
-        res = apply_balancing_povm(psi.density_matrix(), 0, gamma, force="keep")
+        res = apply_balancing_povm(psi.density_matrix(), 0, math.log(gamma), force="keep")
         assert abs(res.probability - 0.4) < 1e-12
         assert fidelity(plus_state(1), res.state) > 1.0 - 1e-12
 
     def test_keep_probability_gamma_two(self):
         gamma = 2.0
         psi = QubitPureState(1, np.array([1.0, gamma]), normalize=True)
-        res = apply_balancing_povm(psi.density_matrix(), 0, gamma, force="keep")
+        res = apply_balancing_povm(psi.density_matrix(), 0, math.log(gamma), force="keep")
         assert abs(res.probability - 2.0 / (1.0 + gamma**2)) < 1e-12
         assert fidelity(plus_state(1), res.state) > 1.0 - 1e-12
 
     def test_gamma_one_always_keeps(self, rng):
         rho = _random_pure(1, rng).density_matrix()
-        res = apply_balancing_povm(rho, 0, 1.0, force="keep")
+        res = apply_balancing_povm(rho, 0, 0.0, force="keep")
         assert res.outcome == "keep"
         assert abs(res.probability - 1.0) < 1e-12
         assert trace_distance(res.state, rho) < 1e-12
         with pytest.raises(ValueError, match="zero-probability outcome 'delete'"):
-            apply_balancing_povm(rho, 0, 1.0, force="delete")
+            apply_balancing_povm(rho, 0, 0.0, force="delete")
 
     def test_outcome_must_be_named(self, rng):
         rho = _random_pure(1, rng).density_matrix()
         with pytest.raises(ValueError, match="force must be 'keep' or 'delete'"):
-            apply_balancing_povm(rho, 0, 0.5, force="erase")
+            apply_balancing_povm(rho, 0, math.log(0.5), force="erase")
 
     def test_keep_branch_preserves_relative_phase(self):
         alpha = 1.234
         gamma = 0.3
         amps = np.array([1.0, gamma * np.exp(1j * alpha)])
         psi = QubitPureState(1, amps, normalize=True)
-        res = apply_balancing_povm(psi.density_matrix(), 0, gamma, force="keep")
+        res = apply_balancing_povm(psi.density_matrix(), 0, math.log(gamma), force="keep")
         target = QubitPureState(1, np.array([1.0, np.exp(1j * alpha)]) / math.sqrt(2.0))
         assert fidelity(target, res.state) > 1.0 - 1e-12
 
     def test_delete_branch_collapses(self):
         gamma = 0.5  # gamma < 1: the delete Kraus projects onto |0>
         psi = QubitPureState(1, np.array([1.0, gamma]), normalize=True)
-        res = apply_balancing_povm(psi.density_matrix(), 0, gamma, force="delete")
+        res = apply_balancing_povm(psi.density_matrix(), 0, math.log(gamma), force="delete")
         assert res.collapsed_bit == 0
         assert fidelity(basis_state(1, 0), res.state) > 1.0 - 1e-12
-        big = apply_balancing_povm(psi.density_matrix(), 0, 2.0, force="delete")
+        big = apply_balancing_povm(psi.density_matrix(), 0, math.log(2.0), force="delete")
         assert big.collapsed_bit == 1
 
     def test_completeness_thousand_gammas(self, rng):
         gammas = rng.uniform(0.01, 5.0, size=1000)
         for gamma in gammas:
-            keep, delete, _ = balancing_povm_diagonals(float(gamma))
+            keep, delete, _ = balancing_povm_diagonals(math.log(gamma))
             total = np.abs(keep) ** 2 + np.abs(delete) ** 2
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_outcome_probabilities_sum_to_one(self, rng):
         rho = _random_pure(2, rng).density_matrix()
-        p_keep = apply_balancing_povm(rho, 1, 0.7, force="keep").probability
-        p_del = apply_balancing_povm(rho, 1, 0.7, force="delete").probability
+        p_keep = apply_balancing_povm(rho, 1, math.log(0.7), force="keep").probability
+        p_del = apply_balancing_povm(rho, 1, math.log(0.7), force="delete").probability
         assert abs(p_keep + p_del - 1.0) < 1e-12
 
     def test_invalid_gamma(self):
-        rho = plus_state(1).density_matrix()
-        with pytest.raises(ValueError):
-            apply_balancing_povm(rho, 0, 0.0, force="keep")
-        with pytest.raises(ValueError):
-            apply_balancing_povm(rho, 0, -1.0, force="keep")
+        # only NaN is refused; l = -inf / +inf (gamma = 0 / inf) collapses
+        # exactly onto |0> / |1>
+        rho = QubitPureState(1, np.array([0.6, 0.8])).density_matrix()
+        with pytest.raises(ValueError, match="NaN"):
+            apply_balancing_povm(rho, 0, math.nan, force="keep")
+        for ell, bit in ((-math.inf, 0), (math.inf, 1)):
+            keep, delete, deleted_bit = balancing_povm_diagonals(ell)
+            assert deleted_bit == bit
+            assert keep.tolist() == [float(bit), float(1 - bit)]
+            assert delete.tolist() == [float(1 - bit), float(bit)]
+            res = apply_balancing_povm(rho, 0, ell, force="delete")
+            assert res.collapsed_bit == bit
+            assert res.probability == rho.rho[bit, bit].real
+            assert np.array_equal(res.state.rho, basis_state(1, bit).density_matrix().rho)
 
     def test_commutes_with_dephasing(self, rng):
         # Both channels are diagonal in Z, so order cannot matter.
         for _ in range(20):
             rho = _random_pure(2, rng).density_matrix()
-            gamma = float(rng.uniform(0.2, 3.0))
+            ell = math.log(rng.uniform(0.2, 3.0))
             p_phi = float(rng.uniform(0.0, 0.5))
-            first = apply_balancing_povm(apply_dephasing(rho, 0, p_phi), 0, gamma, force="keep")
+            first = apply_balancing_povm(apply_dephasing(rho, 0, p_phi), 0, ell, force="keep")
             second = apply_dephasing(
-                apply_balancing_povm(rho, 0, gamma, force="keep").state, 0, p_phi
+                apply_balancing_povm(rho, 0, ell, force="keep").state, 0, p_phi
             )
-            assert abs(first.probability - apply_balancing_povm(rho, 0, gamma, force="keep").probability) < 1e-12
+            assert abs(first.probability - apply_balancing_povm(rho, 0, ell, force="keep").probability) < 1e-12
             assert trace_distance(first.state, second) < 1e-12
 
 
