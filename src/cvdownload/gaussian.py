@@ -55,6 +55,7 @@ __all__ = [
 # at most float_max / pi, and the imbalance exponent, about
 # pi / (2 exp(2 r0)), at most float_max / 2.
 R0_LIMIT = 0.5 * math.log(sys.float_info.max / math.pi)
+_SYMMETRY_BLOCK = 1 << 14  # entries per pass of the symmetry check
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,11 @@ class GaussianState:
         cov = np.array(cov, dtype=float)
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"expected a {2 * n}x{2 * n} covariance, got {cov.shape}")
-        dev = float(np.abs(cov - cov.T).max())
-        if not dev <= 1e-12:  # NaN fails too
-            raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
+        step = max(1, _SYMMETRY_BLOCK // (2 * n))  # row blocks: small temporaries
+        for s in range(0, 2 * n, step):
+            dev = float(np.abs(cov[s : s + step] - cov[:, s : s + step].T).max())
+            if not dev <= 1e-12:  # NaN fails too
+                raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
         self.n = n
         self.cov = cov
 
@@ -140,24 +143,35 @@ def mode_diag_state(q_vars, p_vars) -> GaussianState:
 # channels
 # ---------------------------------------------------------------------------
 
-def _congruence(s: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``S V S^T`` made exactly symmetric: the product's round-off is not,
-    and it grows with the covariance scale."""
-    m = s @ cov @ s.T
-    return 0.5 * (m + m.T)
+def _blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The q-q, q-p and p-p blocks of the covariance (views)."""
+    n, cov = state.n, state.cov
+    return cov[:n, :n], cov[:n, n:], cov[n:, n:]
+
+
+def _from_blocks(qq: np.ndarray, qp: np.ndarray, pp: np.ndarray) -> GaussianState:
+    """The state with blocks ``qq``, ``qp``, ``qp^T`` and ``pp``, made exactly
+    symmetric: a product's round-off is not, and it grows with the
+    covariance scale."""
+    qq, pp = 0.5 * (qq + qq.T), 0.5 * (pp + pp.T)
+    return GaussianState(len(qq), np.block([[qq, qp], [qp.T, pp]]))
 
 
 def apply_cphase(state: GaussianState, graph: Graph, strength: float = 1.0) -> GaussianState:
     """CPHASE network ``exp(i g q_i q_j)`` on every edge, uniform strength ``g``.
 
-    Symplectically ``(q, p) -> (q, p + g A q)``, i.e. ``S = [[I, 0], [g A, I]]``.
+    Symplectically ``(q, p) -> (q, p + g A q)``, i.e. ``S = [[I, 0], [G, I]]``
+    with ``G = g A``.  On the blocks of ``S V S^T``: ``V_qq`` is unchanged,
+    ``V_qp + V_qq G`` and ``V_pp + G V_qq G + G V_qp + (G V_qp)^T``, the last
+    formed as ``V_pp + (H + H^T)`` with ``H = G (V_qp + V_qq G / 2)``.
     """
     if graph.n != state.n:
         raise ValueError(f"graph has {graph.n} vertices but state has {state.n} modes")
-    n = state.n
-    s = np.eye(2 * n)
-    s[n:, :n] = strength * adjacency_matrix(graph)
-    return GaussianState(n, _congruence(s, state.cov))
+    g = strength * adjacency_matrix(graph)
+    qq, qp, pp = _blocks(state)
+    qq_g = qq @ g
+    h = g @ (qp + 0.5 * qq_g)
+    return _from_blocks(qq, qp + qq_g, pp + (h + h.T))
 
 
 def apply_loss(state: GaussianState, eps: float) -> GaussianState:
@@ -189,7 +203,8 @@ def apply_detector_noise(state: GaussianState, eps2: float) -> GaussianState:
 
 
 def apply_orthogonal(state: GaussianState, o: np.ndarray) -> GaussianState:
-    """Passive network acting as the same orthogonal ``O`` on q and p blocks."""
+    """Passive network acting as the same orthogonal ``O`` on q and p blocks:
+    each block ``X`` of the covariance becomes ``O X O^T``."""
     o = np.asarray(o, dtype=float)
     n = state.n
     if o.shape != (n, n):
@@ -197,10 +212,7 @@ def apply_orthogonal(state: GaussianState, o: np.ndarray) -> GaussianState:
     dev = float(np.abs(o @ o.T - np.eye(n)).max())
     if dev > 1e-10:
         raise ValueError(f"matrix is not orthogonal (deviation {dev:.3e})")
-    u = np.zeros((2 * n, 2 * n))
-    u[:n, :n] = o
-    u[n:, n:] = o
-    return GaussianState(n, _congruence(u, state.cov))
+    return _from_blocks(*(o @ block @ o.T for block in _blocks(state)))
 
 
 # ---------------------------------------------------------------------------

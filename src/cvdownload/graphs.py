@@ -5,7 +5,8 @@ edges give the CPHASE pattern of the continuous-variable cluster state,
 the CZ pattern of the downloaded qubit cluster state, and the corrective
 phase shifts applied after quadrature measurement.  The decorrelation
 planner additionally consumes the eigendecomposition of A^2, where A is
-the 0/1 adjacency matrix.
+the 0/1 adjacency matrix; on a grid it takes the closed-form spectra of
+the grid's two path factors instead.
 """
 
 from __future__ import annotations
@@ -174,21 +175,22 @@ def make_graph(kind: str, **params) -> Graph:
     return build(**params)
 
 
+def _edge_array(graph: Graph) -> np.ndarray:
+    """The edges as an ``(m, 2)`` integer array, one ``(i, j)`` row per edge."""
+    return np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+
+
 def adjacency_matrix(graph: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix as float64."""
     a = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+    i, j = _edge_array(graph).T
+    a[i, j] = 1.0
+    a[j, i] = 1.0
     return a
 
 
 def degrees(graph: Graph) -> np.ndarray:
-    d = np.zeros(graph.n, dtype=int)
-    for i, j in graph.edges:
-        d[i] += 1
-        d[j] += 1
-    return d
+    return np.bincount(_edge_array(graph).ravel(), minlength=graph.n)
 
 
 def max_degree(graph: Graph) -> int:
@@ -241,6 +243,47 @@ def a_squared_spectrum(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     o = vecs[:, order]
     o *= np.where(o[dominant[order], np.arange(graph.n)] < 0.0, -1.0, 1.0)
     return d, o
+
+
+def _grid_shape(graph: Graph) -> tuple[int, int] | None:
+    """``(rows, cols)``, both at least 2, where ``graph`` has exactly the edges
+    of ``grid2d_graph(rows, cols)``; None otherwise.
+
+    Only the shapes whose edge count ``2 n - rows - cols`` matches are built
+    and compared, so a grid given as a relabelled edge list is no grid here.
+    """
+    n, count = graph.n, len(graph.edges)
+    for rows in range(2, n // 2 + 1):
+        cols, rest = divmod(n, rows)
+        if rest or cols < 2 or 2 * n - rows - cols != count:
+            continue
+        v = np.arange(n).reshape(rows, cols)
+        pairs = [(v[:, :-1], v[:, 1:]), (v[:-1], v[1:])]  # right, then down
+        grid = np.concatenate([np.stack([i.ravel(), j.ravel()], axis=1) for i, j in pairs])
+        if np.array_equal(_edge_array(graph), grid[np.lexsort(grid.T[::-1])]):
+            return rows, cols
+    return None
+
+
+def _path_spectrum(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigendecomposition ``A = O diag(lam) O^T`` of the path on
+    ``m`` vertices.
+
+    ``lam[k - 1] = 2 cos(pi k / (m + 1))`` and ``O[j - 1, k - 1] =
+    sqrt(2 / (m + 1)) sin(pi j k / (m + 1))`` for ``j, k = 1 .. m``; each
+    sine's argument is reduced modulo ``2 pi`` in integers first.  ``lam`` is
+    descending and antisymmetric bit for bit, ``lam[m - 1 - k] = -lam[k]``
+    (the middle one of an odd ``m`` is exactly 0), so on a grid
+    ``(lam_r[0] + lam_c[0])^2`` is exactly the largest eigenvalue of ``A^2``.
+    """
+    k = np.arange(1, m + 1)
+    lam = 2.0 * np.cos(np.pi * k / (m + 1))
+    half = m // 2
+    lam[m - half :] = -lam[:half][::-1]
+    if m % 2:
+        lam[half] = 0.0
+    phase = np.outer(k, k) % (2 * (m + 1))
+    return lam, math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * phase / (m + 1))
 
 
 def neighbor_phase(graph: Graph, q: np.ndarray) -> np.ndarray:

@@ -122,9 +122,12 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
         psi = squeezed_vacuum_psi(grid, r0)
 
     # the real mode amplitude, scaled so that each of the 2^m bitstring
-    # planes carries mass 2^-m, is written into every plane
-    mode_amps = psi if modes == 1 else np.multiply.outer(psi, psi)
-    mass = _abs2(mode_amps) * dq**modes
+    # planes carries mass 2^-m, is written into every plane; one mode's mass
+    # is checked before the cells^2 product of two is built
+    mode_amps, mass = psi, _abs2(psi) * dq
+    if modes == 2 and 0.0 < mass < math.inf:
+        mode_amps = np.multiply.outer(psi, psi)
+        mass = _abs2(mode_amps) * dq**2
     if not 0.0 < mass < math.inf:
         raise ValueError(f"r0 = {r0!r} puts mass {mass!r} on the grid, not a positive finite"
                          f" one: the squeezed vacuum is narrower than its cells of {dq:.3g}")

@@ -30,7 +30,10 @@ each eigenmode of ``A^2`` (eigenvalue ``D_i``, shortfall
                + (1 - eps1)^2).
 
 The principal mode (``Delta = 0``) needs exactly ``(r', 0)``: the full
-hardware squeezing, no added thermal noise.  ``verify_plan`` replays the
+hardware squeezing, no added thermal noise.  Index 0 of every plan is a
+principal mode.  The spectrum ``D`` is sorted descending only on the
+general path; a grid graph is planned from its two path factors and keeps
+their Kronecker order.  ``verify_plan`` replays the
 whole pipeline forward through the Gaussian channel engine and reports
 the worst covariance residual against the ideal target.
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +66,7 @@ from .gaussian import (
     mode_diag_state,
     thermal_cvcs,
 )
-from .graphs import Graph, a_squared_spectrum, max_degree
+from .graphs import Graph, _grid_shape, _path_spectrum, a_squared_spectrum, max_degree
 
 __all__ = [
     "NoiseParams",
@@ -127,11 +131,15 @@ class DecorrelationPlan:
     """Complete hardware recipe plus diagnostics.
 
     ``mode_squeezing[k]`` / ``mode_thermal[k]`` prepare the mode that the
-    orthogonal network maps onto eigenvector ``k`` of ``A^2`` (columns of
-    ``orthogonal``, principal first).  ``network`` realizes that
-    orthogonal as at most ``n (n - 1) / 2`` two-mode rotations followed
-    by per-mode sign flips (see :func:`compose_network`); it is one array
-    of :data:`NETWORK_DTYPE`, with fields ``i``, ``j`` and ``angle``.
+    orthogonal network maps onto eigenvector ``k`` of ``A^2`` (column ``k``
+    of ``orthogonal``, eigenvalue ``eig_a2[k]``).  Index 0 is a principal
+    mode, ``eig_a2[0] = max(eig_a2)``.  ``eig_a2`` is sorted descending only
+    on the general path; a grid keeps the Kronecker order of its two path
+    factors (see :func:`plan`).  ``network`` realizes that orthogonal as
+    two-mode rotations followed by per-mode sign flips (see
+    :func:`compose_network`): at most ``n (n - 1) / 2`` of them, and on a
+    grid ``grid2d:r x c`` exactly ``n (r + c - 2) / 2``.  It is one array of
+    :data:`NETWORK_DTYPE`, with fields ``i``, ``j`` and ``angle``.
 
     :func:`plan` always sets ``physical=True, violated=None``; only a
     hand-built recipe can be unphysical, and :func:`verify_plan` refuses it.
@@ -165,15 +173,20 @@ class DecorrelationPlan:
 def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     """Solve the decorrelation problem for ``graph`` under ``noise``.
 
+    A grid takes its eigenbasis ``O_r (x) O_c`` and its network from its two
+    path factors (:func:`_spectrum`, :func:`_kron_network`), with no n x n
+    eigendecomposition or synthesis; any other graph takes
+    :func:`graphs.a_squared_spectrum` and one n x n synthesis.
+
     Refused with a ``ValueError`` where ``(1 - eps1) e^{2 r'} / 2``
     underflows or ``B2`` or ``g'`` overflows, so every plan is finite.
     """
-    d_vals, o = a_squared_spectrum(graph)
+    d_vals, factors = _spectrum(graph)
     eps1, r_prime = noise.eps1, noise.r_prime
     c1, c2 = noise.c1, noise.c2
     one = 1.0 - eps1
     e2rp = math.exp(2.0 * r_prime)
-    d_max = float(d_vals[0])
+    d_max = float(d_vals.max())
 
     k = 0.5 * one * e2rp  # B1 - C1, formed directly: b1 - c1 loses digits
     if k == 0.0:
@@ -203,12 +216,12 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     if c1 == 0.0:
         # Noiseless channel: every mode gets the identical preparation
         # (s = 1 above), so the passive network is reported as trivial.
-        o = np.eye(graph.n)
+        factors = tuple(np.eye(len(f)) for f in factors)
 
     r_eff = 0.25 * (math.log(b1) - math.log(b2))
     # B1 B2 >= 1/4 exactly; the clamp absorbs round-off at large |r'|
     nbar_eff = max(math.sqrt(b1) * math.sqrt(b2) - 0.5, 0.0)
-    network, signs = givens_network(o)
+    network, signs = _kron_network(factors)
 
     return DecorrelationPlan(
         c1=c1,
@@ -217,7 +230,7 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
         b2=b2,
         g_prime=g_prime,
         eig_a2=d_vals,
-        orthogonal=o,
+        orthogonal=reduce(np.kron, factors),
         mode_squeezing=mode_squeezing,
         mode_thermal=mode_thermal,
         r_eff=r_eff,
@@ -227,6 +240,23 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
         network=network,
         sign_layer=signs,
     )
+
+
+def _spectrum(graph: Graph) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``(D, factors)`` with ``A^2 = O diag(D) O^T`` for ``O = kron(*factors)``.
+
+    A grid (its edges exactly those of ``grid2d_graph(r, c)``, ``r, c >= 2``)
+    has ``A = A_r (x) I + I (x) A_c``, so the closed-form path bases
+    ``(O_r, O_c)`` diagonalise A and A^2, with ``D = (lam_r + lam_c)^2`` in
+    Kronecker order; index 0 holds ``max(D)`` exactly.  Every other graph has
+    the one factor of :func:`graphs.a_squared_spectrum`, with D sorted.
+    """
+    shape = _grid_shape(graph)
+    if shape is None:
+        d_vals, o = a_squared_spectrum(graph)
+        return d_vals, (o,)
+    (lam_r, o_r), (lam_c, o_c) = map(_path_spectrum, shape)
+    return np.square(np.add.outer(lam_r, lam_c)).ravel(), (o_r, o_c)
 
 
 class LinearizedPlan(NamedTuple):
@@ -265,8 +295,7 @@ def linearized_plan(
     if use_degree_bound:
         d = float(max_degree(graph)) ** 2
     else:
-        d_vals, _ = a_squared_spectrum(graph)
-        d = float(d_vals[0])
+        d = float(_spectrum(graph)[0].max())
     limit = 0.25 * math.log(sys.float_info.max / (2.0 * (1.0 + d)))
     if noise.r_prime > limit:
         raise ValueError(
@@ -370,6 +399,34 @@ def compose_network(n: int, network: np.ndarray, signs: np.ndarray) -> np.ndarra
         c, s = math.cos(angle), math.sin(angle)
         out[[i, j]] = np.array([[c, -s], [s, c]]) @ out[[i, j]]
     return out
+
+
+def _kron_network(factors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A network and sign layer for ``kron(*factors)``, from the factors' own.
+
+    With modes in row-major Kronecker order, ``kron(O_1, O_2)`` is
+    ``(O_1 (x) I)(I (x) O_2)``: each rotation of :func:`givens_network`
+    (``O_f``) is copied onto every line of modes along axis ``f``.  The
+    copies act on disjoint modes, rotations of different factors commute,
+    and each factor's sign flips commute with the other factors' rotations,
+    so the sign layer is the Kronecker product of the factors' sign layers.
+    Dense factors of sizes ``m_f`` give ``sum_f n (m_f - 1) / 2`` rotations.
+    One factor gives its :func:`givens_network` unchanged.
+    """
+    dims = [len(f) for f in factors]
+    modes = np.arange(math.prod(dims)).reshape(dims)
+    steps, signs = [], np.ones(1)
+    for axis, factor in enumerate(factors):
+        network, factor_signs = givens_network(factor)
+        lines = np.take(modes, 0, axis=axis).ravel()
+        stride = math.prod(dims[axis + 1 :])
+        copies = np.empty((len(network), len(lines)), NETWORK_DTYPE)
+        copies["i"] = lines + stride * network["i"][:, None]
+        copies["j"] = lines + stride * network["j"][:, None]
+        copies["angle"] = network["angle"][:, None]
+        steps.append(copies.ravel())
+        signs = np.kron(signs, factor_signs)
+    return np.concatenate(steps), signs
 
 
 def givens_network(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,13 @@ from cvdownload.gaussian import (
 from cvdownload.graphs import Graph, adjacency_matrix, complete_graph, path_graph, random_graph
 
 
+def _congruence(s, cov):
+    """``S V S^T`` made exactly symmetric: the dense oracle of the block-form
+    channels."""
+    m = s @ cov @ s.T
+    return 0.5 * (m + m.T)
+
+
 def _closed_form_cvcs(graph, b1, b2):
     """Hand assembly of the unit-strength CPHASE output covariance."""
     a = adjacency_matrix(graph)
@@ -81,6 +88,16 @@ class TestPreparation:
         bad[0, 1] = 1e-3
         with pytest.raises(ValueError):
             GaussianState(1, bad)
+
+    @pytest.mark.parametrize("n", [1, 40, 144])
+    def test_asymmetry_in_last_row_block_rejected(self, n):
+        # the check runs in row blocks; both rows of this pair lie in the last
+        bad = np.eye(2 * n)
+        bad[-1, -2] = 1e-9
+        with pytest.raises(ValueError, match=r"^covariance is not symmetric \(deviation 1\.000e-09\)$"):
+            GaussianState(n, bad)
+        bad[-1, -2] = 1e-12  # within the tolerance
+        GaussianState(n, bad)
 
     def test_nan_covariance_rejected(self):
         with pytest.raises(ValueError):
@@ -142,6 +159,44 @@ class TestCphase:
                 apply_cphase(st, random_graph(n, 0.6, rng), float(rng.uniform(0.5, 2.0))),
             ):
                 assert np.array_equal(out.cov, out.cov.T)
+
+
+def _random_state(n, scale, rng):
+    """A physical state with dense, unequal blocks: squeezed-thermal modes
+    through a random passive network and a random CPHASE, dense S V S^T."""
+    v = np.diag(np.concatenate([scale * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)]))
+    u = np.zeros((2 * n, 2 * n))
+    u[:n, :n] = u[n:, n:] = random_orthogonal(n, rng)
+    s = np.eye(2 * n)
+    s[n:, :n] = rng.uniform(0.5, 2.0) * adjacency_matrix(random_graph(n, 0.6, rng))
+    return GaussianState(n, _congruence(s, _congruence(u, v)))
+
+
+class TestBlockChannels:
+    """The block-form channels against the dense congruence ``S V S^T``."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e30])
+    def test_match_dense_congruence(self, scale, rng):
+        for n in (1, 2, 5, 9, 16):
+            st = _random_state(n, scale, rng)
+            o = random_orthogonal(n, rng)
+            u = np.zeros((2 * n, 2 * n))
+            u[:n, :n] = u[n:, n:] = o
+            graph = random_graph(n, 0.6, rng)
+            g = float(rng.uniform(0.5, 3.0))
+            s = np.eye(2 * n)
+            s[n:, :n] = g * adjacency_matrix(graph)
+            for got, want in (
+                (apply_orthogonal(st, o).cov, _congruence(u, st.cov)),
+                (apply_cphase(st, graph, g).cov, _congruence(s, st.cov)),
+            ):
+                assert np.array_equal(got, got.T)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+    def test_cphase_keeps_qq_block(self, rng):
+        st = _random_state(6, 1.0, rng)
+        out = apply_cphase(st, random_graph(6, 0.6, rng), 1.7)
+        assert np.array_equal(out.cov[:6, :6], st.cov[:6, :6])
 
 
 class TestChannels:

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from conftest import small_graphs
 from cvdownload.graphs import (
     Graph,
+    _grid_shape,
+    _path_spectrum,
     a_squared_spectrum,
     adjacency_matrix,
     complete_graph,
@@ -132,6 +134,20 @@ class TestAdjacency:
         assert max_degree(star_graph(5)) == 4
         assert max_degree(path_graph(1)) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graphs(n_max=12))
+    def test_vectorised_forms_match_edge_loop(self, graph):
+        for g in (graph, Graph(1)):
+            a = np.zeros((g.n, g.n))
+            d = np.zeros(g.n, dtype=int)
+            for i, j in g.edges:
+                a[i, j] = a[j, i] = 1.0
+                d[i] += 1
+                d[j] += 1
+            got_a, got_d = adjacency_matrix(g), degrees(g)
+            assert got_a.dtype == a.dtype and np.array_equal(got_a, a)
+            assert got_d.dtype == d.dtype and np.array_equal(got_d, d)
+
     def test_neighbor_phase_path(self):
         phi = neighbor_phase(path_graph(3), np.array([1.0, 0.0, 0.0]))
         assert np.allclose(phi, [0.0, SQRT_PI, 0.0])
@@ -224,6 +240,39 @@ class TestSpectrum:
         d2, o2 = a_squared_spectrum(path_graph(3))
         assert np.array_equal(d1, d2)
         assert np.array_equal(o1, o2)
+
+
+class TestGridFactors:
+    """A grid is detected by its edges and diagonalised by its path factors."""
+
+    def test_grid_shape_of_every_small_grid(self):
+        for rows in range(1, 9):
+            for cols in range(1, 9):
+                want = (rows, cols) if rows >= 2 and cols >= 2 else None
+                assert _grid_shape(grid2d_graph(rows, cols)) == want
+
+    def test_relabelled_and_near_grids_are_not_grids(self, rng):
+        grid = grid2d_graph(4, 6)
+        perm = rng.permutation(grid.n)
+        relabelled = Graph(grid.n, tuple((perm[i], perm[j]) for i, j in grid.edges))
+        assert relabelled.edges != grid.edges and _grid_shape(relabelled) is None
+        # same edge count, one edge moved
+        moved = Graph(grid.n, grid.edges[1:] + ((0, grid.n - 1),))
+        assert _grid_shape(moved) is None
+        for g in (cycle_graph(4), path_graph(6), complete_graph(4), Graph(4, ())):
+            assert _grid_shape(g) is None
+        # cycle:4 equals grid2d:2x2 only under another labelling
+        assert _grid_shape(Graph(4, ((0, 1), (0, 2), (1, 3), (2, 3)))) == (2, 2)
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_path_spectrum_closed_form(self, m):
+        lam, o = _path_spectrum(m)
+        a = adjacency_matrix(path_graph(m))
+        assert np.max(np.abs(o @ o.T - np.eye(m))) <= 1e-14
+        assert np.max(np.abs(o.T @ a @ o - np.diag(lam))) <= 1e-14
+        assert np.array_equal(lam, -lam[::-1])
+        assert np.all(np.diff(lam) < 0.0)
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(a)[::-1])) <= 1e-14
 
 
 def _a2_reach(graph):

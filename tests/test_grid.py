@@ -146,6 +146,7 @@ class TestInitialization:
         (708.0, 1, 16), (710.0, 1, 16), (math.inf, 1, 16), (math.nan, 1, 16),
         (-400.0, 1, 16), (-math.inf, 1, 16),  # beyond +-R0_LIMIT
         (-30.0, 1, 16), (-30.0, 1, 64),  # narrower than a cell: no mass on the grid
+        (-10.0, 2, 64),  # one mode's mass is 0 before the cells^2 product is built
     ])
     def test_refuses_above_the_dense_budget_before_allocating(self, r0, modes, k):
         if not abs(r0) <= R0_LIMIT:

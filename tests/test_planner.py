@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthogonal, small_graphs
+from cvdownload import graphs, planner
 from cvdownload.gaussian import (
     SqueezedThermalParams,
     mode_diag_state,
@@ -21,7 +22,9 @@ from cvdownload.gaussian import (
 )
 from cvdownload.graphs import (
     Graph,
+    _grid_shape,
     a_squared_spectrum,
+    adjacency_matrix,
     complete_graph,
     cycle_graph,
     grid2d_graph,
@@ -32,6 +35,7 @@ from cvdownload.graphs import (
 from cvdownload.planner import (
     NETWORK_DTYPE,
     R_PRIME_LIMIT,
+    VERIFY_TOL,
     NoiseParams,
     compose_network,
     givens_network,
@@ -570,13 +574,13 @@ class TestGivensNetwork:
 
     @pytest.mark.parametrize("rows, cols", [(8, 8), (10, 10), (12, 12), (9, 16), (20, 20)])
     def test_grid_rotation_ceiling(self, rows, cols):
-        # A^2 splits into the two colour classes, so the network never
-        # eliminates across them: at most n^2 / 4 + n rotations
+        # one path network per row and one per column: n (r + c - 2) / 2
+        # rotations, below the n^2 / 4 + n of the block-diagonal general path
         n = rows * cols
         p = plan(grid2d_graph(rows, cols), NoiseParams(0.02, 0.01, 1.0))
-        assert len(p.network) <= n * n / 4 + n
+        assert len(p.network) == n * (rows + cols - 2) // 2 <= n * n / 4 + n
         if (rows, cols) == (12, 12):  # the rotation count the benchmark reads
-            assert len(p.network) == 5020
+            assert len(p.network) == 1584
 
     def test_balanced_bipartite_rotation_ceiling(self, rng):
         for _ in range(10):
@@ -599,6 +603,73 @@ class TestGivensNetwork:
         assert p.network["angle"].dtype == np.float64
         recomposed = compose_network(g.n, p.network, p.sign_layer)
         assert np.max(np.abs(recomposed - p.orthogonal)) < 1e-9
+
+
+def _relabelled(graph, rng):
+    """``graph`` under a random relabelling that takes it off the grid path."""
+    while True:
+        perm = rng.permutation(graph.n)
+        other = Graph(graph.n, tuple((perm[i], perm[j]) for i, j in graph.edges))
+        if _grid_shape(other) is None:
+            return other
+
+
+class TestGridPlans:
+    """Grids are planned from their two path factors; the general path on a
+    relabelled copy of the same grid is the oracle."""
+
+    def test_every_grid_up_to_12x12(self, rng):
+        for rows in range(2, 13):
+            for cols in range(2, 13):
+                g, n = grid2d_graph(rows, cols), rows * cols
+                noise = _random_noise(rng)
+                p = plan(g, noise)
+                assert len(p.network) == n * (rows + cols - 2) // 2
+                recomposed = compose_network(n, p.network, p.sign_layer)
+                assert np.max(np.abs(recomposed - p.orthogonal)) <= 1e-12
+                a = adjacency_matrix(g)
+                a2_diag = p.orthogonal.T @ (a @ a) @ p.orthogonal
+                assert np.max(np.abs(a2_diag - np.diag(p.eig_a2))) <= 1e-12 * p.eig_a2[0]
+                assert p.eig_a2[0] == p.eig_a2.max()
+                general = plan(_relabelled(g, rng), noise)
+                d_sorted = np.sort(p.eig_a2)[::-1]
+                assert np.max(np.abs(d_sorted - general.eig_a2)) <= 1e-12 * general.eig_a2[0]
+                for field in ("g_prime", "r_eff", "nbar_eff"):
+                    want = getattr(general, field)
+                    assert abs(getattr(p, field) - want) <= 1e-12 * abs(want)
+                target = thermal_cvcs(g, SqueezedThermalParams(p.r_eff, p.nbar_eff)).cov
+                assert verify_plan(p, g, noise) <= 1e-12 * np.abs(target).max()
+
+    def test_no_dense_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid plan ran a dense eigendecomposition")
+
+        monkeypatch.setattr(graphs, "a_squared_spectrum", refuse)
+        monkeypatch.setattr(planner, "a_squared_spectrum", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        g, noise = grid2d_graph(20, 20), NoiseParams(0.02, 0.01, 1.0)
+        p = plan(g, noise)
+        assert len(p.network) == 400 * 38 // 2
+        assert verify_plan(p, g, noise) < VERIFY_TOL
+        assert all(math.isfinite(v) for v in linearized_plan(g, noise))
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 5), (8, 8), (12, 7), (30, 30)])
+    def test_linearized_matches_spectrum(self, rows, cols, rng):
+        g = grid2d_graph(rows, cols)
+        noise = NoiseParams(0.02, 0.01, 1.0)
+        d_max = float(a_squared_spectrum(g)[0][0])
+        assert abs(plan(g, noise).eig_a2[0] - d_max) <= 1e-12 * d_max
+        got = linearized_plan(g, noise)
+        want = linearized_plan(_relabelled(g, rng), noise)
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-12 * abs(y)
+
+    def test_noiseless_grid_network_is_trivial(self):
+        g = grid2d_graph(3, 4)
+        p = plan(g, NoiseParams(0.0, 0.0, 1.0))
+        assert len(p.network) == 0 and np.array_equal(p.sign_layer, np.ones(12))
+        assert np.array_equal(p.orthogonal, np.eye(12))
+        assert verify_plan(p, g, NoiseParams(0.0, 0.0, 1.0)) < 1e-12
 
 
 class TestPlanSerialization:
