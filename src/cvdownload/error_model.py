@@ -98,8 +98,13 @@ def keep_probability(log_gamma):
     """Keep probability of the balancing POVM, ``2 e / (1 + e)`` with
     ``e = exp(-2 |l|)``: exactly 1 at ``l = 0`` and 0 at ``l = +-inf``.
     """
-    e = np.square(np.exp(-np.abs(log_gamma)))  # exp(-|l|)^2: -2 |l| could overflow
-    return 2.0 * e / (1.0 + e)
+    # |l| clamped at 400, where e is exactly 0 as at +-inf, so -2 |l| cannot
+    # overflow; the rounding error of s = 1 + e corrects the quotient
+    e = np.exp(-2.0 * np.minimum(np.abs(log_gamma), 400.0))
+    s = 1.0 + e
+    err = (1.0 - s) + e
+    q = 2.0 * e / s
+    return q - q * (err / s)
 
 
 def qubit_given_outcome(q: float, r0: float) -> QubitPureState:

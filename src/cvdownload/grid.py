@@ -200,18 +200,24 @@ def measure_q_grid(
 
     The state is left unchanged, so each call is an independent draw from
     the same pre-measurement state.  The joint outcome is sampled from
-    ``|amps|^2`` summed over qubit components; the qubit register is the
-    amplitudes at that grid point, renormalized.
+    ``|amps|^2`` summed over qubit components, in one read of the state:
+    one uniform picks a slab of the first mode's grid by the slabs'
+    cumulative masses, then a cell within it, offset by the earlier slabs'
+    mass.  The qubit register is the amplitudes at that grid point,
+    renormalized.
     """
-    cdf = _abs2(state.amps, per_cell=True).reshape(-1)
-    total = cdf.sum()
-    if total <= 0.0:
+    planes = state.amps.reshape(len(state.amps), state.cells, -1).view(float)
+    slabs = sum(np.einsum("ij,ij->i", p, p) for p in planes)
+    slab_cdf = np.cumsum(slabs)
+    if not slab_cdf[-1] > 0.0:
         raise ValueError("state has no probability mass")
-    cdf /= total
-    np.cumsum(cdf, out=cdf)
-    flat_index = int(np.searchsorted(cdf, rng.random(), side="right"))
-    flat_index = min(flat_index, len(cdf) - 1)
-    indices = np.unravel_index(flat_index, state.amps.shape[1:])
+    target = rng.random() * slab_cdf[-1]
+    slab = min(int(np.searchsorted(slab_cdf, target, side="right")), len(slabs) - 1)
+    cell_cdf = np.cumsum(_abs2(state.amps[:, slab], per_cell=True).reshape(-1))
+    if slab > 0:
+        cell_cdf += slab_cdf[slab - 1]
+    cell = min(int(np.searchsorted(cell_cdf, target, side="right")), len(cell_cdf) - 1)
+    indices = (slab, *np.unravel_index(cell, state.amps.shape[2:]))
     q_values = state.grid[np.array(indices)]
     qubit = QubitPureState(state.modes, state.amps[(slice(None), *indices)], normalize=True)
     return q_values, qubit

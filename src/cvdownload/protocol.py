@@ -223,7 +223,7 @@ def register_from_outcomes(
     kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
     factors = [kept if kind == "keep" else _BASIS_PROJECTORS[bit] for kind, bit in outcomes]
     rho = _tensor_product(factors, np.ones((1, 1)))
-    rho = rho * phases[:, None]
+    rho *= phases[:, None]  # fresh and real: checked at half the bytes, then copied once
     rho *= phases
     return QubitDensityMatrix(graph.n, rho)
 

@@ -57,7 +57,7 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 12
 
 _NORM_TOL = 1e-12
-_HERMITIAN_BLOCK = 1 << 16  # entries per pass of the Hermiticity check
+_HERMITIAN_TILE = 128  # side of the square tiles of the Hermiticity check
 
 
 def _check_dense_size(n: int) -> None:
@@ -121,15 +121,23 @@ class QubitDensityMatrix:
     __slots__ = ("n", "rho")
 
     def __init__(self, n: int, rho, *, normalize: bool = False):
-        rho = np.array(rho, dtype=complex)
+        rho = np.asarray(rho)
+        if rho.dtype not in (np.float64, np.complex128):
+            rho = rho.astype(complex)
         dim = 2**n
         if rho.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {rho.shape}")
-        step = max(1, _HERMITIAN_BLOCK // dim)  # row blocks: small temporaries
-        for s in range(0, dim, step):
-            herm_dev = float(np.abs(rho[s : s + step] - rho[:, s : s + step].conj().T).max())
-            if not herm_dev <= 1e-12:  # NaN fails too
-                raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
+        # checked on the input's own dtype (a real register at half the
+        # bytes), in tile pairs (I, J >= I) small enough that the transposed
+        # read of a power-of-two stride stays in cache
+        t = _HERMITIAN_TILE
+        for i in range(0, dim, t):
+            for j in range(i, dim, t):
+                tile = rho[i : i + t, j : j + t] - rho[j : j + t, i : i + t].conj().T
+                herm_dev = float(np.abs(tile).max())
+                if not herm_dev <= 1e-12:  # NaN fails too
+                    raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
+        rho = np.array(rho, dtype=complex)  # always a fresh copy: never the caller's array
         tr = float(rho.trace().real)
         if normalize:
             if not tr > 0.0:

@@ -180,6 +180,7 @@ class TestFloatRange:
     @settings(max_examples=300, deadline=None)
     @given(_EVERY_LOG_GAMMA)
     @_with_edges
+    @example(1.3759730461734805)  # 2.011 ulp off with exp(-|l|)^2
     def test_keep_probability_within_two_ulp(self, ell):
         got = float(keep_probability(ell))
         ref = _keep_probability_reference(ell)

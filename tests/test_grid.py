@@ -357,7 +357,7 @@ class TestAllocation:
         for name, call in calls.items():
             planes[name] = _traced_peak(call)[1] / plane
         bounds = {
-            "make": 2.0, "cphase": 1.5, "cd 0": 1.0, "cd 1": 1.0, "measure": 1.5, "total_mass": 0.01
+            "make": 2.0, "cphase": 1.5, "cd 0": 1.0, "cd 1": 1.0, "measure": 0.01, "total_mass": 0.01
         }
         over = {name: planes[name] for name in bounds if planes[name] > bounds[name]}
         assert not over, f"temporary peaks in planes above {bounds}: {over}"

@@ -47,8 +47,10 @@ from cvdownload.qubits import (
     DEFAULT_MAX_QUBITS,
     QubitDensityMatrix,
     apply_balancing_povm,
+    _tensor_product,
     cluster_state,
     fidelity,
+    graph_phases,
     trace_distance,
 )
 
@@ -490,6 +492,26 @@ class TestOnePassRegister:
     def test_refuses_above_cap(self):
         params = _params(path_graph(DEFAULT_MAX_QUBITS + 1), 1.0, 0.0)
         assert_refused_before_allocating(lambda: run_download(params, 1, keep_states=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(n_max=8), st.floats(0.0, 1.0), st.data())
+    def test_register_is_exactly_hermitian_and_unchanged(self, graph, coherence, data):
+        # the register is checked real and copied once; its entries are the
+        # product's times the +-1 CZ signs, built here as a complex copy of a
+        # fresh product and both sign passes
+        codes = data.draw(st.lists(st.integers(0, 2), min_size=graph.n, max_size=graph.n))
+        outcomes = tuple((("delete", 0), ("delete", 1), ("keep", None))[c] for c in codes)
+        rho = register_from_outcomes(graph, coherence, outcomes).rho
+        assert np.array_equal(rho, rho.conj().T)
+        kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
+        factors = [kept if kind == "keep" else np.diag([1.0 - bit, float(bit)]) for kind, bit in outcomes]
+        expected = _tensor_product(factors, np.ones((1, 1)))
+        phases = graph_phases(graph)
+        expected = expected * phases[:, None]
+        expected *= phases
+        expected = np.array(expected, dtype=complex)
+        assert rho.dtype == np.complex128
+        assert rho.tobytes() == expected.tobytes()
 
 
 def _per_shot_reference(params, shots, keep_states):

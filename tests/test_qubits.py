@@ -81,12 +81,62 @@ class TestStateTypes:
             QubitDensityMatrix(1, np.full((2, 2), np.nan), normalize=normalize)
 
     def test_nan_in_the_last_hermiticity_block_rejected(self):
-        # n = 10 is checked in blocks of 64 rows; a NaN pair off the diagonal
-        # of the last one leaves the trace finite, so only that block sees it
+        # n = 10 is checked in tile pairs of 128 x 128; a NaN pair off the
+        # diagonal of the last one leaves the trace finite, so only that tile sees it
         rho = np.eye(2**10, dtype=complex) / 2**10
         rho[-1, -2] = rho[-2, -1] = np.nan
         with pytest.raises(ValueError, match="not Hermitian"):
             QubitDensityMatrix(10, rho)
+
+    def test_nan_in_the_far_corner_tile_rejected(self):
+        # the last upper tile of the first tile row, and its mirror
+        rho = np.eye(2**10, dtype=complex) / 2**10
+        rho[0, -1] = rho[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QubitDensityMatrix(10, rho)
+
+    @pytest.mark.parametrize("n, i, j", [(9, 300, 10), (9, 511, 384), (8, 200, 3), (3, 5, 2)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_asymmetry_in_the_lower_triangle_rejected(self, n, i, j, dtype):
+        # the tiles walk the upper triangle; each pair compares its mirror,
+        # so an entry below the diagonal is seen, also below one tile's size
+        rho = np.eye(2**n, dtype=dtype) / 2**n
+        rho[i, j] = 1e-9
+        with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1.000e-09\)"):
+            QubitDensityMatrix(n, rho)
+        rho[j, i] = 1e-9
+        QubitDensityMatrix(n, rho)
+
+    @pytest.mark.parametrize("n, site", [(1, 1), (9, 300), (10, 1023)])
+    def test_imaginary_diagonal_rejected(self, n, site):
+        rho = np.eye(2**n, dtype=complex) / 2**n
+        rho[site, site] += 1e-9j  # leaves the trace's real part at 1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QubitDensityMatrix(n, rho)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            [[1, 0], [0, 0]],
+            np.array([[1, 0], [0, 0]]),
+            np.array([[True, False], [False, False]]),
+            np.array([[0.5, 0.25], [0.25, 0.5]], dtype=np.float32),
+        ],
+    )
+    def test_list_int_bool_and_float32_inputs_accepted(self, rho):
+        state = QubitDensityMatrix(1, rho)
+        assert state.rho.dtype == np.complex128
+        assert np.array_equal(state.rho, np.asarray(rho, dtype=complex))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_stored_matrix_is_a_complex_copy(self, dtype, normalize):
+        rho = np.eye(2**9, dtype=dtype) / 2**9
+        state = QubitDensityMatrix(9, rho, normalize=normalize)
+        assert state.rho.dtype == np.complex128
+        assert not np.shares_memory(state.rho, rho)
+        rho[0, 0] = 7.0
+        assert state.rho[0, 0] == 1.0 / 2**9
 
     def test_density_matrix_temporaries_stay_small(self):
         rho = np.eye(2**10, dtype=complex) / 2**10
@@ -96,7 +146,7 @@ class TestStateTypes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * rho.nbytes  # the copy plus blocks; was 3x
+        assert peak <= 1.6 * rho.nbytes  # the copy plus tiles; was 3x
 
     def test_purity_of_pure_projector(self):
         rho = plus_state(2).density_matrix()
