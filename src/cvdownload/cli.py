@@ -37,7 +37,7 @@ from .error_model import (
     squeezing_to_db,
     vertex_disconnect_prob,
 )
-from .gaussian import SqueezedThermalParams
+from .gaussian import R0_LIMIT, SqueezedThermalParams
 from .graphs import Graph, neighbor_phase, parse_graph_spec, path_graph, random_graph
 from .grid import apply_cd_grid, apply_cphase_grid, make_grid_state, measure_q_grid
 from .planner import VERIFY_TOL, NoiseParams, linearized_plan, plan, verify_plan
@@ -353,6 +353,11 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
         raise ValueError(f"db_range asks for {rows:.6g} rows, above the cap of "
                          f"{_MAX_THRESHOLD_ROWS}")
     db_values = np.arange(start, stop + 1e-9, step)
+    r0_ends = [db_to_squeezing(float(db)) for db in db_values[[0, -1]]]  # r0 grows with dB
+    if max(map(abs, r0_ends)) > R0_LIMIT:
+        raise ValueError(f"db_range runs over r0 = {r0_ends[0]!r} to {r0_ends[1]!r}; each row "
+                         f"needs |r0| <= {R0_LIMIT!r}, as download does, where the deletion "
+                         f"law and its sampling stay in the float range")
     rails = config["rails"]
     shots = config["shots"]
     if not 0 <= shots <= _MAX_THRESHOLD_SHOTS:

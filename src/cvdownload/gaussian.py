@@ -96,36 +96,57 @@ class SqueezedThermalParams:
 
 
 class GaussianState:
-    """Zero-mean Gaussian state of ``n`` modes held as a covariance matrix."""
+    """Zero-mean Gaussian state of ``n`` modes, held as the blocks of its
+    covariance ``[[qq, qp], [qp^T, pp]]``; ``qq`` and ``pp`` are exactly
+    symmetric.  States share blocks, so no block is changed in place."""
 
-    __slots__ = ("n", "cov")
+    __slots__ = ("qq", "qp", "pp")
 
     def __init__(self, n: int, cov):
-        cov = np.array(cov, dtype=float)
+        cov = np.asarray(cov, dtype=float)
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance has non-finite entries")
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"expected a {2 * n}x{2 * n} covariance, got {cov.shape}")
         step = max(1, _SYMMETRY_BLOCK // (2 * n))  # row blocks: small temporaries
         for s in range(0, 2 * n, step):
             dev = float(np.abs(cov[s : s + step] - cov[:, s : s + step].T).max())
-            if not dev <= 1e-12:  # NaN fails too
+            if not dev <= 1e-12:
                 raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
-        self.n = n
-        self.cov = cov
+        state = _from_blocks(cov[:n, :n], cov[:n, n:].copy(), cov[n:, n:])
+        self.qq, self.qp, self.pp = state.qq, state.qp, state.pp
+
+    @property
+    def n(self) -> int:
+        return len(self.qq)
+
+    @property
+    def cov(self) -> np.ndarray:  # assembled on each call
+        return np.block([[self.qq, self.qp], [self.qp.T, self.pp]])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianState(n={self.n})"
 
 
+def _from_blocks(qq: np.ndarray, qp: np.ndarray, pp: np.ndarray) -> GaussianState:
+    """The state with these blocks, ``qq`` and ``pp`` made exactly symmetric (a
+    product's round-off is not); a non-finite entry, as from an overflowing
+    channel, is refused."""
+    state = object.__new__(GaussianState)
+    with np.errstate(over="ignore"):
+        state.qq, state.qp, state.pp = 0.5 * (qq + qq.T), qp, 0.5 * (pp + pp.T)
+    if not all(np.isfinite(block).all() for block in (state.qq, qp, state.pp)):
+        raise ValueError("covariance leaves the float range")
+    return state
+
+
 def vacuum(n: int) -> GaussianState:
-    return GaussianState(n, 0.5 * np.eye(2 * n))
+    return mode_diag_state(np.full(n, 0.5), np.full(n, 0.5))
 
 
 def squeezed_thermal(params: SqueezedThermalParams, n: int) -> GaussianState:
     """``n`` identical uncorrelated squeezed-thermal modes."""
-    diag = np.concatenate(
-        [np.full(n, params.q_variance), np.full(n, params.p_variance)]
-    )
-    return GaussianState(n, np.diag(diag))
+    return mode_diag_state(np.full(n, params.q_variance), np.full(n, params.p_variance))
 
 
 def mode_diag_state(q_vars, p_vars) -> GaussianState:
@@ -134,28 +155,24 @@ def mode_diag_state(q_vars, p_vars) -> GaussianState:
     p_vars = np.asarray(p_vars, dtype=float)
     if q_vars.shape != p_vars.shape or q_vars.ndim != 1:
         raise ValueError("q_vars and p_vars must be 1-D with equal length")
-    if np.any(q_vars <= 0.0) or np.any(p_vars <= 0.0):
-        raise ValueError("quadrature variances must be positive")
-    return GaussianState(len(q_vars), np.diag(np.concatenate([q_vars, p_vars])))
+    if not all(np.all((v > 0.0) & (v < math.inf)) for v in (q_vars, p_vars)):
+        raise ValueError("quadrature variances must be positive and finite")
+    n = len(q_vars)
+    return _from_blocks(np.diag(q_vars), np.zeros((n, n)), np.diag(p_vars))
+
+
+def _check_orthogonal(o: np.ndarray) -> None:
+    """Refuse a square ``o`` unless ``|O O^T - I| <= 1e-10`` entrywise; a NaN
+    or inf entry fails the comparison, and raises no warning on the way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.abs(o @ o.T - np.eye(len(o))).max())
+    if not dev <= 1e-10:
+        raise ValueError(f"matrix is not orthogonal (deviation {dev:.3e})")
 
 
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
-
-def _blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The q-q, q-p and p-p blocks of the covariance (views)."""
-    n, cov = state.n, state.cov
-    return cov[:n, :n], cov[:n, n:], cov[n:, n:]
-
-
-def _from_blocks(qq: np.ndarray, qp: np.ndarray, pp: np.ndarray) -> GaussianState:
-    """The state with blocks ``qq``, ``qp``, ``qp^T`` and ``pp``, made exactly
-    symmetric: a product's round-off is not, and it grows with the
-    covariance scale."""
-    qq, pp = 0.5 * (qq + qq.T), 0.5 * (pp + pp.T)
-    return GaussianState(len(qq), np.block([[qq, qp], [qp.T, pp]]))
-
 
 def apply_cphase(state: GaussianState, graph: Graph, strength: float = 1.0) -> GaussianState:
     """CPHASE network ``exp(i g q_i q_j)`` on every edge, uniform strength ``g``.
@@ -163,15 +180,19 @@ def apply_cphase(state: GaussianState, graph: Graph, strength: float = 1.0) -> G
     Symplectically ``(q, p) -> (q, p + g A q)``, i.e. ``S = [[I, 0], [G, I]]``
     with ``G = g A``.  On the blocks of ``S V S^T``: ``V_qq`` is unchanged,
     ``V_qp + V_qq G`` and ``V_pp + G V_qq G + G V_qp + (G V_qp)^T``, the last
-    formed as ``V_pp + (H + H^T)`` with ``H = G (V_qp + V_qq G / 2)``.
+    formed as ``V_pp + (H + H^T)`` with ``H = G (V_qp + V_qq G / 2)``.  A
+    non-finite strength, or one whose products overflow, is refused.
     """
     if graph.n != state.n:
         raise ValueError(f"graph has {graph.n} vertices but state has {state.n} modes")
+    if not math.isfinite(strength):
+        raise ValueError(f"CPHASE strength must be finite, got {strength!r}")
     g = strength * adjacency_matrix(graph)
-    qq, qp, pp = _blocks(state)
-    qq_g = qq @ g
-    h = g @ (qp + 0.5 * qq_g)
-    return _from_blocks(qq, qp + qq_g, pp + (h + h.T))
+    qq, qp = state.qq, state.qp
+    with np.errstate(over="ignore", invalid="ignore"):
+        qq_g = qq @ g
+        h = g @ (qp + 0.5 * qq_g)
+        return _from_blocks(qq, qp + qq_g, state.pp + (h + h.T))
 
 
 def apply_loss(state: GaussianState, eps: float) -> GaussianState:
@@ -181,9 +202,10 @@ def apply_loss(state: GaussianState, eps: float) -> GaussianState:
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"loss fraction must be in [0, 1), got {eps}")
-    n = state.n
-    cov = (1.0 - eps) * state.cov + 0.5 * eps * np.eye(2 * n)
-    return GaussianState(n, cov)
+    qq, pp = (1.0 - eps) * state.qq, (1.0 - eps) * state.pp
+    for block in (qq, pp):
+        block.flat[:: state.n + 1] += 0.5 * eps
+    return _from_blocks(qq, (1.0 - eps) * state.qp, pp)
 
 
 def apply_detector_noise(state: GaussianState, eps2: float) -> GaussianState:
@@ -196,10 +218,10 @@ def apply_detector_noise(state: GaussianState, eps2: float) -> GaussianState:
     """
     if not 0.0 <= eps2 < 1.0:
         raise ValueError(f"detector inefficiency must be in [0, 1), got {eps2}")
-    n = state.n
-    cov = state.cov.copy()
-    cov[:n, :n] += (eps2 / (1.0 - eps2)) * np.eye(n)
-    return GaussianState(n, cov)
+    qq = state.qq.copy()
+    with np.errstate(over="ignore"):
+        qq.flat[:: state.n + 1] += eps2 / (1.0 - eps2)
+    return _from_blocks(qq, state.qp, state.pp)
 
 
 def apply_orthogonal(state: GaussianState, o: np.ndarray) -> GaussianState:
@@ -209,10 +231,9 @@ def apply_orthogonal(state: GaussianState, o: np.ndarray) -> GaussianState:
     n = state.n
     if o.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {o.shape}")
-    dev = float(np.abs(o @ o.T - np.eye(n)).max())
-    if dev > 1e-10:
-        raise ValueError(f"matrix is not orthogonal (deviation {dev:.3e})")
-    return _from_blocks(*(o @ block @ o.T for block in _blocks(state)))
+    _check_orthogonal(o)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _from_blocks(*(o @ block @ o.T for block in (state.qq, state.qp, state.pp)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +281,15 @@ def collective_mode_covariance(state: GaussianState, copies: int) -> np.ndarray:
     ``Q_i = sum_s q_i^(s) / sqrt(R)`` (and likewise ``P_i``) have exactly
     the single-copy covariance: the ``1/sqrt(R)`` normalization cancels
     the ``R``-fold variance accumulation, and cross-copy terms vanish by
-    independence.  Returned as a plain matrix for direct comparison.
+    independence.  The same averaging ``T = (1, .., 1) / sqrt(R) (x) I_n``
+    acts on q and p, so each block ``X`` becomes ``T (I_R (x) X) T^T``.
+    Returned as a plain matrix for direct comparison.
     """
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
-    n = state.n
-    eye_r = np.eye(copies)
-    vqq = state.cov[:n, :n]
-    vqp = state.cov[:n, n:]
-    vpp = state.cov[n:, n:]
-    big = np.block(
-        [
-            [np.kron(eye_r, vqq), np.kron(eye_r, vqp)],
-            [np.kron(eye_r, vqp.T), np.kron(eye_r, vpp)],
-        ]
-    )
-    t = np.kron(np.full((1, copies), 1.0 / math.sqrt(copies)), np.eye(n))
-    tf = np.zeros((2 * n, 2 * n * copies))
-    tf[:n, : n * copies] = t
-    tf[n:, n * copies :] = t
-    return tf @ big @ tf.T
+    t = np.kron(np.full((1, copies), 1.0 / math.sqrt(copies)), np.eye(state.n))
+    qq, qp, pp = (t @ np.kron(np.eye(copies), x) @ t.T for x in (state.qq, state.qp, state.pp))
+    return np.block([[qq, qp], [qp.T, pp]])
 
 
 class MixtureParams(NamedTuple):

@@ -57,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gaussian import (
-    GaussianState,
     SqueezedThermalParams,
+    _check_orthogonal,
     apply_cphase,
     apply_detector_noise,
     apply_loss,
@@ -357,7 +357,8 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     state = apply_loss(state, noise.eps1)
     state = apply_detector_noise(state, noise.eps2)
     target = thermal_cvcs(graph, source)
-    return float(np.abs(state.cov - target.cov).max())
+    pairs = ((state.qq, target.qq), (state.qp, target.qp), (state.pp, target.pp))
+    return max(float(np.abs(got - want).max()) for got, want in pairs)
 
 
 def _replay_log_bound(
@@ -455,8 +456,7 @@ def givens_network(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = o.shape[0]
     if o.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {o.shape}")
-    if float(np.abs(o @ o.T - np.eye(n)).max()) > 1e-10:
-        raise ValueError("matrix is not orthogonal within tolerance")
+    _check_orthogonal(o)
     work = o.copy()
     steps = [np.empty(0, NETWORK_DTYPE)]
     for col in range(n - 1):

@@ -169,8 +169,13 @@ def basis_state(n: int, bits) -> QubitPureState:
     """Computational basis state.  ``bits`` is an index or a bit sequence."""
     _check_dense_size(n)
     if np.isscalar(bits):
+        if not (0 <= bits < 2**n and bits == int(bits)):  # NaN and inf fail too
+            raise ValueError(f"basis index must be an integer in [0, 2^{n}), got {bits!r}")
         index = int(bits)
     else:
+        bits = list(bits)
+        if len(bits) != n or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"expected {n} bits, each 0 or 1, got {bits!r}")
         index = sum(int(b) << i for i, b in enumerate(bits))
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0

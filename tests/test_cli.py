@@ -248,6 +248,8 @@ class TestThresholds:
             (["--db-range", "0:16:1e-300"], "db_range"),  # beyond what np.arange can size
             (["--db-range", "16:2:1"], "db_range"),  # stop below start: no rows
             (["--shots", "1000000000000"], "shots"),  # 48 TB of draws, refused before any
+            (["--db-range=-7000:-7000:1"], "db_range"),  # exp(-r0) overflows in p_del
+            (["--db-range", "7000:7000:1", "--shots", "10"], "db_range"),  # and exp(r0) in sampling
         ],
     )
     def test_bad_range_or_shots_refused(self, capsys, flags, key):

@@ -1,6 +1,7 @@
 """Covariance-matrix engine: channels, physicality, closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ def _congruence(s, cov):
     channels."""
     m = s @ cov @ s.T
     return 0.5 * (m + m.T)
+
+
+def _refused_without_warnings(call, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def _closed_form_cvcs(graph, b1, b2):
@@ -100,12 +108,31 @@ class TestPreparation:
         GaussianState(n, bad)
 
     def test_nan_covariance_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianState(1, np.full((2, 2), np.nan))
+        # refused before the symmetry test, where inf - inf would warn
+        match = "^covariance has non-finite entries$"
+        for bad in (np.nan, np.inf, -np.inf):
+            cov = np.eye(4)
+            cov[1, 3] = cov[3, 1] = bad
+            _refused_without_warnings(lambda: GaussianState(2, cov), match)
+            _refused_without_warnings(lambda: GaussianState(1, np.full((2, 2), bad)), match)
+
+    def test_cov_returns_input_bit_for_bit(self, rng):
+        for n in (1, 3, 8):
+            cov = _random_state(n, 1e30, rng).cov
+            cov[0, n] = cov[n, 0] = -0.0
+            st = GaussianState(n, cov)
+            assert st.n == n
+            assert st.cov.tobytes() == cov.tobytes()
 
     def test_mode_diag_state(self):
         st = mode_diag_state([1.0, 2.0], [0.25, 0.125])
         assert np.allclose(np.diag(st.cov), [1.0, 2.0, 0.25, 0.125])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_mode_diag_state_refuses_bad_variance(self, bad):
+        match = "^quadrature variances must be positive and finite$"
+        _refused_without_warnings(lambda: mode_diag_state([1.0, bad], [1.0, 1.0]), match)
+        _refused_without_warnings(lambda: mode_diag_state([1.0, 1.0], [bad, 1.0]), match)
 
 
 class TestCphase:
@@ -148,10 +175,25 @@ class TestCphase:
         with pytest.raises(ValueError):
             apply_cphase(vacuum(2), path_graph(3))
 
+    @pytest.mark.parametrize("strength", [np.nan, np.inf, -np.inf])
+    def test_non_finite_strength_refused(self, strength):
+        _refused_without_warnings(
+            lambda: apply_cphase(vacuum(2), path_graph(2), strength), "^CPHASE strength must be finite"
+        )
+
+    def test_overflowing_products_refused(self):
+        # G V_qq G reaches 1e400: each entry of the finite strength is fine,
+        # the p-p block is not
+        _refused_without_warnings(
+            lambda: apply_cphase(vacuum(3), path_graph(3), 1e200),
+            "^covariance leaves the float range$",
+        )
+
     @pytest.mark.parametrize("scale", [1.0, 1e30])
     def test_congruences_exactly_symmetric(self, scale, rng):
-        # the constructor's absolute 1e-12 symmetry check would trip on the
-        # round-off of an unsymmetrized S V S^T at large covariance scale
+        # an unsymmetrized S V S^T carries round-off asymmetry that grows
+        # with the covariance scale; the blocks are averaged with their
+        # transposes, so no float symmetry test is needed downstream
         for n in (2, 5, 7):
             st = mode_diag_state(scale * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
             for out in (
@@ -186,12 +228,35 @@ class TestBlockChannels:
             g = float(rng.uniform(0.5, 3.0))
             s = np.eye(2 * n)
             s[n:, :n] = g * adjacency_matrix(graph)
-            for got, want in (
-                (apply_orthogonal(st, o).cov, _congruence(u, st.cov)),
-                (apply_cphase(st, graph, g).cov, _congruence(s, st.cov)),
+            eps = float(rng.uniform(0.0, 0.9))
+            q_noise = np.diag(np.concatenate([np.ones(n), np.zeros(n)]))
+            for out, want in (
+                (apply_orthogonal(st, o), _congruence(u, st.cov)),
+                (apply_cphase(st, graph, g), _congruence(s, st.cov)),
+                (apply_loss(st, eps), (1.0 - eps) * st.cov + 0.5 * eps * np.eye(2 * n)),
+                (apply_detector_noise(st, eps), st.cov + eps / (1.0 - eps) * q_noise),
             ):
-                assert np.array_equal(got, got.T)
+                assert np.array_equal(out.qq, out.qq.T) and np.array_equal(out.pp, out.pp.T)
+                got = out.cov
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+    def test_channels_leave_input_blocks_unchanged(self, rng):
+        # channels share blocks between states, so none may write into one
+        n = 6
+        graph = random_graph(n, 0.6, rng)
+        o = random_orthogonal(n, rng)
+        states = [_random_state(n, 1.0, rng)]
+        for channel in (
+            lambda st: apply_detector_noise(st, 0.2),
+            lambda st: apply_loss(st, 0.3),
+            lambda st: apply_orthogonal(st, o),
+            lambda st: apply_cphase(st, graph, 1.7),
+            lambda st: apply_detector_noise(st, 0.1),
+        ):
+            before = [[block.tobytes() for block in (st.qq, st.qp, st.pp)] for st in states]
+            states.append(channel(states[-1]))
+            after = [[block.tobytes() for block in (st.qq, st.qp, st.pp)] for st in states[:-1]]
+            assert after == before
 
     def test_cphase_keeps_qq_block(self, rng):
         st = _random_state(6, 1.0, rng)
@@ -260,8 +325,12 @@ class TestOrthogonal:
         assert np.allclose(out.cov, 0.5 * np.eye(4), atol=1e-14)
 
     def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError):
-            apply_orthogonal(vacuum(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        for bad in (2.0, np.nan, np.inf):
+            o = np.eye(3)
+            o[1, 2] = bad
+            _refused_without_warnings(
+                lambda: apply_orthogonal(vacuum(3), o), "^matrix is not orthogonal"
+            )
 
     def test_preserves_symplectic_spectrum(self, rng):
         for _ in range(10):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -256,6 +257,21 @@ class TestVerifyPlan:
                 assert "float range" in str(exc)
             else:
                 assert math.isfinite(residual)
+
+    def test_replay_memory_bound(self):
+        # the replay holds a few n x n blocks per state and never a 2n x 2n
+        # copy: about 13 n^2 float64 at its peak
+        g = grid2d_graph(20, 20)
+        noise = NoiseParams(0.01, 0.02, 1.0)
+        p = plan(g, noise)
+        tracemalloc.start()
+        try:
+            residual = verify_plan(p, g, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual < 1e-12
+        assert peak <= 15 * g.n**2 * 8
 
     def test_unphysical_plan_rejected(self):
         g = path_graph(2)
@@ -571,6 +587,14 @@ class TestGivensNetwork:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
             givens_network(np.array([[1.0, 0.2], [0.0, 1.0]]))
+        # a NaN used to pass as sign layer [1, nan, 1], an inf to warn in matmul
+        for bad in (np.nan, np.inf, -np.inf):
+            o = np.eye(3)
+            o[1, 1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^matrix is not orthogonal"):
+                    givens_network(o)
 
     @pytest.mark.parametrize("rows, cols", [(8, 8), (10, 10), (12, 12), (9, 16), (20, 20)])
     def test_grid_rotation_ceiling(self, rows, cols):

@@ -229,6 +229,31 @@ class TestGates:
         with pytest.raises(ValueError):
             apply_x(plus_state(2), 2)
 
+    def test_basis_state_index_and_bits(self):
+        # bit i of the sequence is qubit i, the little-endian index bit i
+        assert np.argmax(np.abs(basis_state(2, 2).amps)) == 2
+        assert np.argmax(np.abs(basis_state(2, np.int64(3)).amps)) == 3
+        assert np.argmax(np.abs(basis_state(2, [0, 1]).amps)) == 2
+        assert np.argmax(np.abs(basis_state(3, np.array([1, 0, 1])).amps)) == 5
+
+    @pytest.mark.parametrize(
+        "bits, match",
+        [
+            (-1, "index"),  # used to wrap around to |11>
+            (4, "index"),  # used to raise IndexError
+            (2.5, "index"),  # used to truncate to 2
+            (math.inf, "index"),
+            (math.nan, "index"),
+            ([2, 0], "bits"),  # used to give index 2
+            ([1, 1, 1], "bits"),  # used to raise IndexError
+            ([1], "bits"),
+            ([0.5, 0], "bits"),
+        ],
+    )
+    def test_basis_state_refuses_unrepresentable(self, bits, match):
+        with pytest.raises(ValueError, match=match):
+            basis_state(2, bits)
+
     def test_tensor_little_endian(self):
         # qubit 0 of the product is the first factor's qubit 0
         psi = tensor([basis_state(1, 1), basis_state(1, 0)])
