@@ -113,7 +113,9 @@ class GaussianState:
             dev = float(np.abs(cov[s : s + step] - cov[:, s : s + step].T).max())
             if not dev <= 1e-12:
                 raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
-        state = _from_blocks(cov[:n, :n], cov[:n, n:].copy(), cov[n:, n:])
+        qq, pp = cov[:n, :n], cov[n:, n:]
+        with np.errstate(over="ignore"):  # inf: refused by _from_blocks
+            state = _from_blocks(0.5 * (qq + qq.T), cov[:n, n:].copy(), 0.5 * (pp + pp.T))
         self.qq, self.qp, self.pp = state.qq, state.qp, state.pp
 
     @property
@@ -129,14 +131,14 @@ class GaussianState:
 
 
 def _from_blocks(qq: np.ndarray, qp: np.ndarray, pp: np.ndarray) -> GaussianState:
-    """The state with these blocks, ``qq`` and ``pp`` made exactly symmetric (a
-    product's round-off is not); a non-finite entry, as from an overflowing
-    channel, is refused."""
-    state = object.__new__(GaussianState)
-    with np.errstate(over="ignore"):
-        state.qq, state.qp, state.pp = 0.5 * (qq + qq.T), qp, 0.5 * (pp + pp.T)
-    if not all(np.isfinite(block).all() for block in (state.qq, qp, state.pp)):
+    """The state with these blocks, taken as they are: the caller hands over
+    ``qq`` and ``pp`` exactly symmetric (every channel but the passive network
+    builds them so).  A non-finite entry, as from an overflowing channel, is
+    refused."""
+    if not all(np.isfinite(block).all() for block in (qq, qp, pp)):
         raise ValueError("covariance leaves the float range")
+    state = object.__new__(GaussianState)
+    state.qq, state.qp, state.pp = qq, qp, pp
     return state
 
 
@@ -233,7 +235,9 @@ def apply_orthogonal(state: GaussianState, o: np.ndarray) -> GaussianState:
         raise ValueError(f"expected a {n}x{n} matrix, got {o.shape}")
     _check_orthogonal(o)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _from_blocks(*(o @ block @ o.T for block in (state.qq, state.qp, state.pp)))
+        qq, qp, pp = (o @ block @ o.T for block in (state.qq, state.qp, state.pp))
+        # the products' round-off is not symmetric: average with the transposes
+        return _from_blocks(0.5 * (qq + qq.T), qp, 0.5 * (pp + pp.T))
 
 
 # ---------------------------------------------------------------------------

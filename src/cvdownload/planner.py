@@ -331,13 +331,18 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     CPHASE at ``g'`` -> loss ``eps1`` -> detector noise ``eps2``; the
     result must equal the unit-strength CPHASE network applied to i.i.d.
     ``(r_eff, nbar_eff)`` modes.  Refuses to verify an unphysical plan,
-    and refuses with a ``ValueError``, before the replay, a plan whose
-    replayed covariance or target could leave the float range (see
-    :func:`_replay_log_bound`).
+    and refuses with a ``ValueError``, before the replay, a plan with a
+    negative or NaN thermal occupation (the recipe is replayed as given,
+    not repaired) or one whose replayed covariance or target could leave
+    the float range (see :func:`_replay_log_bound`).
     """
     if not plan_.physical:
         raise ValueError(f"plan is not physical (violated: {plan_.violated})")
-    nbar = np.clip(plan_.mode_thermal, 0.0, None)  # clip -0.0 round-off
+    nbar = np.asarray(plan_.mode_thermal, dtype=float)
+    bad = np.flatnonzero(~(nbar >= 0.0))  # NaN too
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"mode_thermal[{k}] = {float(nbar[k])!r} is not an occupation >= 0")
     source = SqueezedThermalParams(plan_.r_eff, plan_.nbar_eff)
     d = max_degree(graph)
     log_bound = np.logaddexp(

@@ -69,6 +69,7 @@ from .qubits import (
     QubitDensityMatrix,
     _bits,
     _check_dense_size,
+    _from_exact,
     _tensor_product,
     apply_dephasing,
     dm_apply_cz,
@@ -206,6 +207,8 @@ def downloaded_state_equivalent(
     return rho
 
 
+#: The per-qubit outcomes a register accepts, as the lists a JSON record holds.
+_OUTCOMES = (["keep", None], ["delete", 0], ["delete", 1])
 _BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # |0><0|, |1><1|
 
 
@@ -218,14 +221,32 @@ def register_from_outcomes(
     deleted one ``|b><b|``; their product (little-endian, as in
     :func:`~cvdownload.qubits.dm_tensor`) is conjugated by the CZ signs of
     ``graph``.  No dependence on ``q`` or ``gamma``.
+
+    ``outcomes`` holds exactly one pair per vertex, tuples or the lists a
+    JSON record gives, and ``coherence`` is finite and within [-1, 1]; any
+    other input is refused before the register is allocated.  The register
+    is exactly Hermitian with unit trace by construction (real factors of
+    trace 1 under a two-sided +-1 diagonal), so it is stored without a
+    float test.
     """
-    phases = graph_phases(graph)
+    if not -1.0 <= coherence <= 1.0:  # NaN fails too
+        raise ValueError(f"coherence must be finite and within [-1, 1], got {coherence!r}")
+    if len(outcomes) != graph.n:
+        raise ValueError(f"expected {graph.n} outcomes, one per vertex, got {len(outcomes)}")
     kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
-    factors = [kept if kind == "keep" else _BASIS_PROJECTORS[bit] for kind, bit in outcomes]
+    factors = []
+    for i, outcome in enumerate(outcomes):
+        pair = list(outcome) if isinstance(outcome, (tuple, list)) else None
+        if pair not in _OUTCOMES:
+            raise ValueError(
+                f"outcome {i} must be ('keep', None) or ('delete', 0|1), got {outcome!r}"
+            )
+        factors.append((kept, *_BASIS_PROJECTORS)[_OUTCOMES.index(pair)])
+    phases = graph_phases(graph)
     rho = _tensor_product(factors, np.ones((1, 1)))
-    rho *= phases[:, None]  # fresh and real: checked at half the bytes, then copied once
+    rho *= phases[:, None]  # fresh and real: signed in place, then copied once
     rho *= phases
-    return QubitDensityMatrix(graph.n, rho)
+    return _from_exact(graph.n, rho)
 
 
 @dataclass(frozen=True)

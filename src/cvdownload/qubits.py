@@ -155,6 +155,16 @@ class QubitDensityMatrix:
         return f"QubitDensityMatrix(n={self.n})"
 
 
+def _from_exact(n: int, rho: np.ndarray) -> QubitDensityMatrix:
+    """The register with matrix ``rho``, stored as a fresh complex copy and
+    taken as it is: the caller builds it exactly Hermitian with unit trace,
+    so no float test runs (``QubitDensityMatrix(n, rho)`` checks a matrix
+    from outside)."""
+    state = object.__new__(QubitDensityMatrix)
+    state.n, state.rho = n, np.array(rho, dtype=complex)
+    return state
+
+
 # ---------------------------------------------------------------------------
 # state preparation
 # ---------------------------------------------------------------------------

@@ -191,14 +191,24 @@ class TestCphase:
 
     @pytest.mark.parametrize("scale", [1.0, 1e30])
     def test_congruences_exactly_symmetric(self, scale, rng):
-        # an unsymmetrized S V S^T carries round-off asymmetry that grows
-        # with the covariance scale; the blocks are averaged with their
-        # transposes, so no float symmetry test is needed downstream
+        # an unsymmetrized O X O^T carries round-off asymmetry that grows with
+        # the covariance scale, and so may a matrix from outside: the passive
+        # network and GaussianState(n, cov) average with the transposes, and
+        # every other channel builds exactly symmetric blocks, so no float
+        # symmetry test runs downstream
         for n in (2, 5, 7):
             st = mode_diag_state(scale * rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+            dense = apply_orthogonal(st, random_orthogonal(n, rng))
+            cov = dense.cov
+            cov[n, n + 1] += 1e-13  # in the p-p block, within the 1e-12 tolerance
+            assert cov[n, n + 1] != cov[n + 1, n]
             for out in (
-                apply_orthogonal(st, random_orthogonal(n, rng)),
-                apply_cphase(st, random_graph(n, 0.6, rng), float(rng.uniform(0.5, 2.0))),
+                st,
+                dense,
+                apply_cphase(dense, random_graph(n, 0.6, rng), float(rng.uniform(0.5, 2.0))),
+                apply_loss(dense, float(rng.uniform(0.0, 0.9))),
+                apply_detector_noise(dense, float(rng.uniform(0.0, 0.9))),
+                GaussianState(n, cov),
             ):
                 assert np.array_equal(out.cov, out.cov.T)
 

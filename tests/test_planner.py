@@ -273,6 +273,21 @@ class TestVerifyPlan:
         assert residual < 1e-12
         assert peak <= 15 * g.n**2 * 8
 
+    @pytest.mark.parametrize("bad", [-0.4, -0.6, math.nan])
+    def test_negative_or_nan_occupation_refused(self, bad):
+        # replayed as given: a clip to 0 verified these recipes at the honest
+        # plan's residual
+        g = grid2d_graph(3, 3)
+        noise = NoiseParams(0.0, 0.0, 1.0)
+        p = plan(g, noise)
+        thermal = p.mode_thermal.copy()
+        thermal[3] = bad
+        broken = dataclasses.replace(p, mode_thermal=thermal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^mode_thermal\[3\] = .* is not an occupation >= 0$"):
+                verify_plan(broken, g, noise)
+
     def test_unphysical_plan_rejected(self):
         g = path_graph(2)
         noise = NoiseParams(0.01, 0.01, 1.0)

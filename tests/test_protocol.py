@@ -494,15 +494,16 @@ class TestOnePassRegister:
         assert_refused_before_allocating(lambda: run_download(params, 1, keep_states=True))
 
     @settings(max_examples=60, deadline=None)
-    @given(small_graphs(n_max=8), st.floats(0.0, 1.0), st.data())
+    @given(small_graphs(n_max=8), st.floats(-1.0, 1.0), st.data())
     def test_register_is_exactly_hermitian_and_unchanged(self, graph, coherence, data):
-        # the register is checked real and copied once; its entries are the
-        # product's times the +-1 CZ signs, built here as a complex copy of a
-        # fresh product and both sign passes
+        # the register is stored with no float test, so these identities hold
+        # exactly; its entries are the product's times the +-1 CZ signs, built
+        # here as a complex copy of a fresh product and both sign passes
         codes = data.draw(st.lists(st.integers(0, 2), min_size=graph.n, max_size=graph.n))
         outcomes = tuple((("delete", 0), ("delete", 1), ("keep", None))[c] for c in codes)
         rho = register_from_outcomes(graph, coherence, outcomes).rho
         assert np.array_equal(rho, rho.conj().T)
+        assert rho.trace() == 1.0
         kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
         factors = [kept if kind == "keep" else np.diag([1.0 - bit, float(bit)]) for kind, bit in outcomes]
         expected = _tensor_product(factors, np.ones((1, 1)))
@@ -512,6 +513,36 @@ class TestOnePassRegister:
         expected = np.array(expected, dtype=complex)
         assert rho.dtype == np.complex128
         assert rho.tobytes() == expected.tobytes()
+
+
+_PATH3_KEEPS = (("keep", None),) * 3
+
+
+@pytest.mark.parametrize(
+    "coherence, outcomes, match",
+    [
+        (0.5, (("foo", 1), ("keep", None), ("keep", None)), r"^outcome 0 must be"),
+        (0.5, (("keep", None), ("keep", 5), ("keep", None)), r"^outcome 1 must be"),
+        (0.5, (("keep", None), ("keep", None), ("delete", 2)), r"^outcome 2 must be"),
+        (0.5, (("delete", None), ("keep", None), ("keep", None)), r"^outcome 0 must be"),
+        (0.5, ("keep", ("keep", None), ("keep", None)), r"^outcome 0 must be"),
+        (0.5, (("keep", None, 0), ("keep", None), ("keep", None)), r"^outcome 0 must be"),
+        (0.5, _PATH3_KEEPS[:2], r"^expected 3 outcomes, one per vertex, got 2$"),
+        # the 4^13 product of 13 entries would take 512 MB
+        (0.5, (("keep", None),) * 13, r"^expected 3 outcomes, one per vertex, got 13$"),
+        (3.0, _PATH3_KEEPS, r"^coherence must be finite and within \[-1, 1\]"),
+        (-2.0, _PATH3_KEEPS, r"^coherence must be finite and within \[-1, 1\]"),
+        (math.inf, _PATH3_KEEPS, r"^coherence must be finite and within \[-1, 1\]"),
+        (math.nan, _PATH3_KEEPS, r"^coherence must be finite and within \[-1, 1\]"),
+    ],
+)
+def test_register_refuses_bad_input_before_allocating(coherence, outcomes, match):
+    graph = path_graph(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_refused_before_allocating(
+            lambda: register_from_outcomes(graph, coherence, outcomes), match
+        )
 
 
 def _per_shot_reference(params, shots, keep_states):
