@@ -77,7 +77,9 @@ def sample_q(r0: float, shots: int, rng: np.random.Generator) -> np.ndarray:
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     centers = SQRT_PI * rng.integers(0, 2, size=shots)
-    return rng.normal(centers, math.exp(r0) / math.sqrt(2.0))
+    # bit for bit rng.normal(centers, scale), which NumPy forms as loc + scale * z,
+    # without its per-call argument checks
+    return centers + math.exp(r0) / math.sqrt(2.0) * rng.standard_normal(shots)
 
 
 def log_imbalance(q, r0: float):

@@ -114,8 +114,7 @@ class GaussianState:
             if not dev <= 1e-12:
                 raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
         qq, pp = cov[:n, :n], cov[n:, n:]
-        with np.errstate(over="ignore"):  # inf: refused by _from_blocks
-            state = _from_blocks(0.5 * (qq + qq.T), cov[:n, n:].copy(), 0.5 * (pp + pp.T))
+        state = _from_blocks(_symmetric_part(qq), cov[:n, n:].copy(), _symmetric_part(pp))
         self.qq, self.qp, self.pp = state.qq, state.qp, state.pp
 
     @property
@@ -140,6 +139,20 @@ def _from_blocks(qq: np.ndarray, qp: np.ndarray, pp: np.ndarray) -> GaussianStat
     state = object.__new__(GaussianState)
     state.qq, state.qp, state.pp = qq, qp, pp
     return state
+
+
+def _symmetric_part(x: np.ndarray) -> np.ndarray:
+    """``0.5 (X + X^T)``; only where ``X + X^T`` overflows, ``0.5 X + 0.5 X^T``
+    (which can differ in the last bit of a subnormal), so entries up to the
+    float max are accepted.  The overflow flag of the sum tells, so a finite
+    average costs no extra pass.  A non-finite entry stays non-finite."""
+    try:
+        with np.errstate(over="raise"):
+            return 0.5 * (x + x.T)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            usual = 0.5 * (x + x.T)
+            return np.where(np.isfinite(usual), usual, 0.5 * x + 0.5 * x.T)
 
 
 def vacuum(n: int) -> GaussianState:
@@ -236,8 +249,8 @@ def apply_orthogonal(state: GaussianState, o: np.ndarray) -> GaussianState:
     _check_orthogonal(o)
     with np.errstate(over="ignore", invalid="ignore"):
         qq, qp, pp = (o @ block @ o.T for block in (state.qq, state.qp, state.pp))
-        # the products' round-off is not symmetric: average with the transposes
-        return _from_blocks(0.5 * (qq + qq.T), qp, 0.5 * (pp + pp.T))
+    # the products' round-off is not symmetric: average with the transposes
+    return _from_blocks(_symmetric_part(qq), qp, _symmetric_part(pp))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +88,11 @@ VERIFY_TOL = 1e-9
 # quarter of the largest float: each congruence adds its product to its
 # transpose, and the residual subtracts two such covariances.
 _REPLAY_LOG_LIMIT = math.log(sys.float_info.max / 4.0)
+# Graphs for which the noise-independent half of a plan is kept: each of
+# :func:`_spectrum` and :func:`_passive_network` caches that many.  A graph's
+# entries hold at most two bases of n^2 floats and n (n - 1) / 2 beam
+# splitters of 24 bytes, under 28 n^2 bytes (23 MB at n = 900).
+_GRAPH_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,8 @@ class DecorrelationPlan:
     :func:`compose_network`): at most ``n (n - 1) / 2`` of them, and on a
     grid ``grid2d:r x c`` exactly ``n (r + c - 2) / 2``.  It is one array of
     :data:`NETWORK_DTYPE`, with fields ``i``, ``j`` and ``angle``.
+    ``eig_a2``, ``orthogonal``, ``network`` and ``sign_layer`` are read-only:
+    plans of one graph share them.
 
     :func:`plan` always sets ``physical=True, violated=None``; only a
     hand-built recipe can be unphysical, and :func:`verify_plan` refuses it.
@@ -176,12 +183,15 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     A grid takes its eigenbasis ``O_r (x) O_c`` and its network from its two
     path factors (:func:`_spectrum`, :func:`_kron_network`), with no n x n
     eigendecomposition or synthesis; any other graph takes
-    :func:`graphs.a_squared_spectrum` and one n x n synthesis.
+    :func:`graphs.a_squared_spectrum` and one n x n synthesis.  That half
+    depends on the graph alone and is computed once per graph
+    (:func:`_spectrum`, :func:`_passive_network`); each call adds only the
+    noise arithmetic.
 
     Refused with a ``ValueError`` where ``(1 - eps1) e^{2 r'} / 2``
     underflows or ``B2`` or ``g'`` overflows, so every plan is finite.
     """
-    d_vals, factors = _spectrum(graph)
+    d_vals = _spectrum(graph)[0]
     eps1, r_prime = noise.eps1, noise.r_prime
     c1, c2 = noise.c1, noise.c2
     one = 1.0 - eps1
@@ -216,12 +226,14 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     if c1 == 0.0:
         # Noiseless channel: every mode gets the identical preparation
         # (s = 1 above), so the passive network is reported as trivial.
-        factors = tuple(np.eye(len(f)) for f in factors)
+        n = len(d_vals)
+        orthogonal, network, signs = np.eye(n), np.empty(0, NETWORK_DTYPE), np.ones(n)
+    else:
+        orthogonal, network, signs = _passive_network(graph)
 
     r_eff = 0.25 * (math.log(b1) - math.log(b2))
     # B1 B2 >= 1/4 exactly; the clamp absorbs round-off at large |r'|
     nbar_eff = max(math.sqrt(b1) * math.sqrt(b2) - 0.5, 0.0)
-    network, signs = _kron_network(factors)
 
     return DecorrelationPlan(
         c1=c1,
@@ -230,7 +242,7 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
         b2=b2,
         g_prime=g_prime,
         eig_a2=d_vals,
-        orthogonal=reduce(np.kron, factors),
+        orthogonal=orthogonal,
         mode_squeezing=mode_squeezing,
         mode_thermal=mode_thermal,
         r_eff=r_eff,
@@ -242,8 +254,23 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     )
 
 
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+def _passive_network(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(orthogonal, network, signs)``: the basis ``O = kron(*factors)`` of
+    :func:`_spectrum` and its :func:`_kron_network`, kept for the last
+    ``_GRAPH_CACHE_SIZE`` graphs.  The arrays are read-only: plans of one
+    graph share them, and no caller can write into another plan's."""
+    factors = _spectrum(graph)[1]
+    arrays = (reduce(np.kron, factors), *_kron_network(factors))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _spectrum(graph: Graph) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """``(D, factors)`` with ``A^2 = O diag(D) O^T`` for ``O = kron(*factors)``.
+    """``(D, factors)`` with ``A^2 = O diag(D) O^T`` for ``O = kron(*factors)``,
+    kept read-only for the last ``_GRAPH_CACHE_SIZE`` graphs.
 
     A grid (its edges exactly those of ``grid2d_graph(r, c)``, ``r, c >= 2``)
     has ``A = A_r (x) I + I (x) A_c``, so the closed-form path bases
@@ -254,9 +281,13 @@ def _spectrum(graph: Graph) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     shape = _grid_shape(graph)
     if shape is None:
         d_vals, o = a_squared_spectrum(graph)
-        return d_vals, (o,)
-    (lam_r, o_r), (lam_c, o_c) = map(_path_spectrum, shape)
-    return np.square(np.add.outer(lam_r, lam_c)).ravel(), (o_r, o_c)
+        factors = (o,)
+    else:
+        (lam_r, o_r), (lam_c, o_c) = map(_path_spectrum, shape)
+        d_vals, factors = np.square(np.add.outer(lam_r, lam_c)).ravel(), (o_r, o_c)
+    for array in (d_vals, *factors):
+        array.flags.writeable = False
+    return d_vals, factors
 
 
 class LinearizedPlan(NamedTuple):

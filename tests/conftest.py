@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from cvdownload import planner
 from cvdownload.graphs import Graph, random_graph
 
 #: Pass/fail lines appended by the acceptance battery; echoed after the run
@@ -61,6 +62,22 @@ def assert_refused_before_allocating(call, match: str = "dense-simulation cap") 
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+#: The planner's per-graph caches.
+PLAN_CACHES = (planner._spectrum, planner._passive_network)
+
+
+def clear_plan_caches() -> None:
+    for cache in PLAN_CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _cold_plan_caches():
+    """Every test plans on empty graph caches, so none passes on work
+    another test left behind."""
+    clear_plan_caches()
 
 
 @pytest.fixture

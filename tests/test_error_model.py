@@ -28,7 +28,7 @@ from cvdownload.error_model import (
     squeezing_to_db,
     vertex_disconnect_prob,
 )
-from cvdownload.gaussian import SqueezedThermalParams, mixture_params
+from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams, mixture_params
 from cvdownload.qubits import (
     QubitPureState,
     apply_balancing_povm,
@@ -122,6 +122,22 @@ class TestOutcomeLaw:
         a = sample_q(0.7, 50, np.random.default_rng(123))
         b = sample_q(0.7, 50, np.random.default_rng(123))
         assert np.array_equal(a, b)
+
+    def test_sampler_is_generator_normal_bit_for_bit(self):
+        # the draws, and the generator state the balancing uniforms start
+        # from, are those of rng.normal(centers, scale) on a twin generator
+        r0s = [0.0, 0.7, -3.0, 25.0, R0_LIMIT, -R0_LIMIT]
+        for seed in range(200):
+            r0 = r0s[seed % len(r0s)] if seed < 2 * len(r0s) else float(
+                np.random.default_rng([seed, 1]).uniform(-R0_LIMIT, R0_LIMIT)
+            )
+            shots = 1 + seed % 120
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_q(r0, shots, rng)
+            centers = SQRT_PI * twin.integers(0, 2, size=shots)
+            want = twin.normal(centers, math.exp(r0) / math.sqrt(2.0))
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestKeepProbability:

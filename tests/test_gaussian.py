@@ -1,6 +1,7 @@
 """Covariance-matrix engine: channels, physicality, closed forms."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -115,6 +116,26 @@ class TestPreparation:
             cov[1, 3] = cov[3, 1] = bad
             _refused_without_warnings(lambda: GaussianState(2, cov), match)
             _refused_without_warnings(lambda: GaussianState(1, np.full((2, 2), bad)), match)
+
+    @pytest.mark.parametrize("entry", [1e308, sys.float_info.max])
+    def test_entries_up_to_the_float_max_accepted(self, entry):
+        # qq + qq^T overflows; the average with the transpose does not, and
+        # both constructions give the state mode_diag_state builds
+        want = mode_diag_state([entry], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (GaussianState(1, np.diag([entry, 1.0])), apply_orthogonal(want, np.eye(1)))
+        for state in got:
+            assert state.cov.tobytes() == want.cov.tobytes()
+
+    def test_overflow_fallback_only_where_the_sum_overflows(self):
+        # 0.5 x + 0.5 x rounds the smallest subnormal to 0; the entries whose
+        # sum stays finite keep the usual 0.5 (x + x)
+        tiny = 5e-324
+        cov = np.diag([1e308, 1.0, 1.0, 1.0])
+        cov[0, 1] = cov[1, 0] = tiny
+        state = GaussianState(2, cov)
+        assert state.qq.tobytes() == np.array([[1e308, tiny], [tiny, 1.0]]).tobytes()
 
     def test_cov_returns_input_bit_for_bit(self, rng):
         for n in (1, 3, 8):
@@ -341,6 +362,15 @@ class TestOrthogonal:
             _refused_without_warnings(
                 lambda: apply_orthogonal(vacuum(3), o), "^matrix is not orthogonal"
             )
+
+    def test_products_beyond_the_float_max_refused(self):
+        # the rotation takes the rank-one block of 1e308 entries to 2e308
+        qq, zero = np.full((2, 2), 1e308), np.zeros((2, 2))
+        state = GaussianState(2, np.block([[qq, zero], [zero, np.eye(2)]]))
+        o = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        _refused_without_warnings(
+            lambda: apply_orthogonal(state, o), "^covariance leaves the float range$"
+        )
 
     def test_preserves_symplectic_spectrum(self, rng):
         for _ in range(10):

@@ -6,6 +6,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthogonal, small_graphs
-from cvdownload import graphs, planner
+from conftest import PLAN_CACHES, clear_plan_caches, random_orthogonal, small_graphs
+from cvdownload import cli, graphs, planner
 from cvdownload.gaussian import (
     SqueezedThermalParams,
     mode_diag_state,
@@ -32,6 +33,7 @@ from cvdownload.graphs import (
     max_degree,
     path_graph,
     random_graph,
+    star_graph,
 )
 from cvdownload.planner import (
     NETWORK_DTYPE,
@@ -688,6 +690,8 @@ class TestGridPlans:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         g, noise = grid2d_graph(20, 20), NoiseParams(0.02, 0.01, 1.0)
         p = plan(g, noise)
+        for cache in PLAN_CACHES:
+            assert cache.cache_info().misses == 1  # planned here, not read back
         assert len(p.network) == 400 * 38 // 2
         assert verify_plan(p, g, noise) < VERIFY_TOL
         assert all(math.isfinite(v) for v in linearized_plan(g, noise))
@@ -709,6 +713,117 @@ class TestGridPlans:
         assert len(p.network) == 0 and np.array_equal(p.sign_layer, np.ones(12))
         assert np.array_equal(p.orthogonal, np.eye(12))
         assert verify_plan(p, g, NoiseParams(0.0, 0.0, 1.0)) < 1e-12
+
+
+def _plan_bits(p):
+    """Every field of a plan, arrays as (dtype, shape, bytes), floats by repr."""
+    return {
+        f.name: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+        for f in dataclasses.fields(p)
+        for v in [getattr(p, f.name)]
+    }
+
+
+def _counting(counts, name, func):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return func(*args, **kwargs)
+
+    return wrapper
+
+
+class TestGraphCache:
+    """The graph half of a plan (spectrum, basis, network) is computed once
+    per graph and kept in bounded caches; plans share it read-only."""
+
+    NOISES = (
+        NoiseParams(0.0, 0.0, 1.0),
+        NoiseParams(0.02, 0.01, 1.0),
+        NoiseParams(0.0, 0.0, -0.5),
+        NoiseParams(0.01, 0.03, 0.7),
+        NoiseParams(0.0, 0.0, 1.0),
+    )
+
+    @pytest.mark.parametrize("graph", [grid2d_graph(3, 4), star_graph(7), complete_graph(5)])
+    def test_plans_do_not_depend_on_cache_order(self, graph):
+        cold = []
+        for noise in self.NOISES:
+            clear_plan_caches()
+            cold.append(_plan_bits(plan(graph, noise)))
+        clear_plan_caches()
+        for order in (range(5), reversed(range(5)), [1, 0, 1, 2, 3, 0]):
+            for k in order:
+                assert _plan_bits(plan(graph, self.NOISES[k])) == cold[k]
+        for cache in PLAN_CACHES:
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
+
+    @pytest.mark.parametrize("graph", [grid2d_graph(3, 4), star_graph(7)])
+    def test_plan_arrays_are_fresh_or_read_only(self, graph):
+        want = {noise: _plan_bits(plan(graph, noise)) for noise in self.NOISES}
+        for noise in self.NOISES:
+            p = plan(graph, noise)
+            for f in dataclasses.fields(p):
+                array = getattr(p, f.name)
+                if not isinstance(array, np.ndarray):
+                    continue
+                if array.flags.writeable:
+                    array[...] = np.zeros((), array.dtype)
+                elif array.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[:1] = np.zeros((), array.dtype)
+            if noise.c1:  # the graph half, shared between plans
+                for name in ("eig_a2", "orthogonal", "network", "sign_layer"):
+                    assert not getattr(p, name).flags.writeable
+            for later in self.NOISES:
+                assert _plan_bits(plan(graph, later)) == want[later]
+
+    def test_cache_is_bounded(self):
+        size = planner._GRAPH_CACHE_SIZE
+        for n in range(2, size + 5):
+            plan(path_graph(n), NoiseParams(0.01, 0.01, 1.0))
+        for cache in PLAN_CACHES:
+            info = cache.cache_info()
+            assert (info.maxsize, info.misses, info.currsize) == (size, size + 3, size)
+
+    def test_only_noisy_plans_synthesise(self, monkeypatch):
+        # a noiseless plan and linearized_plan read only the spectrum
+        counts = Counter()
+        monkeypatch.setattr(
+            planner, "givens_network",
+            _counting(counts, "givens_network", planner.givens_network),
+        )
+        g = star_graph(20)
+        plan(g, NoiseParams(0.0, 0.0, 1.0))
+        linearized_plan(g, NoiseParams(0.01, 0.01, 1.0))
+        assert counts == {}
+        plan(g, NoiseParams(0.01, 0.0, 1.0))
+        plan(g, NoiseParams(0.0, 0.01, 1.0))
+        assert counts == {"givens_network": 1}
+
+    def test_sweep_synthesises_once(self, monkeypatch, capsys):
+        counts = Counter()
+        for name in ("a_squared_spectrum", "givens_network"):
+            monkeypatch.setattr(planner, name, _counting(counts, name, getattr(planner, name)))
+        assert cli.main([
+            "sweep", "--graph", "star:200", "--eps1", "0.01,0.02,0.03",
+            "--eps2", "0.005,0.01,0.02", "--r-prime", "0.5,1.0,1.5",
+        ]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
+        assert len(rows) == 27
+        assert counts == {"a_squared_spectrum": 1, "givens_network": 1}
+
+    def test_plan_command_computes_the_spectrum_once(self, monkeypatch, capsys):
+        # plan, then linearized_plan's spectral D, from one spectrum
+        counts = Counter()
+        monkeypatch.setattr(
+            planner, "a_squared_spectrum",
+            _counting(counts, "a_squared_spectrum", planner.a_squared_spectrum),
+        )
+        assert cli.main(["plan", "--graph", "star:9"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["linearized"]["spectral"] is not None
+        assert counts == {"a_squared_spectrum": 1}
 
 
 class TestPlanSerialization:
