@@ -78,6 +78,11 @@ class Graph:
             seen.add(key)
             normalized.append(key)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        # hashed once: every planner cache lookup hashes the graph
+        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def path_graph(n: int) -> Graph:

@@ -33,9 +33,11 @@ The principal mode (``Delta = 0``) needs exactly ``(r', 0)``: the full
 hardware squeezing, no added thermal noise.  Index 0 of every plan is a
 principal mode.  The spectrum ``D`` is sorted descending only on the
 general path; a grid graph is planned from its two path factors and keeps
-their Kronecker order.  ``verify_plan`` replays the
-whole pipeline forward through the Gaussian channel engine and reports
-the worst covariance residual against the ideal target.
+their Kronecker order.  The passive network is printed once, as two-mode
+rotations plus a sign layer.  ``verify_plan`` multiplies out exactly that
+printed network, replays the whole pipeline forward through the Gaussian
+channel engine and reports the worst covariance residual against the
+ideal target.
 
 Every plan is physical by construction.  With ``k = B1 - C1 =
 (1 - eps1) e^{2 r'} / 2 > 0`` (so ``g' = B1 / k``) the input conditions
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -88,10 +90,13 @@ VERIFY_TOL = 1e-9
 # quarter of the largest float: each congruence adds its product to its
 # transpose, and the residual subtracts two such covariances.
 _REPLAY_LOG_LIMIT = math.log(sys.float_info.max / 4.0)
-# Graphs for which the noise-independent half of a plan is kept: each of
-# :func:`_spectrum` and :func:`_passive_network` caches that many.  A graph's
-# entries hold at most two bases of n^2 floats and n (n - 1) / 2 beam
-# splitters of 24 bytes, under 28 n^2 bytes (23 MB at n = 900).
+# Graphs for which the noise-independent half of a plan is kept, and recipes
+# whose composed network is kept: each of :func:`_spectrum`,
+# :func:`_passive_network` and :func:`_composed_network` caches that many.  A
+# graph's entries hold one basis of at most n^2 floats and n (n - 1) / 2 beam
+# splitters of 24 bytes, under 20 n^2 bytes.  A plan's recipe holds its n x n
+# composition and, as its key, its network and signs: under 20 n^2 + 8 n
+# bytes too (each about 16 MB at n = 900).
 _GRAPH_CACHE_SIZE = 8
 
 
@@ -136,17 +141,18 @@ class DecorrelationPlan:
     """Complete hardware recipe plus diagnostics.
 
     ``mode_squeezing[k]`` / ``mode_thermal[k]`` prepare the mode that the
-    orthogonal network maps onto eigenvector ``k`` of ``A^2`` (column ``k``
-    of ``orthogonal``, eigenvalue ``eig_a2[k]``).  Index 0 is a principal
-    mode, ``eig_a2[0] = max(eig_a2)``.  ``eig_a2`` is sorted descending only
-    on the general path; a grid keeps the Kronecker order of its two path
-    factors (see :func:`plan`).  ``network`` realizes that orthogonal as
-    two-mode rotations followed by per-mode sign flips (see
-    :func:`compose_network`): at most ``n (n - 1) / 2`` of them, and on a
-    grid ``grid2d:r x c`` exactly ``n (r + c - 2) / 2``.  It is one array of
-    :data:`NETWORK_DTYPE`, with fields ``i``, ``j`` and ``angle``.
-    ``eig_a2``, ``orthogonal``, ``network`` and ``sign_layer`` are read-only:
-    plans of one graph share them.
+    passive network maps onto eigenvector ``k`` of ``A^2`` (column ``k`` of
+    ``compose_network(network, sign_layer)``, eigenvalue ``eig_a2[k]``).
+    Index 0 is a principal mode, ``eig_a2[0] = max(eig_a2)``.  ``eig_a2``
+    is sorted descending only on the general path; a grid keeps the
+    Kronecker order of its two path factors (see :func:`plan`).  The
+    network is two-mode rotations followed by per-mode sign flips: at most
+    ``n (n - 1) / 2`` rotations, and on a grid ``grid2d:r x c`` exactly
+    ``n (r + c - 2) / 2``.  ``network`` is one array of
+    :data:`NETWORK_DTYPE`, with fields ``i``, ``j`` and ``angle``, and
+    ``sign_layer`` holds the n signs.  A noiseless plan has no rotations
+    and all signs +1.  ``eig_a2``, ``network`` and ``sign_layer`` are
+    read-only: plans of one graph share them.
 
     :func:`plan` always sets ``physical=True, violated=None``; only a
     hand-built recipe can be unphysical, and :func:`verify_plan` refuses it.
@@ -158,7 +164,6 @@ class DecorrelationPlan:
     b2: float
     g_prime: float
     eig_a2: np.ndarray
-    orthogonal: np.ndarray
     mode_squeezing: np.ndarray
     mode_thermal: np.ndarray
     r_eff: float
@@ -180,8 +185,8 @@ class DecorrelationPlan:
 def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     """Solve the decorrelation problem for ``graph`` under ``noise``.
 
-    A grid takes its eigenbasis ``O_r (x) O_c`` and its network from its two
-    path factors (:func:`_spectrum`, :func:`_kron_network`), with no n x n
+    A grid takes its spectrum and its network from its two path factors
+    (:func:`_spectrum`, :func:`_kron_network`), with no n x n
     eigendecomposition or synthesis; any other graph takes
     :func:`graphs.a_squared_spectrum` and one n x n synthesis.  That half
     depends on the graph alone and is computed once per graph
@@ -226,10 +231,9 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     if c1 == 0.0:
         # Noiseless channel: every mode gets the identical preparation
         # (s = 1 above), so the passive network is reported as trivial.
-        n = len(d_vals)
-        orthogonal, network, signs = np.eye(n), np.empty(0, NETWORK_DTYPE), np.ones(n)
+        network, signs = np.empty(0, NETWORK_DTYPE), np.ones(len(d_vals))
     else:
-        orthogonal, network, signs = _passive_network(graph)
+        network, signs = _passive_network(graph)
 
     r_eff = 0.25 * (math.log(b1) - math.log(b2))
     # B1 B2 >= 1/4 exactly; the clamp absorbs round-off at large |r'|
@@ -242,7 +246,6 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
         b2=b2,
         g_prime=g_prime,
         eig_a2=d_vals,
-        orthogonal=orthogonal,
         mode_squeezing=mode_squeezing,
         mode_thermal=mode_thermal,
         r_eff=r_eff,
@@ -255,13 +258,12 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
 
 
 @lru_cache(maxsize=_GRAPH_CACHE_SIZE)
-def _passive_network(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(orthogonal, network, signs)``: the basis ``O = kron(*factors)`` of
-    :func:`_spectrum` and its :func:`_kron_network`, kept for the last
+def _passive_network(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(network, signs)`` realizing the basis ``O = kron(*factors)`` of
+    :func:`_spectrum` (see :func:`_kron_network`), kept for the last
     ``_GRAPH_CACHE_SIZE`` graphs.  The arrays are read-only: plans of one
     graph share them, and no caller can write into another plan's."""
-    factors = _spectrum(graph)[1]
-    arrays = (reduce(np.kron, factors), *_kron_network(factors))
+    arrays = _kron_network(_spectrum(graph)[1])
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -358,14 +360,18 @@ def linearized_plan(
 def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> float:
     """Replay the plan forward and return the worst covariance residual.
 
-    Pipeline: per-mode squeezed-thermal inputs -> orthogonal network ->
-    CPHASE at ``g'`` -> loss ``eps1`` -> detector noise ``eps2``; the
-    result must equal the unit-strength CPHASE network applied to i.i.d.
-    ``(r_eff, nbar_eff)`` modes.  Refuses to verify an unphysical plan,
-    and refuses with a ``ValueError``, before the replay, a plan with a
-    negative or NaN thermal occupation (the recipe is replayed as given,
-    not repaired) or one whose replayed covariance or target could leave
-    the float range (see :func:`_replay_log_bound`).
+    Pipeline: per-mode squeezed-thermal inputs -> the printed network
+    ``compose_network(network, sign_layer)`` -> CPHASE at ``g'`` -> loss
+    ``eps1`` -> detector noise ``eps2``; the result must equal the
+    unit-strength CPHASE network applied to i.i.d. ``(r_eff, nbar_eff)``
+    modes.  The composition is memoised on the recipe's bytes (see
+    :func:`_composed_network`), so a repeated recipe pays only that key.
+    Refuses to verify an unphysical plan, and refuses with a
+    ``ValueError``, before the replay, a plan with a negative or NaN
+    thermal occupation (the recipe is replayed as given, not repaired),
+    one whose replayed covariance or target could leave the float range
+    (see :func:`_replay_log_bound`), or one whose network or sign layer
+    :func:`compose_network` refuses.
     """
     if not plan_.physical:
         raise ValueError(f"plan is not physical (violated: {plan_.violated})")
@@ -385,10 +391,12 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
             f"the replayed covariance would leave the float range: its entries "
             f"may reach e^{log_bound:.6g}, above float max / 4 = e^{_REPLAY_LOG_LIMIT:.6g}"
         )
+    network, signs = _recipe_arrays(plan_.network, plan_.sign_layer)
+    o = _composed_network(network.tobytes(), signs.tobytes())
     q_vars = np.exp(2.0 * plan_.mode_squeezing) * (nbar + 0.5)
     p_vars = np.exp(-2.0 * plan_.mode_squeezing) * (nbar + 0.5)
     state = mode_diag_state(q_vars, p_vars)
-    state = apply_orthogonal(state, plan_.orthogonal)
+    state = apply_orthogonal(state, o)
     state = apply_cphase(state, graph, plan_.g_prime)
     state = apply_loss(state, noise.eps1)
     state = apply_detector_noise(state, noise.eps2)
@@ -420,22 +428,77 @@ def _replay_log_bound(
 # orthogonal-network synthesis
 # ---------------------------------------------------------------------------
 
-def compose_network(n: int, network: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def compose_network(network: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Multiply out ``R_1 R_2 ... R_m diag(signs)`` in the listed order.
 
     ``R_k`` is the plane rotation of ``network[k]`` (``R[i, j] = -sin``,
-    ``R[j, i] = sin``).  Each rotation updates two rows of the running
-    product in place: O(n) per rotation, O(n^3) in total for a full
-    network.
+    ``R[j, i] = sin``) on ``n = len(signs)`` modes.  Each rotation updates
+    two rows of the running product in place: O(n) per rotation, O(n^3) in
+    total for a full network.
+
+    Refused with a ``ValueError``, before the n x n product is allocated: a
+    network that is not a 1-d array of :data:`NETWORK_DTYPE`, a rotation
+    whose modes leave ``[0, n)`` or coincide, a non-finite angle, and signs
+    that are not a 1-d array of exact +-1.
     """
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (n,):
-        raise ValueError(f"expected {n} signs, got shape {signs.shape}")
+    network, signs = _recipe_arrays(network, signs)
+    n = len(signs)
+    i, j = network["i"], network["j"]
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"rotation {k} acts on modes ({int(i[k])}, {int(j[k])}), "
+            f"not two distinct modes in [0, {n})"
+        )
+    bad = np.flatnonzero(~np.isfinite(network["angle"]))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"rotation {k} has a non-finite angle {float(network['angle'][k])!r}")
+    bad = np.flatnonzero(np.abs(signs) != 1.0)  # NaN too
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"sign {k} is {float(signs[k])!r}, not +1 or -1")
     out = np.diag(signs)
-    for i, j, angle in network[::-1].tolist():
-        c, s = math.cos(angle), math.sin(angle)
-        out[[i, j]] = np.array([[c, -s], [s, c]]) @ out[[i, j]]
+    steps = network[::-1]
+    angles = steps["angle"]
+    for i, j, c, s in zip(
+        steps["i"].tolist(), steps["j"].tolist(), np.cos(angles).tolist(), np.sin(angles).tolist()
+    ):
+        row_i, row_j = out[i], out[j]
+        new_i = c * row_i
+        new_i -= s * row_j
+        row_j *= c
+        row_j += s * row_i
+        row_i[:] = new_i
     return out
+
+
+def _recipe_arrays(network: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(network, signs as floats)``, refusing with a ``ValueError`` a
+    network that is not a 1-d :data:`NETWORK_DTYPE` array and signs that
+    are not 1-d.  O(1) for arrays of the right types."""
+    if not (
+        isinstance(network, np.ndarray) and network.dtype == NETWORK_DTYPE and network.ndim == 1
+    ):
+        layout = (type(network).__name__, getattr(network, "dtype", None), np.shape(network))
+        raise ValueError(f"network must be a 1-d array of NETWORK_DTYPE, got {layout}")
+    signs = np.asarray(signs, dtype=float)
+    if signs.ndim != 1:
+        raise ValueError(f"signs must be 1-d, got shape {signs.shape}")
+    return network, signs
+
+
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+def _composed_network(network: bytes, signs: bytes) -> np.ndarray:
+    """``compose_network`` of a recipe given by the bytes of its network
+    and its float signs (layouts checked by :func:`_recipe_arrays`),
+    read-only and kept for the last ``_GRAPH_CACHE_SIZE`` recipes.  Equal
+    bytes give an equal matrix, so a hit returns the composition of exactly
+    the recipe given; a refused recipe is never kept."""
+    o = compose_network(np.frombuffer(network, NETWORK_DTYPE), np.frombuffer(signs))
+    o.flags.writeable = False
+    return o
 
 
 def _kron_network(factors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -473,7 +536,7 @@ def givens_network(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rotations zero the below-diagonal entries column by column, leaving a
     diagonal of +-1.  Returns ``(network, signs)``, ``network`` an array
     of :data:`NETWORK_DTYPE` in application order, such that
-    ``compose_network(n, network, signs)`` reproduces ``o``; at most
+    ``compose_network(network, signs)`` reproduces ``o``; at most
     ``n (n - 1) / 2`` rotations, with entries below 1e-14 skipped, so a
     block-structured ``o`` (see :func:`graphs.a_squared_spectrum`) costs
     only the rotations inside its blocks.

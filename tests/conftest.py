@@ -64,19 +64,25 @@ def assert_refused_before_allocating(call, match: str = "dense-simulation cap") 
     assert peak < 64 * 1024
 
 
-#: The planner's per-graph caches.
+#: The planner's per-graph caches, the ones that ``plan`` fills.
 PLAN_CACHES = (planner._spectrum, planner._passive_network)
 
 
+def planner_caches() -> list:
+    """Every ``lru_cache`` in ``cvdownload.planner``: each module attribute
+    with a ``cache_clear``."""
+    return [value for value in vars(planner).values() if hasattr(value, "cache_clear")]
+
+
 def clear_plan_caches() -> None:
-    for cache in PLAN_CACHES:
+    for cache in planner_caches():
         cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def _cold_plan_caches():
-    """Every test plans on empty graph caches, so none passes on work
-    another test left behind."""
+    """Every test plans and verifies on empty planner caches, so none passes
+    on work another test left behind."""
     clear_plan_caches()
 
 

@@ -267,7 +267,8 @@ class TestPlan:
         doc = json.loads(body)
         assert doc["plan"]["g_prime"] == 1.0
         assert doc["plan"]["network"] == []
-        assert np.allclose(doc["plan"]["orthogonal"], np.eye(3))
+        assert doc["plan"]["sign_layer"] == [1.0, 1.0, 1.0]
+        assert "orthogonal" not in doc["plan"]
 
     def test_verification_block(self, capsys):
         main(["plan", "--graph", "complete:3", "--eps1", "0.01", "--eps2", "0.02"])

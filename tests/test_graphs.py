@@ -121,6 +121,17 @@ class TestValidation:
         g = Graph(4, ((3, 1), (1, 0)))
         assert g.edges == ((0, 1), (1, 3))
 
+    def test_equal_graphs_hash_equal(self):
+        # the hash is computed once at construction; equality is unchanged
+        want = grid2d_graph(3, 4)
+        reordered = Graph(12, tuple((j, i) for i, j in reversed(want.edges)))
+        numpy_ints = Graph(np.int64(12), tuple((np.int32(i), np.uint8(j)) for i, j in want.edges))
+        for g in (reordered, numpy_ints):
+            assert g == want and hash(g) == hash(want)
+            assert {g: 1}[want] == 1
+        assert Graph(12, want.edges[1:]) != want
+        assert Graph(13, want.edges) != want
+
 
 class TestAdjacency:
     def test_path_matrix(self):

@@ -8,13 +8,20 @@ import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN_CACHES, clear_plan_caches, random_orthogonal, small_graphs
+from conftest import (
+    PLAN_CACHES,
+    assert_refused_before_allocating,
+    clear_plan_caches,
+    random_orthogonal,
+    small_graphs,
+)
 from cvdownload import cli, graphs, planner
 from cvdownload.gaussian import (
     SqueezedThermalParams,
@@ -49,6 +56,11 @@ from cvdownload.planner import (
 
 
 _eps = st.floats(0.0, 0.99)
+
+
+def _basis(graph):
+    """The eigenbasis ``kron(*factors)`` of ``A^2`` that a plan's network realizes."""
+    return reduce(np.kron, planner._spectrum(graph)[1])
 
 
 def _random_noise(rng, eps_hi=0.05, r_lo=0.3, r_hi=1.5):
@@ -136,7 +148,7 @@ class TestPlanValues:
         assert abs(p.r_eff - 1.0) < 1e-12
         assert abs(p.nbar_eff) < 1e-12
         assert len(p.network) == 0 and p.network.dtype == NETWORK_DTYPE
-        assert np.array_equal(p.orthogonal, np.eye(3))
+        assert np.array_equal(compose_network(p.network, p.sign_layer), np.eye(3))
         assert p.physical
 
     def test_principal_mode_exact(self, rng):
@@ -296,6 +308,80 @@ class TestVerifyPlan:
         broken = dataclasses.replace(plan(g, noise), physical=False, violated="forced")
         with pytest.raises(ValueError):
             verify_plan(broken, g, noise)
+
+
+def _angle_shifted(network, k):
+    out = network.copy()
+    out["angle"][k] += 0.3
+    return out
+
+
+def _modes_swapped(network, k):
+    out = network.copy()
+    out[k] = (out[k]["j"], out[k]["i"], out[k]["angle"])
+    return out
+
+
+class TestPrintedRecipe:
+    """verify_plan replays the network and sign layer the plan prints, and
+    memoises their composition on the recipe's bytes."""
+
+    NOISE = NoiseParams(0.01, 0.02, 1.0)
+
+    @pytest.mark.parametrize("graph", [grid2d_graph(4, 4), star_graph(9)])
+    @pytest.mark.parametrize(
+        "mutate",
+        [_angle_shifted, lambda network, k: np.delete(network, k), _modes_swapped],
+        ids=["angle", "dropped", "swapped"],
+    )
+    def test_mutated_network_fails_verification(self, graph, mutate):
+        # a sign flip is left out: it scales a column of O by -1, which
+        # commutes with the mode-diagonal input, so no replay can see it
+        p = plan(graph, self.NOISE)
+        assert verify_plan(p, graph, self.NOISE) < VERIFY_TOL
+        broken = dataclasses.replace(p, network=mutate(p.network, 5))
+        assert verify_plan(broken, graph, self.NOISE) >= VERIFY_TOL
+
+    def test_refused_network_is_not_replayed(self):
+        g = path_graph(3)
+        p = plan(g, self.NOISE)
+        broken = dataclasses.replace(p, network=np.array([(-1, 0, 0.4)], NETWORK_DTYPE))
+        with pytest.raises(ValueError, match=r"^rotation 0 acts on modes \(-1, 0\)"):
+            verify_plan(broken, g, self.NOISE)
+        assert planner._composed_network.cache_info().currsize == 0
+
+    def test_equal_bytes_hit_the_memo(self):
+        g = grid2d_graph(4, 4)
+        p = plan(g, self.NOISE)
+        residual = verify_plan(p, g, self.NOISE)
+        copy = dataclasses.replace(p, network=p.network.copy(), sign_layer=p.sign_layer.copy())
+        assert copy.network.flags.writeable and copy.sign_layer.flags.writeable
+        assert verify_plan(copy, g, self.NOISE).hex() == residual.hex()
+        info = planner._composed_network.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        composed = planner._composed_network(copy.network.tobytes(), copy.sign_layer.tobytes())
+        with pytest.raises(ValueError, match="read-only"):
+            composed[0, 0] = 0.0
+
+    def test_memo_is_bounded(self):
+        size = planner._GRAPH_CACHE_SIZE
+        for n in range(2, size + 5):
+            g = path_graph(n)
+            verify_plan(plan(g, self.NOISE), g, self.NOISE)
+        info = planner._composed_network.cache_info()
+        assert (info.maxsize, info.misses, info.currsize) == (size, size + 3, size)
+
+    def test_fixture_clears_every_planner_cache(self):
+        caches = [v for v in vars(planner).values() if hasattr(v, "cache_clear")]
+        assert {*PLAN_CACHES, planner._composed_network} <= set(caches)
+        # the autouse fixture ran before this test ...
+        assert all(cache.cache_info().currsize == 0 for cache in caches)
+        g = star_graph(5)
+        verify_plan(plan(g, self.NOISE), g, self.NOISE)
+        assert all(cache.cache_info().currsize == 1 for cache in caches)
+        # ... and what it runs empties every cache a plan and a replay fill
+        clear_plan_caches()
+        assert all(cache.cache_info().currsize == 0 for cache in caches)
 
 
 def _exactly_feasible(p, noise):
@@ -521,14 +607,14 @@ class TestGivensNetwork:
         network, signs = givens_network(np.eye(4))
         assert network.shape == (0,) and network.dtype == NETWORK_DTYPE
         assert np.array_equal(signs, np.ones(4))
-        assert np.array_equal(compose_network(4, network, signs), np.eye(4))
+        assert np.array_equal(compose_network(network, signs), np.eye(4))
 
     def test_single_rotation(self):
         th = 0.6
         o = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         rotations, signs = givens_network(o)
         assert len(rotations) == 1
-        recomposed = compose_network(2, rotations, signs)
+        recomposed = compose_network(rotations, signs)
         assert np.max(np.abs(recomposed - o)) < 1e-12
 
     def test_sign_layer(self):
@@ -542,7 +628,7 @@ class TestGivensNetwork:
             o = random_orthogonal(n, rng)
             rotations, signs = givens_network(o)
             assert len(rotations) <= n * (n - 1) // 2
-            recomposed = compose_network(n, rotations, signs)
+            recomposed = compose_network(rotations, signs)
             assert np.max(np.abs(recomposed - o)) < 1e-9
 
     @settings(max_examples=150, deadline=None)
@@ -558,7 +644,7 @@ class TestGivensNetwork:
         i, j = rotations["i"], rotations["j"]
         assert np.all((0 <= i) & (i < j) & (j < n))
         assert set(np.abs(signs)) <= {1.0}
-        recomposed = compose_network(n, rotations, signs)
+        recomposed = compose_network(rotations, signs)
         assert np.max(np.abs(recomposed - o)) < 1e-9
         assert np.max(np.abs(recomposed - _dense_compose(n, rotations, signs))) < 1e-12
 
@@ -576,7 +662,7 @@ class TestGivensNetwork:
         assert np.array_equal(rotations["j"], expected["j"])
         assert np.all(np.abs(rotations["angle"] - expected["angle"]) <= 1e-12)
         assert np.array_equal(signs, expected_signs)
-        assert np.max(np.abs(compose_network(n, rotations, signs) - o), initial=0.0) <= 1e-12
+        assert np.max(np.abs(compose_network(rotations, signs) - o), initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("side", [10, 12])
     def test_grid2d_spectrum_basis(self, side):
@@ -584,7 +670,7 @@ class TestGivensNetwork:
         n = o.shape[0]
         rotations, signs = givens_network(o)
         assert len(rotations) <= n * (n - 1) // 2
-        assert np.max(np.abs(compose_network(n, rotations, signs) - o)) < 1e-9
+        assert np.max(np.abs(compose_network(rotations, signs) - o)) < 1e-9
 
     def test_compose_matches_dense_product(self, rng):
         # arbitrary plane pairs in either order, not only synthesis output
@@ -594,12 +680,14 @@ class TestGivensNetwork:
                 i, j = rng.choice(n, size=2, replace=False)
                 rotations[k] = (i, j, rng.uniform(-math.pi, math.pi))
             signs = rng.choice([-1.0, 1.0], size=n)
-            got = compose_network(n, rotations, signs)
+            got = compose_network(rotations, signs)
             assert np.max(np.abs(got - _dense_compose(n, rotations, signs))) < 1e-12
 
     def test_compose_rejects_wrong_sign_count(self):
-        with pytest.raises(ValueError):
-            compose_network(3, np.empty(0, NETWORK_DTYPE), np.ones(2))
+        # the sign layer sets the mode count: too few signs leave mode 2 out
+        network = np.array([(0, 2, 0.4)], NETWORK_DTYPE)
+        with pytest.raises(ValueError, match=r"^rotation 0 acts on modes \(0, 2\)"):
+            compose_network(network, np.ones(2))
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
@@ -642,8 +730,74 @@ class TestGivensNetwork:
         p = plan(g, NoiseParams(0.02, 0.01, 1.0))
         assert p.network.dtype == NETWORK_DTYPE and not p.network.dtype.hasobject
         assert p.network["angle"].dtype == np.float64
-        recomposed = compose_network(g.n, p.network, p.sign_layer)
-        assert np.max(np.abs(recomposed - p.orthogonal)) < 1e-9
+        recomposed = compose_network(p.network, p.sign_layer)
+        assert np.max(np.abs(recomposed - _basis(g))) < 1e-9
+
+
+class TestComposeRefusals:
+    """compose_network refuses a recipe from outside before it allocates."""
+
+    @pytest.mark.parametrize(
+        "rotation, match",
+        [
+            ((-1, 0, 0.4), r"^rotation 0 acts on modes \(-1, 0\), not two distinct modes in \[0, 3\)$"),
+            ((1, 1, 0.4), r"^rotation 0 acts on modes \(1, 1\)"),
+            ((0, 5, 0.4), r"^rotation 0 acts on modes \(0, 5\)"),
+            ((0, 1, math.nan), r"^rotation 0 has a non-finite angle nan$"),
+            ((0, 1, math.inf), r"^rotation 0 has a non-finite angle inf$"),
+        ],
+        ids=["negative-mode", "same-mode", "mode-beyond-n", "nan-angle", "inf-angle"],
+    )
+    def test_bad_rotation(self, rotation, match):
+        # (-1, 0) rotated mode 2, (1, 1) wrote 1.31 on the diagonal and
+        # (0, 5) raised IndexError
+        network = np.array([rotation, (0, 1, 0.2)], NETWORK_DTYPE)
+        with pytest.raises(ValueError, match=match):
+            compose_network(network, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            [(0, 1, 0.4)],
+            np.array([[0.0, 1.0, 0.4]]),
+            np.array([[(0, 1, 0.4)]], NETWORK_DTYPE),
+            np.array([(0, 1, 0.4)], [("i", np.int32), ("j", np.int32), ("angle", np.float64)]),
+        ],
+        ids=["list", "float-array", "2-d", "other-dtype"],
+    )
+    def test_network_not_a_1d_network_dtype_array(self, network):
+        with pytest.raises(ValueError, match="^network must be a 1-d array of NETWORK_DTYPE"):
+            compose_network(network, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "signs, match",
+        [
+            (np.ones((1, 3)), r"^signs must be 1-d, got shape \(1, 3\)$"),
+            (np.array([1.0, 0.5, -1.0]), r"^sign 1 is 0.5, not \+1 or -1$"),
+            (np.array([1.0, -1.0, math.nan]), r"^sign 2 is nan, not \+1 or -1$"),
+        ],
+        ids=["2-d", "half", "nan"],
+    )
+    def test_bad_signs(self, signs, match):
+        with pytest.raises(ValueError, match=match):
+            compose_network(np.array([(0, 1, 0.4)], NETWORK_DTYPE), signs)
+
+    @pytest.mark.parametrize(
+        "rotation, sign, match",
+        [
+            ((-1, 0, 0.4), 1.0, "^rotation 0 acts"),
+            ((0, 0, 0.4), 1.0, "^rotation 0 acts"),
+            ((0, 1, math.nan), 1.0, "^rotation 0 has"),
+            ((0, 1, 0.4), 2.0, "^sign 1023 is 2.0"),
+        ],
+        ids=["negative-mode", "same-mode", "nan-angle", "sign-two"],
+    )
+    def test_refused_before_allocating(self, rotation, sign, match):
+        n = 1024  # the product alone would take 8 MB
+        network = np.array([rotation], NETWORK_DTYPE)
+        signs = np.ones(n)
+        signs[-1] = sign
+        assert_refused_before_allocating(lambda: compose_network(network, signs), match)
 
 
 def _relabelled(graph, rng):
@@ -666,10 +820,11 @@ class TestGridPlans:
                 noise = _random_noise(rng)
                 p = plan(g, noise)
                 assert len(p.network) == n * (rows + cols - 2) // 2
-                recomposed = compose_network(n, p.network, p.sign_layer)
-                assert np.max(np.abs(recomposed - p.orthogonal)) <= 1e-12
+                basis = _basis(g)
+                recomposed = compose_network(p.network, p.sign_layer)
+                assert np.max(np.abs(recomposed - basis)) <= 1e-12
                 a = adjacency_matrix(g)
-                a2_diag = p.orthogonal.T @ (a @ a) @ p.orthogonal
+                a2_diag = basis.T @ (a @ a) @ basis
                 assert np.max(np.abs(a2_diag - np.diag(p.eig_a2))) <= 1e-12 * p.eig_a2[0]
                 assert p.eig_a2[0] == p.eig_a2.max()
                 general = plan(_relabelled(g, rng), noise)
@@ -711,7 +866,7 @@ class TestGridPlans:
         g = grid2d_graph(3, 4)
         p = plan(g, NoiseParams(0.0, 0.0, 1.0))
         assert len(p.network) == 0 and np.array_equal(p.sign_layer, np.ones(12))
-        assert np.array_equal(p.orthogonal, np.eye(12))
+        assert np.array_equal(compose_network(p.network, p.sign_layer), np.eye(12))
         assert verify_plan(p, g, NoiseParams(0.0, 0.0, 1.0)) < 1e-12
 
 
@@ -773,7 +928,7 @@ class TestGraphCache:
                     with pytest.raises(ValueError, match="read-only"):
                         array[:1] = np.zeros((), array.dtype)
             if noise.c1:  # the graph half, shared between plans
-                for name in ("eig_a2", "orthogonal", "network", "sign_layer"):
+                for name in ("eig_a2", "network", "sign_layer"):
                     assert not getattr(p, name).flags.writeable
             for later in self.NOISES:
                 assert _plan_bits(plan(graph, later)) == want[later]
@@ -831,13 +986,13 @@ class TestPlanSerialization:
         p = plan(path_graph(3), NoiseParams(0.01, 0.02, 1.1))
         doc = p.to_json()
         assert doc["physical"] is True
-        assert len(doc["orthogonal"]) == 3
+        assert "orthogonal" not in doc
         assert all(set(entry) == {"modes", "angle"} for entry in doc["network"])
-        # the written entries alone rebuild the orthogonal they realize
+        # the written entries alone rebuild the eigenbasis they realize
         entries = json.loads(json.dumps(doc["network"]))
         network = np.array([(*e["modes"], e["angle"]) for e in entries], NETWORK_DTYPE)
-        recomposed = compose_network(3, network, doc["sign_layer"])
+        recomposed = compose_network(network, doc["sign_layer"])
         assert len(network) > 0
-        assert np.max(np.abs(recomposed - p.orthogonal)) < 1e-9
+        assert np.max(np.abs(recomposed - _basis(path_graph(3)))) < 1e-9
         assert doc["g_prime"] >= 1.0
         assert len(doc["mode_squeezing"]) == 3
