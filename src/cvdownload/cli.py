@@ -11,9 +11,10 @@ sweep       cartesian feasibility sweep of the planner
 ``COMMANDS`` holds each key's type, default and help once; its flag and
 its ``--config`` value (see ``_convert``) both take that type, with flags
 over the config file over the defaults.  Every output starts with a
-metadata header (tool version, command, seed, resolved typed config)
-sufficient to reproduce it byte for byte; no timestamps, so identical
-inputs give identical files.  Floats print with 17 significant digits.
+metadata header (tool version, command, seed, resolved typed config;
+``download`` also names its draw rule, ``rng_scheme``) sufficient to
+reproduce it byte for byte; no timestamps, so identical inputs give
+identical files.  Floats print with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .graphs import Graph, neighbor_phase, parse_graph_spec, path_graph, random_
 from .grid import apply_cd_grid, apply_cphase_grid, make_grid_state, measure_q_grid
 from .planner import VERIFY_TOL, NoiseParams, linearized_plan, plan, verify_plan
 from .protocol import (
+    SHOT_BLOCK,
     ProtocolParams,
     downloaded_state_direct,
     downloaded_state_equivalent,
@@ -79,24 +81,25 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
             fh.write(text)
 
 
-def _meta_lines(command: str, config: dict) -> list[str]:
+def _meta_lines(command: str, config: dict, extra: dict | None = None) -> list[str]:
     return [
         f"# cvdownload {__version__}",
         f"# command: {command}",
         f"# seed: {config['seed']}",
+        *(f"# {key}: {value}" for key, value in (extra or {}).items()),
         f"# config: {_json_text(config, sort_keys=True)}",
     ]
 
 
-def _csv_output(path, command, config, header, rows) -> None:
-    lines = _meta_lines(command, config)
+def _csv_output(path, command, config, header, rows, extra: dict | None = None) -> None:
+    lines = _meta_lines(command, config, extra)
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     _write_lines(path, lines)
 
 
-def _json_output(path, command, config, payload: dict) -> None:
+def _json_output(path, command, config, payload: dict, extra: dict | None = None) -> None:
     doc = {
         "meta": {
             "tool": "cvdownload",
@@ -104,6 +107,7 @@ def _json_output(path, command, config, payload: dict) -> None:
             "command": command,
             "seed": config["seed"],
             "config": config,
+            **(extra or {}),
         }
     }
     doc.update(payload)
@@ -322,10 +326,12 @@ def cmd_download(args: argparse.Namespace, config: dict) -> int:
         summary.p_del_analytic,
         summary.mean_kept_fidelity,
     ]
+    # the draws depend on the block size: name the rule with the seed
+    extra = {"rng_scheme": f"block-{SHOT_BLOCK}"}
     if args.format == "json":
-        _json_output(args.out, "download", config, {"summary": summary.to_json()})
+        _json_output(args.out, "download", config, {"summary": summary.to_json()}, extra)
     else:
-        _csv_output(args.out, "download", config, header, [row])
+        _csv_output(args.out, "download", config, header, [row], extra)
     return 0
 
 

@@ -164,16 +164,37 @@ def squeezed_thermal(params: SqueezedThermalParams, n: int) -> GaussianState:
     return mode_diag_state(np.full(n, params.q_variance), np.full(n, params.p_variance))
 
 
-def mode_diag_state(q_vars, p_vars) -> GaussianState:
-    """Uncorrelated modes with individually chosen quadrature variances."""
+def _mode_variances(q_vars, p_vars) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode variances as float arrays, refused unless 1-D, of equal
+    length, positive and finite."""
     q_vars = np.asarray(q_vars, dtype=float)
     p_vars = np.asarray(p_vars, dtype=float)
     if q_vars.shape != p_vars.shape or q_vars.ndim != 1:
         raise ValueError("q_vars and p_vars must be 1-D with equal length")
     if not all(np.all((v > 0.0) & (v < math.inf)) for v in (q_vars, p_vars)):
         raise ValueError("quadrature variances must be positive and finite")
+    return q_vars, p_vars
+
+
+def mode_diag_state(q_vars, p_vars) -> GaussianState:
+    """Uncorrelated modes with individually chosen quadrature variances."""
+    q_vars, p_vars = _mode_variances(q_vars, p_vars)
     n = len(q_vars)
     return _from_blocks(np.diag(q_vars), np.zeros((n, n)), np.diag(p_vars))
+
+
+def _rotated_mode_diag_state(q_vars, p_vars, o: np.ndarray) -> GaussianState:
+    """``apply_orthogonal(mode_diag_state(q_vars, p_vars), o)`` bit for bit,
+    for an ``o`` the caller has already checked orthogonal, in two GEMMs
+    instead of six: ``O diag(v)`` is ``O * v`` exactly (every other term of
+    its sums is an exact zero), and ``O 0 O^T`` is exactly zero."""
+    q_vars, p_vars = _mode_variances(q_vars, p_vars)
+    n = len(q_vars)
+    if o.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got {o.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        qq, pp = ((o * v) @ o.T for v in (q_vars, p_vars))
+    return _from_blocks(_symmetric_part(qq), np.zeros((n, n)), _symmetric_part(pp))
 
 
 def _check_orthogonal(o: np.ndarray) -> None:

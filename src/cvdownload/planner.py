@@ -61,11 +61,10 @@ import numpy as np
 from .gaussian import (
     SqueezedThermalParams,
     _check_orthogonal,
+    _rotated_mode_diag_state,
     apply_cphase,
     apply_detector_noise,
     apply_loss,
-    apply_orthogonal,
-    mode_diag_state,
     thermal_cvcs,
 )
 from .graphs import Graph, _grid_shape, _path_spectrum, a_squared_spectrum, max_degree
@@ -365,7 +364,9 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     ``eps1`` -> detector noise ``eps2``; the result must equal the
     unit-strength CPHASE network applied to i.i.d. ``(r_eff, nbar_eff)``
     modes.  The composition is memoised on the recipe's bytes (see
-    :func:`_composed_network`), so a repeated recipe pays only that key.
+    :func:`_composed_network`), so a repeated recipe pays only that key,
+    and the uncorrelated inputs pass it in one step per block,
+    ``O diag(v) O^T``.
     Refuses to verify an unphysical plan, and refuses with a
     ``ValueError``, before the replay, a plan with a negative or NaN
     thermal occupation (the recipe is replayed as given, not repaired),
@@ -395,8 +396,7 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     o = _composed_network(network.tobytes(), signs.tobytes())
     q_vars = np.exp(2.0 * plan_.mode_squeezing) * (nbar + 0.5)
     p_vars = np.exp(-2.0 * plan_.mode_squeezing) * (nbar + 0.5)
-    state = mode_diag_state(q_vars, p_vars)
-    state = apply_orthogonal(state, o)
+    state = _rotated_mode_diag_state(q_vars, p_vars, o)
     state = apply_cphase(state, graph, plan_.g_prime)
     state = apply_loss(state, noise.eps1)
     state = apply_detector_noise(state, noise.eps2)
@@ -495,8 +495,10 @@ def _composed_network(network: bytes, signs: bytes) -> np.ndarray:
     and its float signs (layouts checked by :func:`_recipe_arrays`),
     read-only and kept for the last ``_GRAPH_CACHE_SIZE`` recipes.  Equal
     bytes give an equal matrix, so a hit returns the composition of exactly
-    the recipe given; a refused recipe is never kept."""
+    the recipe given; it is checked orthogonal once, on the miss, and a
+    refused recipe is never kept."""
     o = compose_network(np.frombuffer(network, NETWORK_DTYPE), np.frombuffer(signs))
+    _check_orthogonal(o)
     o.flags.writeable = False
     return o
 

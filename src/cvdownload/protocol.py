@@ -32,7 +32,8 @@ through the CPHASE network: per-qubit conditional states, single-qubit
 dephasing at the thermal rate, then the qubit CZ network of the same
 graph.  Their agreement is a simulator-independent identity, tested.
 
-The shot loop uses neither, and per shot it only draws; the phases
+The shot loop uses neither, and it only draws, a block of shots at a
+time (see :data:`SHOT_BLOCK`); the phases
 (:func:`~cvdownload.graphs.neighbor_phase`) and keep decisions come from
 the stacked draws.  Once the balancing POVM has acted, every error sits
 ahead of the diagonal entangling layer, so a shot's register is fixed
@@ -79,6 +80,7 @@ from .qubits import (
 
 __all__ = [
     "DIRECT_PHASE_SCALE_MAX",
+    "SHOT_BLOCK",
     "ProtocolParams",
     "DownloadRecord",
     "DownloadSummary",
@@ -100,6 +102,10 @@ __all__ = [
 #: Outcomes of size ``e^{r0}`` meet it, so r0 needs no bound.
 DIRECT_PHASE_SCALE_MAX = 7e4
 
+#: Shots drawn from one generator by :func:`run_download`, whose docstring
+#: gives the rule.  A constant, not an option: a run's draws depend on it.
+SHOT_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -107,8 +113,10 @@ class ProtocolParams:
 
     Every CPHASE has unit strength, so the downloaded register carries
     the qubit cluster state of ``graph``.  ``seed`` feeds a documented
-    splitting rule (one spawned child stream per shot), so runs are
-    reproducible for any shot count.
+    splitting rule (one spawned child stream per block of
+    :data:`SHOT_BLOCK` shots), so a run is reproducible for an equal
+    ``(seed, shots)``, and runs of different lengths share their leading
+    whole blocks.
     """
 
     graph: Graph
@@ -316,12 +324,17 @@ def run_download(
 ) -> tuple[list[DownloadRecord], DownloadSummary]:
     """Run the full protocol for ``shots`` independent shots.
 
-    The loop draws, arrays decide.  Each shot's generator, spawned from
-    ``SeedSequence(params.seed)`` (reproducible, independent of shot
-    order), draws the q outcomes and then one balancing uniform per qubit
-    (ascending site order); imbalances, keep decisions, phases and counts
-    follow once over the stacked ``(shots, n)`` draws.  Keep/delete is
-    decided against the per-qubit keep probability
+    The loop draws, arrays decide.  Shots are drawn in consecutive blocks
+    of :data:`SHOT_BLOCK`.  The ``m`` shots of block ``b`` take two calls
+    of ``rng = default_rng(children[b])``, with ``children =
+    SeedSequence(params.seed).spawn(ceil(shots / SHOT_BLOCK))``:
+    ``sample_q(r0, m * n, rng)``, then ``rng.random((m, n))``, each
+    shot-major with ascending sites within a shot.  So a run is reproducible for an equal ``(seed, shots)``, and
+    across shot counts for whole blocks: a run of ``k * SHOT_BLOCK + m``
+    shots begins with the records of the ``k * SHOT_BLOCK``-shot run.
+    Imbalances, keep decisions, phases and counts follow once over the
+    stacked ``(shots, n)`` draws.  Keep/delete is decided against the
+    per-qubit keep probability
     ``2 e_i / (1 + e_i)``, ``e_i = exp(-2 |l_i|)`` with ``l = log gamma``
     (a deleted qubit collapses onto bit ``l_i > 0``), which equals the
     registered POVM branch weight exactly: the register's diagonal stays
@@ -353,10 +366,12 @@ def run_download(
 
     q = np.empty((shots, n))
     uniforms = np.empty((shots, n))
-    for k, child in enumerate(np.random.SeedSequence(params.seed).spawn(shots)):
+    children = np.random.SeedSequence(params.seed).spawn(-(-shots // SHOT_BLOCK))
+    for start, child in zip(range(0, shots, SHOT_BLOCK), children):
         rng = np.random.default_rng(child)
-        q[k] = sample_q(r0, n, rng)
-        uniforms[k] = rng.random(n)
+        m = min(SHOT_BLOCK, shots - start)
+        q[start : start + m] = sample_q(r0, m * n, rng).reshape(m, n)
+        uniforms[start : start + m] = rng.random((m, n))
 
     ell = log_imbalance(q, r0)
     kept = uniforms < keep_probability(ell)

@@ -157,6 +157,24 @@ class TestDownload:
         doc = json.loads(body)
         assert doc["summary"]["shots"] == 20
 
+    def test_header_names_the_draw_rule(self, capsys, tmp_path):
+        out = tmp_path / "dl.csv"
+        assert main(["download", "--shots", "10", "--seed", "5", "--out", str(out)]) == 0
+        meta, _, _ = _read_rows(out)
+        assert meta[2:4] == ["# seed: 5", "# rng_scheme: block-1024"]
+        assert main(["download", "--shots", "10", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["rng_scheme"] == "block-1024"
+
+    @pytest.mark.parametrize("command", ["thresholds", "plan", "sweep"])
+    def test_other_headers_name_no_draw_rule(self, capsys, tmp_path, command):
+        out = tmp_path / "o.csv"
+        assert main([command, "--format", "csv", "--out", str(out)]) == 0
+        meta, _, _ = _read_rows(out)
+        assert [line.split(":")[0] for line in meta[1:]] == ["# command", "# seed", "# config"]
+        assert main([command, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc["meta"]) == ["command", "config", "seed", "tool", "version"]
+
     def test_json_writes_nan_as_null(self, capsys, tmp_path):
         # no shot keeps all 100 qubits, so the mean kept fidelity is NaN
         args = ["download", "--graph", "grid2d:10x10", "--shots", "200"]

@@ -15,6 +15,7 @@ from cvdownload.gaussian import (
     apply_cphase,
     apply_detector_noise,
     apply_loss,
+    _rotated_mode_diag_state,
     apply_orthogonal,
     collective_mode_covariance,
     mixture_params,
@@ -345,6 +346,24 @@ class TestChannels:
 
 
 class TestOrthogonal:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_mode_diagonal_input_matches_apply_orthogonal(self, n, rng):
+        # verify_plan's input, O diag(v) O^T per block, equals the dense
+        # oracle bit for bit, for dense, signed-permutation and -0.0 entries
+        signed_permutation = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+        for o in (random_orthogonal(n, rng), signed_permutation, -np.eye(n)):
+            for scale in (1.0, 1e-30, 1e30):
+                q_vars = scale * rng.uniform(0.1, 10.0, n)
+                p_vars = rng.uniform(0.1, 10.0, n) / scale
+                want = apply_orthogonal(mode_diag_state(q_vars, p_vars), o)
+                got = _rotated_mode_diag_state(q_vars, p_vars, o)
+                for block in ("qq", "qp", "pp"):
+                    assert getattr(got, block).tobytes() == getattr(want, block).tobytes()
+
+    def test_mode_diagonal_input_refuses_a_mismatched_network(self):
+        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix, got \(2, 2\)$"):
+            _rotated_mode_diag_state(np.ones(3), np.ones(3), np.eye(2))
+
     def test_identity(self):
         st = squeezed_thermal(SqueezedThermalParams(0.4, 0.1), 3)
         assert np.allclose(apply_orthogonal(st, np.eye(3)).cov, st.cov)

@@ -363,6 +363,15 @@ class TestPrintedRecipe:
         with pytest.raises(ValueError, match="read-only"):
             composed[0, 0] = 0.0
 
+    def test_orthogonality_checked_once_per_recipe(self, monkeypatch):
+        g = grid2d_graph(4, 4)
+        p = plan(g, self.NOISE)
+        checked = []
+        check = planner._check_orthogonal
+        monkeypatch.setattr(planner, "_check_orthogonal", lambda o: checked.append(check(o)))
+        residuals = {verify_plan(p, g, self.NOISE).hex() for _ in range(3)}
+        assert len(residuals) == 1 and len(checked) == 1
+
     def test_memo_is_bounded(self):
         size = planner._GRAPH_CACHE_SIZE
         for n in range(2, size + 5):

@@ -34,6 +34,7 @@ from cvdownload.graphs import (
 from cvdownload.protocol import (
     _OUTCOME_BY_CODE,
     DIRECT_PHASE_SCALE_MAX,
+    SHOT_BLOCK,
     DownloadRecord,
     DownloadSummary,
     ProtocolParams,
@@ -546,22 +547,30 @@ def test_register_refuses_bad_input_before_allocating(coherence, outcomes, match
 
 
 def _per_shot_reference(params, shots, keep_states):
-    """Oracle for run_download: the shot loop one shot at a time, each shot
-    deciding its own imbalances, keeps and phase from a private A, with the
-    counts kept as running totals."""
+    """Oracle for run_download: each block of SHOT_BLOCK shots drawn by the
+    documented rule (its own spawned generator: all its q outcomes, then all
+    its uniforms, shot-major), then the shot loop one shot at a time, each
+    shot deciding its own imbalances, keeps and phase from a private A, with
+    the counts kept as running totals."""
     graph = params.graph
     n = graph.n
     r0, sigma2 = params.mixture()
     p_phi = dephasing_rate(sigma2)
     a = adjacency_matrix(graph)
+    draws = []
+    children = np.random.SeedSequence(params.seed).spawn(math.ceil(shots / SHOT_BLOCK))
+    for b, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        m = min(SHOT_BLOCK, shots - b * SHOT_BLOCK)
+        q_flat = sample_q(r0, m * n, rng)
+        u_flat = rng.random(m * n)
+        draws += [(q_flat[k * n : (k + 1) * n], u_flat[k * n : (k + 1) * n]) for k in range(m)]
     records = []
     kept_counts = np.zeros(n, dtype=int)
     histogram = [0] * (n + 1)
-    for child in np.random.SeedSequence(params.seed).spawn(shots):
-        rng = np.random.default_rng(child)
-        q = sample_outcomes(params, rng)
+    for q, u in draws:
         ell = log_imbalance(q, r0)
-        kept = rng.random(n) < keep_probability(ell)
+        kept = u < keep_probability(ell)
         codes = 2 * kept + (ell > 0.0)
         gamma = np.asarray(amplitude_imbalance(q, r0), dtype=float)
         outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes.tolist()))
@@ -604,8 +613,8 @@ def _assert_matches_reference(params, shots, keep_states):
 
 
 class TestBatchedShotLoop:
-    """``run_download`` draws per shot and decides over the stacked arrays;
-    every output matches the one-shot-at-a-time reference."""
+    """``run_download`` draws by the block and decides over the stacked
+    arrays; every output matches the one-shot-at-a-time reference."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -626,6 +635,30 @@ class TestBatchedShotLoop:
     def test_grid_statistics_match_per_shot_reference(self, nbar):
         params = _params(grid2d_graph(10, 10), 1.15, nbar, seed=31)
         _assert_matches_reference(params, 300, keep_states=False)
+
+    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1])
+    def test_block_edges_match_per_shot_reference(self, shots):
+        assert SHOT_BLOCK == 1024
+        params = _params(path_graph(3), 0.6, 0.2, seed=17)
+        _assert_matches_reference(params, shots, keep_states=False)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        graph=small_graphs(),
+        seed=st.integers(0, 2**31 - 1),
+        blocks=st.integers(1, 2),
+        extra=st.integers(0, 2 * SHOT_BLOCK),
+    )
+    def test_whole_blocks_are_a_prefix(self, graph, seed, blocks, extra):
+        params = _params(graph, 0.6, 0.2, seed=seed)
+        head, _ = run_download(params, blocks * SHOT_BLOCK, keep_states=False)
+        longer, _ = run_download(params, blocks * SHOT_BLOCK + extra, keep_states=False)
+        assert len(longer) == blocks * SHOT_BLOCK + extra
+        for rec, ref in zip(longer, head):
+            assert np.array_equal(rec.q, ref.q)
+            assert np.array_equal(rec.gamma, ref.gamma)
+            assert np.array_equal(rec.phi, ref.phi)
+            assert rec.outcomes == ref.outcomes
 
 
 class TestNegativeSqueezing:
