@@ -33,9 +33,11 @@ dephasing at the thermal rate, then the qubit CZ network of the same
 graph.  Their agreement is a simulator-independent identity, tested.
 
 The shot loop uses neither, and it only draws, a block of shots at a
-time (see :data:`SHOT_BLOCK`); the phases
-(:func:`~cvdownload.graphs.neighbor_phase`) and keep decisions come from
-the stacked draws.  Once the balancing POVM has acted, every error sits
+time (see :data:`SHOT_BLOCK`); the keep decisions come from the stacked
+draws, and the run keeps its ``(shots, n)`` columns.  A shot's record,
+with its phases (:func:`~cvdownload.graphs.neighbor_phase`), is built
+only when it is read; the registers a run keeps are built in the run.
+Once the balancing POVM has acted, every error sits
 ahead of the diagonal entangling layer, so a shot's register is fixed
 by its keep/delete pattern alone: a kept qubit is ``|+><+|`` dephased
 to coherence ``c = 1 - 2 p_phi``, a deleted qubit is its basis state
@@ -50,7 +52,10 @@ followed by one forced POVM per qubit) is its oracle in the tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -250,10 +255,18 @@ def register_from_outcomes(
                 f"outcome {i} must be ('keep', None) or ('delete', 0|1), got {outcome!r}"
             )
         factors.append((kept, *_BASIS_PROJECTORS)[_OUTCOMES.index(pair)])
+    # the lower n - 1 factors' real product, then the top qubit's four blocks
+    # written into the complex register with the CZ signs on the way
     phases = graph_phases(graph)
-    rho = _tensor_product(factors, np.ones((1, 1)))
-    rho *= phases[:, None]  # fresh and real: signed in place, then copied once
-    rho *= phases
+    low = _tensor_product(factors[:-1], np.ones((1, 1)))
+    top, half = factors[-1], len(low)
+    rho = np.empty((2 * half, 2 * half), dtype=complex)
+    tmp = np.empty_like(low)
+    halves = (slice(0, half), slice(half, None))
+    for r, rows in enumerate(halves):
+        for c, cols in enumerate(halves):
+            np.multiply(low, top[r, c] * phases[rows, None], out=tmp)
+            np.multiply(tmp, phases[cols], out=rho[rows, cols])
     return _from_exact(graph.n, rho)
 
 
@@ -319,9 +332,65 @@ class DownloadSummary:
 _OUTCOME_BY_CODE = (("delete", 0), ("delete", 1), ("keep", None), ("keep", None))
 
 
+def _outcome_rows(kept: np.ndarray, bits: np.ndarray) -> list[tuple[tuple[str, int | None], ...]]:
+    """One outcome tuple per row of ``(m, n)`` keep decisions and bits ``l > 0``."""
+    return [tuple(map(_OUTCOME_BY_CODE.__getitem__, row)) for row in (2 * kept + bits).tolist()]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _RunRecords(Sequence):
+    """The shots of one run, held as ``(shots, n)`` columns and read as a
+    sequence of :class:`DownloadRecord`.
+
+    ``q`` holds the outcomes, ``kept`` the keep decisions and ``bits`` the
+    basis bit ``l > 0`` a deleted qubit collapsed onto, all read-only.
+    ``phi`` and ``gamma`` are computed over the whole stack on their first
+    access.  ``records[k]`` builds shot ``k``'s record when it is read,
+    with negative indices, slices (a list) and ``IndexError`` as for a
+    list; its ``post_state`` is the register the run built, if any.
+    """
+
+    def __init__(self, graph: Graph, r0: float, q, kept, bits, states):
+        self.q, self.kept, self.bits = _read_only(q), _read_only(kept), _read_only(bits)
+        self._graph, self._r0, self._states = graph, r0, states
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return _read_only(neighbor_phase(self._graph, self.q))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _read_only(amplitude_imbalance(self.q, self._r0))
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def __iter__(self):
+        states = repeat(None) if self._states is None else self._states
+        rows = zip(self.q, self.phi, self.gamma, _outcome_rows(self.kept, self.bits), states)
+        return (DownloadRecord(*row) for row in rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(len(self))[index]]
+        k = range(len(self))[index]
+        (outcomes,) = _outcome_rows(self.kept[k : k + 1], self.bits[k : k + 1])
+        return DownloadRecord(
+            q=self.q[k],
+            phi=self.phi[k],
+            gamma=self.gamma[k],
+            outcomes=outcomes,
+            post_state=None if self._states is None else self._states[k],
+        )
+
+
 def run_download(
     params: ProtocolParams, shots: int, keep_states: bool = True
-) -> tuple[list[DownloadRecord], DownloadSummary]:
+) -> tuple[Sequence[DownloadRecord], DownloadSummary]:
     """Run the full protocol for ``shots`` independent shots.
 
     The loop draws, arrays decide.  Shots are drawn in consecutive blocks
@@ -332,7 +401,7 @@ def run_download(
     shot-major with ascending sites within a shot.  So a run is reproducible for an equal ``(seed, shots)``, and
     across shot counts for whole blocks: a run of ``k * SHOT_BLOCK + m``
     shots begins with the records of the ``k * SHOT_BLOCK``-shot run.
-    Imbalances, keep decisions, phases and counts follow once over the
+    Imbalances, keep decisions and counts follow once over the
     stacked ``(shots, n)`` draws.  Keep/delete is decided against the
     per-qubit keep probability
     ``2 e_i / (1 + e_i)``, ``e_i = exp(-2 |l_i|)`` with ``l = log gamma``
@@ -342,9 +411,17 @@ def run_download(
     diagonal POVM updates), so no qubit's branch weight depends on
     another's outcome.
 
-    With ``keep_states=True`` (default) each shot's post-POVM register
-    comes from :func:`register_from_outcomes`, and graphs above the dense
-    cap are refused before any draw; the gate-by-gate route through
+    ``records`` is a read-only sequence that keeps the run as columns:
+    ``q``, ``kept`` and the collapse bits ``l > 0``, each ``(shots, n)``.
+    The phases ``phi`` and imbalances ``gamma`` are computed over the
+    whole stack when first read, and ``records[k]`` builds shot ``k``'s
+    :class:`DownloadRecord` when it is read, so a statistics-only caller
+    builds no per-shot object.
+
+    With ``keep_states=True`` (default) every shot's post-POVM register
+    is built here, by :func:`register_from_outcomes`, and graphs above the
+    dense cap are refused before any draw; ``records[k].post_state`` is
+    that register.  The gate-by-gate route through
     :func:`downloaded_state_equivalent` and one forced
     :func:`~cvdownload.qubits.apply_balancing_povm` per qubit is the
     oracle it is tested against.  ``keep_states=False`` builds no register
@@ -375,19 +452,12 @@ def run_download(
 
     ell = log_imbalance(q, r0)
     kept = uniforms < keep_probability(ell)
-    gamma = amplitude_imbalance(q, r0)  # for the records only
-    phi = neighbor_phase(graph, q)
+    bits = ell > 0.0
     deletions = n - np.count_nonzero(kept, axis=1)
     per_qubit = shots - np.count_nonzero(kept, axis=0)
-
-    records: list[DownloadRecord] = []
-    codes = (2 * kept + (ell > 0.0)).tolist()
-    for q_k, phi_k, gamma_k, codes_k in zip(q, phi, gamma, codes):
-        outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes_k))
-        state = register_from_outcomes(graph, coherence, outcomes) if keep_states else None
-        records.append(
-            DownloadRecord(q=q_k, phi=phi_k, gamma=gamma_k, outcomes=outcomes, post_state=state)
-        )
+    states = None
+    if keep_states:
+        states = [register_from_outcomes(graph, coherence, o) for o in _outcome_rows(kept, bits)]
 
     histogram = np.bincount(deletions, minlength=n + 1)
     summary = DownloadSummary(
@@ -400,4 +470,4 @@ def run_download(
         per_qubit_deletions=tuple(per_qubit.tolist()),
         deletions_histogram=tuple(histogram.tolist()),
     )
-    return records, summary
+    return _RunRecords(graph, r0, q, kept, bits, states), summary

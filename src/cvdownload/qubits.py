@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,12 +157,12 @@ class QubitDensityMatrix:
 
 
 def _from_exact(n: int, rho: np.ndarray) -> QubitDensityMatrix:
-    """The register with matrix ``rho``, stored as a fresh complex copy and
-    taken as it is: the caller builds it exactly Hermitian with unit trace,
-    so no float test runs (``QubitDensityMatrix(n, rho)`` checks a matrix
-    from outside)."""
+    """The register with the fresh complex matrix ``rho``, stored without a
+    copy and taken as it is: the caller builds it exactly Hermitian with
+    unit trace, so no float test runs (``QubitDensityMatrix(n, rho)``
+    checks a matrix from outside)."""
     state = object.__new__(QubitDensityMatrix)
-    state.n, state.rho = n, np.array(rho, dtype=complex)
+    state.n, state.rho = n, rho
     return state
 
 
@@ -192,18 +193,22 @@ def basis_state(n: int, bits) -> QubitPureState:
     return QubitPureState(n, amps)
 
 
+@lru_cache(maxsize=8)
 def graph_phases(graph: Graph) -> np.ndarray:
     """Diagonal ``s(b) = prod_edges (-1)^(b_i b_j)`` of the CZ entangling layer.
 
     Real and exactly ``+-1``: the graph-state sign rule of Hein, Eisert
-    and Briegel (PRA 69, 062311).
+    and Briegel (PRA 69, 062311).  Built once per graph and shared, so
+    the array is read-only.
     """
     _check_dense_size(graph.n)
     bits = _bits(graph.n)
     both = np.zeros(2**graph.n, dtype=int)  # edges with both ends set
     for i, j in graph.edges:
         both += bits[:, i] & bits[:, j]
-    return np.where(both % 2 == 1, -1.0, 1.0)
+    phases = np.where(both % 2 == 1, -1.0, 1.0)
+    phases.flags.writeable = False
+    return phases
 
 
 def cluster_state(graph: Graph) -> QubitPureState:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cvdownload import planner
+from cvdownload import planner, qubits
 from cvdownload.graphs import Graph, random_graph
 
 #: Pass/fail lines appended by the acceptance battery; echoed after the run
@@ -80,10 +80,12 @@ def clear_plan_caches() -> None:
 
 
 @pytest.fixture(autouse=True)
-def _cold_plan_caches():
-    """Every test plans and verifies on empty planner caches, so none passes
-    on work another test left behind."""
+def _cold_caches():
+    """Every test plans, verifies and builds registers on empty caches (the
+    planner's and ``qubits.graph_phases``), so none passes on work another
+    test left behind."""
     clear_plan_caches()
+    qubits.graph_phases.cache_clear()
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
+from cvdownload import protocol
 from cvdownload.error_model import (
     SQRT_PI,
     amplitude_imbalance,
@@ -27,6 +30,7 @@ from cvdownload.graphs import (
     Graph,
     adjacency_matrix,
     complete_graph,
+    cycle_graph,
     grid2d_graph,
     path_graph,
     random_graph,
@@ -659,6 +663,96 @@ class TestBatchedShotLoop:
             assert np.array_equal(rec.gamma, ref.gamma)
             assert np.array_equal(rec.phi, ref.phi)
             assert rec.outcomes == ref.outcomes
+
+
+def _assert_same_record(rec, ref):
+    assert np.array_equal(rec.q, ref.q)
+    assert np.array_equal(rec.phi, ref.phi)
+    assert np.array_equal(rec.gamma, ref.gamma)
+    assert rec.outcomes == ref.outcomes
+    if ref.post_state is None:
+        assert rec.post_state is None
+    else:
+        assert np.array_equal(rec.post_state.rho, ref.post_state.rho)
+
+
+class TestColumnarRecords:
+    """``run_download`` keeps its ``(shots, n)`` columns and builds a shot's
+    record only when it is read; the registers are built in the call."""
+
+    @pytest.mark.parametrize("keep_states", [False, True])
+    def test_indices_and_slices_match_per_shot_reference(self, keep_states):
+        params = _params(cycle_graph(4), 0.5, 0.3, seed=23)
+        shots = 7
+        records, _ = run_download(params, shots, keep_states)
+        expected, _ = _per_shot_reference(params, shots, keep_states)
+        assert isinstance(records, Sequence) and not isinstance(records, list)
+        assert len(records) == shots
+        for k in range(-shots, shots):
+            _assert_same_record(records[k], expected[k])
+        for index in (slice(None), slice(2, 5), slice(None, None, -1), slice(-3, None),
+                      slice(1, 6, 2), slice(5, 1), slice(-100, 100)):
+            got = records[index]
+            assert isinstance(got, list) and len(got) == len(expected[index])
+            for rec, ref in zip(got, expected[index]):
+                _assert_same_record(rec, ref)
+        for k in (shots, -shots - 1, 10**6):
+            with pytest.raises(IndexError):
+                records[k]
+        with pytest.raises(TypeError):
+            records[1.0]
+
+    def test_records_are_read_only(self):
+        records, _ = run_download(_params(path_graph(3), 0.5, 0.2, seed=2), 4, keep_states=False)
+        with pytest.raises(TypeError):
+            records[0] = records[1]
+        for column in (records.q, records.kept, records.bits, records.phi, records.gamma):
+            assert column.shape == (4, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = column[1, 1]
+
+    def test_registers_are_built_in_the_call(self, monkeypatch):
+        calls = []
+        build = protocol.register_from_outcomes
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(protocol, "register_from_outcomes", counted)
+        shots = 6
+        records, _ = run_download(_params(path_graph(3), 0.5, 0.2, seed=4), shots, keep_states=True)
+        assert len(calls) == shots
+        for k in range(shots):
+            assert records[k].post_state is records[k].post_state
+            assert records[k].post_state is records[k - shots].post_state
+        assert all(a.post_state is records[k].post_state for k, a in enumerate(records))
+        assert len(calls) == shots  # reading builds no register
+
+    def test_statistics_run_builds_no_record(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return DownloadRecord(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "DownloadRecord", counted)
+        records, _ = run_download(_params(grid2d_graph(3, 3), 0.5, 0.2, seed=5), 50, keep_states=False)
+        assert not built
+        records[-1]
+        assert len(built) == 1  # the counter sees a record that is read
+
+    def test_statistics_run_holds_only_its_columns(self):
+        params = _params(grid2d_graph(10, 10), 1.15, 0.2, seed=13)
+        tracemalloc.start()
+        try:
+            records, summary = run_download(params, 10_000, keep_states=False)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.shots == len(records) == 10_000
+        # q (8 bytes a qubit-shot), kept and bits (1 byte each): 1.25x q
+        assert held <= 1.5 * records.q.nbytes
 
 
 class TestNegativeSqueezing:

@@ -186,6 +186,14 @@ class TestClusterStates:
         assert_refused_before_allocating(lambda: cluster_state(graph))
         assert_refused_before_allocating(lambda: graph_phases(graph))
 
+    def test_graph_phases_are_built_once_and_read_only(self):
+        graph = cycle_graph(5)
+        phases = graph_phases(graph)
+        assert graph_phases(cycle_graph(5)) is phases  # an equal graph shares it
+        assert graph_phases.cache_info().misses == 1  # the autouse fixture emptied it
+        with pytest.raises(ValueError, match="read-only"):
+            phases[0] = -phases[0]
+
 
 class TestStabilizers:
     def test_cluster_states_are_fixed_points(self):
