@@ -3,7 +3,9 @@
 Subcommands
 -----------
 verify      cross-module consistency batteries with a residual report
-download    Monte Carlo protocol shots with a summary row
+download    Monte Carlo protocol shots with a summary row; ``--records``
+            adds one JSON line per shot: ``q``, ``kept`` and ``bits`` (0/1)
+            and ``post_state`` ``{"format": "factored-v2", "coherence": c}``
 thresholds  squeezing-versus-erasure tables plus target inversions
 plan        hardware decorrelation recipe for loss / inefficiency
 sweep       cartesian feasibility sweep of the planner
@@ -310,11 +312,14 @@ def cmd_download(args: argparse.Namespace, config: dict) -> int:
     records, summary = run_download(params, config["shots"], keep_states=False)
 
     if config["records"] is not None:
-        # outcomes, c and the graph rebuild the register (register_from_outcomes)
-        post_state = {"format": "factored-v1", "coherence": params.coherence()}
+        # kept, bits, c and the graph rebuild the register (register_from_outcomes);
+        # phi and gamma follow from q, the graph and r0, so they are not written
+        post_state = {"format": "factored-v2", "coherence": params.coherence()}
+        columns = (records.q, records.kept.view(np.uint8), records.bits.view(np.uint8))
         with open(config["records"], "w", encoding="utf-8") as fh:
-            for rec in records:
-                line = dict(rec.to_json(), post_state=post_state)
+            for q, kept, bits in zip(*columns):
+                line = {"q": q.tolist(), "kept": kept.tolist(), "bits": bits.tolist(),
+                        "post_state": post_state}
                 fh.write(_json_text(line, sort_keys=True) + "\n")
 
     header = ["r_db", "nbar", "shots", "p_del_emp", "p_del_analytic", "kept_fidelity_mean"]

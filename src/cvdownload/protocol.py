@@ -32,14 +32,14 @@ through the CPHASE network: per-qubit conditional states, single-qubit
 dephasing at the thermal rate, then the qubit CZ network of the same
 graph.  Their agreement is a simulator-independent identity, tested.
 
-The shot loop uses neither, and it only draws, a block of shots at a
-time (see :data:`SHOT_BLOCK`); the keep decisions come from the stacked
-draws, and the run keeps its ``(shots, n)`` columns.  A shot's record,
-with its phases (:func:`~cvdownload.graphs.neighbor_phase`), is built
-only when it is read; the registers a run keeps are built in the run.
+The shot loop uses neither: it draws and decides a block of shots at a
+time (see :data:`SHOT_BLOCK`), and the run keeps its ``(shots, n)``
+columns ``q``, ``kept`` and ``bits``.  A shot's record, with its phases
+(:func:`~cvdownload.graphs.neighbor_phase`), is built only when it is
+read; the registers a run keeps are built in the run.
 Once the balancing POVM has acted, every error sits
 ahead of the diagonal entangling layer, so a shot's register is fixed
-by its keep/delete pattern alone: a kept qubit is ``|+><+|`` dephased
+by its keep mask and collapse bits alone: a kept qubit is ``|+><+|`` dephased
 to coherence ``c = 1 - 2 p_phi``, a deleted qubit is its basis state
 ``|b><b|``, and the graph contributes the CZ sign ``s(b)``
 (:func:`~cvdownload.qubits.graph_phases`).  So every all-kept shot has
@@ -110,6 +110,10 @@ DIRECT_PHASE_SCALE_MAX = 7e4
 #: Shots drawn from one generator by :func:`run_download`, whose docstring
 #: gives the rule.  A constant, not an option: a run's draws depend on it.
 SHOT_BLOCK = 1024
+
+#: Most qubit-shots ``shots * n`` one :func:`run_download` takes: at 10 bytes
+#: each (``q`` 8, ``kept`` and ``bits`` 1 each) that is 1 GB of held columns.
+_MAX_QUBIT_SHOTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -220,41 +224,41 @@ def downloaded_state_equivalent(
     return rho
 
 
-#: The per-qubit outcomes a register accepts, as the lists a JSON record holds.
-_OUTCOMES = (["keep", None], ["delete", 0], ["delete", 1])
+#: A qubit's factor by its ``(kept, bit)`` entries, as an index into
+#: ``(kept, |0><0|, |1><1|)``: a kept qubit ignores its bit.
+_FACTOR_BY_ENTRIES = {(1, 0): 0, (1, 1): 0, (0, 0): 1, (0, 1): 2}
 _BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # |0><0|, |1><1|
 
 
-def register_from_outcomes(
-    graph: Graph, coherence: float, outcomes: tuple[tuple[str, int | None], ...]
-) -> QubitDensityMatrix:
-    """Post-POVM register of one shot, from its keep/delete pattern alone.
+def register_from_outcomes(graph: Graph, coherence: float, kept, bits) -> QubitDensityMatrix:
+    """Post-POVM register of one shot, from its keep mask and collapse bits alone.
 
     A kept qubit is ``[[1, c], [c, 1]] / 2`` with ``c = coherence``, a
     deleted one ``|b><b|``; their product (little-endian, as in
     :func:`~cvdownload.qubits.dm_tensor`) is conjugated by the CZ signs of
     ``graph``.  No dependence on ``q`` or ``gamma``.
 
-    ``outcomes`` holds exactly one pair per vertex, tuples or the lists a
-    JSON record gives, and ``coherence`` is finite and within [-1, 1]; any
-    other input is refused before the register is allocated.  The register
-    is exactly Hermitian with unit trace by construction (real factors of
-    trace 1 under a two-sided +-1 diagonal), so it is stored without a
-    float test.
+    ``kept`` and ``bits`` are one shot's rows, a NumPy row or the list a
+    JSON record gives: exactly one 0/1 entry per vertex each (bools
+    included), and a kept qubit ignores its bit.  ``coherence`` is finite
+    and within [-1, 1].  Any other input is refused before the register is
+    allocated.  The register is exactly Hermitian with unit trace by
+    construction (real factors of trace 1 under a two-sided +-1 diagonal),
+    so it is stored without a float test.
     """
     if not -1.0 <= coherence <= 1.0:  # NaN fails too
         raise ValueError(f"coherence must be finite and within [-1, 1], got {coherence!r}")
-    if len(outcomes) != graph.n:
-        raise ValueError(f"expected {graph.n} outcomes, one per vertex, got {len(outcomes)}")
-    kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
+    if len(kept) != graph.n or len(bits) != graph.n:
+        raise ValueError(f"expected {graph.n} outcomes, one per vertex, got {len(kept)} kept"
+                         f" and {len(bits)} bits")
+    choices = (np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]]), *_BASIS_PROJECTORS)
     factors = []
-    for i, outcome in enumerate(outcomes):
-        pair = list(outcome) if isinstance(outcome, (tuple, list)) else None
-        if pair not in _OUTCOMES:
-            raise ValueError(
-                f"outcome {i} must be ('keep', None) or ('delete', 0|1), got {outcome!r}"
-            )
-        factors.append((kept, *_BASIS_PROJECTORS)[_OUTCOMES.index(pair)])
+    for i, entries in enumerate(zip(kept, bits)):
+        try:  # a nested row's entries are unhashable
+            factors.append(choices[_FACTOR_BY_ENTRIES[entries]])
+        except (KeyError, TypeError):
+            raise ValueError(f"outcome {i} must be a kept flag and a bit, each 0 or 1,"
+                             f" got {entries!r}") from None
     # the lower n - 1 factors' real product, then the top qubit's four blocks
     # written into the complex register with the CZ signs on the way
     phases = graph_phases(graph)
@@ -277,7 +281,8 @@ class DownloadRecord:
     ``outcomes[i]`` is ``("keep", None)`` or ``("delete", bit)``; the
     deleted bit is the known basis state the erased qubit collapsed to.
     ``post_state`` is the dense register after all POVMs, present only
-    when the run was asked to keep states; :meth:`to_json` leaves it out.
+    when the run was asked to keep states.  It is read from one row of the
+    run's columns (:func:`run_download`).
     """
 
     q: np.ndarray
@@ -289,14 +294,6 @@ class DownloadRecord:
     @property
     def all_kept(self) -> bool:
         return all(kind == "keep" for kind, _ in self.outcomes)
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q.tolist(),
-            "phi": self.phi.tolist(),
-            "gamma": self.gamma.tolist(),
-            "outcomes": [[o, b] for o, b in self.outcomes],
-        }
 
 
 @dataclass(frozen=True)
@@ -347,11 +344,12 @@ class _RunRecords(Sequence):
     sequence of :class:`DownloadRecord`.
 
     ``q`` holds the outcomes, ``kept`` the keep decisions and ``bits`` the
-    basis bit ``l > 0`` a deleted qubit collapsed onto, all read-only.
-    ``phi`` and ``gamma`` are computed over the whole stack on their first
-    access.  ``records[k]`` builds shot ``k``'s record when it is read,
-    with negative indices, slices (a list) and ``IndexError`` as for a
-    list; its ``post_state`` is the register the run built, if any.
+    basis bit ``l > 0`` a deleted qubit collapsed onto, all read-only; a
+    shot's rows of the last two build its register.  ``phi`` and ``gamma``
+    are computed over the whole stack on first access.  ``records[k]``
+    builds shot ``k``'s record when read, with negative indices, slices (a
+    list) and ``IndexError`` as for a list; its ``post_state`` is the
+    register the run built, if any.
     """
 
     def __init__(self, graph: Graph, r0: float, q, kept, bits, states):
@@ -393,48 +391,42 @@ def run_download(
 ) -> tuple[Sequence[DownloadRecord], DownloadSummary]:
     """Run the full protocol for ``shots`` independent shots.
 
-    The loop draws, arrays decide.  Shots are drawn in consecutive blocks
-    of :data:`SHOT_BLOCK`.  The ``m`` shots of block ``b`` take two calls
-    of ``rng = default_rng(children[b])``, with ``children =
+    Shots are drawn and decided in consecutive blocks of :data:`SHOT_BLOCK`.
+    The ``m`` shots of block ``b`` take two calls of ``rng =
+    default_rng(children[b])``, ``children =
     SeedSequence(params.seed).spawn(ceil(shots / SHOT_BLOCK))``:
     ``sample_q(r0, m * n, rng)``, then ``rng.random((m, n))``, each
-    shot-major with ascending sites within a shot.  So a run is reproducible for an equal ``(seed, shots)``, and
-    across shot counts for whole blocks: a run of ``k * SHOT_BLOCK + m``
-    shots begins with the records of the ``k * SHOT_BLOCK``-shot run.
-    Imbalances, keep decisions and counts follow once over the
-    stacked ``(shots, n)`` draws.  Keep/delete is decided against the
-    per-qubit keep probability
-    ``2 e_i / (1 + e_i)``, ``e_i = exp(-2 |l_i|)`` with ``l = log gamma``
-    (a deleted qubit collapses onto bit ``l_i > 0``), which equals the
-    registered POVM branch weight exactly: the register's diagonal stays
-    a product over qubits (diagonal entangling layer, diagonal dephasing,
-    diagonal POVM updates), so no qubit's branch weight depends on
-    another's outcome.
+    shot-major.  So a run is reproducible for an equal ``(seed, shots)``,
+    and a run of ``k * SHOT_BLOCK + m`` shots begins with the records of
+    the ``k * SHOT_BLOCK``-shot run.  Qubit ``i`` is kept with probability
+    ``2 e_i / (1 + e_i)``, ``e_i = exp(-2 |l_i|)``, ``l = log gamma``, and
+    a deleted one collapses onto bit ``l_i > 0``.  That is the registered
+    POVM branch weight exactly: the register's diagonal stays a product
+    over qubits (diagonal entangling layer, dephasing and POVM updates),
+    so no qubit's weight depends on another's outcome.
 
-    ``records`` is a read-only sequence that keeps the run as columns:
-    ``q``, ``kept`` and the collapse bits ``l > 0``, each ``(shots, n)``.
-    The phases ``phi`` and imbalances ``gamma`` are computed over the
-    whole stack when first read, and ``records[k]`` builds shot ``k``'s
-    :class:`DownloadRecord` when it is read, so a statistics-only caller
-    builds no per-shot object.
+    ``records`` is a read-only sequence over the columns ``q``, ``kept``
+    and ``bits``, each ``(shots, n)``, 10 bytes per qubit-shot; a run of
+    more than ``_MAX_QUBIT_SHOTS`` is refused before it allocates.  ``phi``
+    and ``gamma`` are computed over the stack when first read, and
+    ``records[k]`` builds its :class:`DownloadRecord` when it is read.
 
-    With ``keep_states=True`` (default) every shot's post-POVM register
-    is built here, by :func:`register_from_outcomes`, and graphs above the
-    dense cap are refused before any draw; ``records[k].post_state`` is
-    that register.  The gate-by-gate route through
-    :func:`downloaded_state_equivalent` and one forced
-    :func:`~cvdownload.qubits.apply_balancing_povm` per qubit is the
-    oracle it is tested against.  ``keep_states=False`` builds no register
-    and returns the identical records, with ``post_state=None``, and the
-    identical summary.
-
-    The summary's kept-branch fidelity is the law ``(1 - p_phi)^n`` (NaN
-    if no shot kept every qubit).
+    With ``keep_states=True`` (default) each shot's register is built here
+    by :func:`register_from_outcomes` from its rows of ``kept`` and
+    ``bits`` (graphs above the dense cap are refused before any draw) and
+    is ``records[k].post_state``; the gate-by-gate route (the equivalent
+    circuit, then one forced POVM per qubit) is its test oracle.
+    ``keep_states=False`` builds no register and gives the same columns and
+    summary.  The summary's kept-branch fidelity is the law ``(1 -
+    p_phi)^n`` (NaN if no shot kept every qubit).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     graph = params.graph
     n = graph.n
+    if shots * n > _MAX_QUBIT_SHOTS:
+        raise ValueError(f"shots * n must be at most {_MAX_QUBIT_SHOTS} qubit-shots (10 bytes"
+                         f" each held), got {shots} shots of {n} qubits")
     r0, sigma2 = params.mixture()
     p_phi = dephasing_rate(sigma2)
     if keep_states:
@@ -442,22 +434,24 @@ def run_download(
         coherence = params.coherence()
 
     q = np.empty((shots, n))
-    uniforms = np.empty((shots, n))
+    kept = np.empty((shots, n), dtype=bool)
+    bits = np.empty((shots, n), dtype=bool)
     children = np.random.SeedSequence(params.seed).spawn(-(-shots // SHOT_BLOCK))
     for start, child in zip(range(0, shots, SHOT_BLOCK), children):
         rng = np.random.default_rng(child)
         m = min(SHOT_BLOCK, shots - start)
-        q[start : start + m] = sample_q(r0, m * n, rng).reshape(m, n)
-        uniforms[start : start + m] = rng.random((m, n))
+        block = slice(start, start + m)
+        q[block] = sample_q(r0, m * n, rng).reshape(m, n)
+        ell = log_imbalance(q[block], r0)
+        np.less(rng.random((m, n)), keep_probability(ell), out=kept[block])
+        np.greater(ell, 0.0, out=bits[block])
 
-    ell = log_imbalance(q, r0)
-    kept = uniforms < keep_probability(ell)
-    bits = ell > 0.0
     deletions = n - np.count_nonzero(kept, axis=1)
     per_qubit = shots - np.count_nonzero(kept, axis=0)
     states = None
     if keep_states:
-        states = [register_from_outcomes(graph, coherence, o) for o in _outcome_rows(kept, bits)]
+        rows = zip(kept.tolist(), bits.tolist())  # Python bools: no NumPy scalar per entry
+        states = [register_from_outcomes(graph, coherence, k, b) for k, b in rows]
 
     histogram = np.bincount(deletions, minlength=n + 1)
     summary = DownloadSummary(

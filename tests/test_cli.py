@@ -1,14 +1,15 @@
 """Command-line front end: determinism, schemas, config precedence."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from cvdownload.cli import COMMANDS, main
-from cvdownload.error_model import db_to_squeezing
+from cvdownload.error_model import amplitude_imbalance, db_to_squeezing
 from cvdownload.gaussian import SqueezedThermalParams
-from cvdownload.graphs import parse_graph_spec
+from cvdownload.graphs import neighbor_phase, parse_graph_spec
 from cvdownload.protocol import ProtocolParams, register_from_outcomes, run_download
 from cvdownload.qubits import DEFAULT_MAX_QUBITS
 
@@ -108,27 +109,41 @@ class TestDownload:
         ])
         lines = rec_path.read_text().splitlines()
         assert len(lines) == 5
-        doc = json.loads(lines[0])
-        assert len(doc["q"]) == 2
-        assert doc["outcomes"][0][0] in ("keep", "delete")
-        assert "post_state" in doc
+        for line in lines:
+            doc = _strict_json(line)
+            assert sorted(doc) == ["bits", "kept", "post_state", "q"]
+            assert len(doc["q"]) == 2
+            for column in ("kept", "bits"):
+                assert len(doc[column]) == 2
+                assert all(type(v) is int and v in (0, 1) for v in doc[column])
+            assert doc["post_state"]["format"] == "factored-v2"
 
     def test_records_rebuild_the_dense_registers(self, tmp_path):
+        # each factored-v2 line rebuilds its register byte for byte, and its q
+        # gives the run's phi and gamma bit for bit
         rec_path = tmp_path / "shots.jsonl"
         assert main([
             "download", "--graph", "grid2d:3x3", "--nbar", "0.2", "--shots", "10",
             "--seed", "4", "--records", str(rec_path), "--out", str(tmp_path / "s.csv"),
         ]) == 0
         graph = parse_graph_spec("grid2d:3x3")
-        source = SqueezedThermalParams(db_to_squeezing(10.0), 0.2)
-        records, _ = run_download(ProtocolParams(graph, source, seed=4), 10, keep_states=True)
+        params = ProtocolParams(graph, SqueezedThermalParams(db_to_squeezing(10.0), 0.2), seed=4)
+        records, _ = run_download(params, 10, keep_states=True)
+        r0 = params.mixture().r0
         lines = rec_path.read_text().splitlines()
         assert len(lines) == len(records)
-        for line, rec in zip(lines, records):
-            doc = json.loads(line)
-            assert doc["post_state"]["format"] == "factored-v1"
-            rho = register_from_outcomes(graph, doc["post_state"]["coherence"], doc["outcomes"])
-            assert np.array_equal(rho.rho, rec.post_state.rho)
+        for k, line in enumerate(lines):
+            doc = _strict_json(line)
+            assert doc["post_state"] == {"format": "factored-v2", "coherence": params.coherence()}
+            c = doc["post_state"]["coherence"]
+            rho = register_from_outcomes(graph, c, doc["kept"], doc["bits"])
+            assert rho.rho.tobytes() == records[k].post_state.rho.tobytes()
+            q = np.array(doc["q"])
+            assert q.tobytes() == records.q[k].tobytes()
+            assert neighbor_phase(graph, q).tobytes() == records.phi[k].tobytes()
+            assert amplitude_imbalance(q, r0).tobytes() == records.gamma[k].tobytes()
+            assert doc["kept"] == records.kept[k].tolist()
+            assert doc["bits"] == records.bits[k].tolist()
 
     def test_records_above_the_dense_cap(self, tmp_path):
         rec_path = tmp_path / "shots.jsonl"
@@ -139,7 +154,7 @@ class TestDownload:
         ]) == 0
         lines = rec_path.read_text().splitlines()
         assert len(lines) == 20
-        assert all(len(json.loads(line)["outcomes"]) == 16 for line in lines)
+        assert all(len(json.loads(line)["kept"]) == 16 for line in lines)
 
     def test_records_leave_the_summary_unchanged(self, tmp_path):
         args = ["download", "--graph", "path:3", "--nbar", "0.2", "--shots", "300"]
@@ -186,22 +201,12 @@ class TestDownload:
         _, header, rows = _read_rows(tmp_path / "s.csv")
         assert rows[0][header.index("kept_fidelity_mean")] == "nan"  # CSV keeps nan
 
-    def test_records_write_infinite_gamma_as_null(self, tmp_path):
-        rec_path = tmp_path / "shots.jsonl"
-        assert main([
-            "download", "--r-db", "-60", "--shots", "20",
-            "--records", str(rec_path), "--out", str(tmp_path / "s.csv"),
-        ]) == 0
-        docs = [_strict_json(line) for line in rec_path.read_text().splitlines()]
-        assert len(docs) == 20
-        nulls = [
-            outcome
-            for doc in docs
-            for gamma, outcome in zip(doc["gamma"], doc["outcomes"])
-            if gamma is None
-        ]
-        # an imbalance above the float range deletes its qubit onto bit 1
-        assert nulls and all(outcome == ["delete", 1] for outcome in nulls)
+    def test_oversized_run_refused(self, capsys):
+        # q, kept and bits would hold 10 bytes a qubit-shot, 3 TB here
+        assert main(["download", "--graph", "path:3", "--shots", "100000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cvdownload download: shots ")
 
 
 class TestThresholds:
@@ -515,3 +520,38 @@ def test_help_names_every_flag(capsys, command):
         assert (flag in out) == (setting.help is not None), flag
     for flag in ("--config", "--out", "--format"):
         assert flag in out
+
+
+#: SHA-256 of outputs whose digits come only from scalar arithmetic and the
+#: seeded draws, so no BLAS thread count or build changes them.  1500 shots
+#: cross the first block edge.  A change to any of them is a deliberate
+#: output change, to be recorded with its new digest.
+_PINNED_DIGESTS = [
+    (["download", "--graph", "path:3", "--shots", "1500", "--nbar", "0.2"],
+     "881dda5c2fed65530e62785fe37cc0fb42c95e1ac550147e7c4d095f0b1fa457"),
+    (["download", "--graph", "path:3", "--shots", "1500", "--nbar", "0.2", "--format", "json"],
+     "68d168da61c786799b301f847ed1dab19212f21dc60f711dbbf56936acd7bb57"),
+    (["download", "--graph", "grid2d:3x3", "--shots", "1500", "--nbar", "0.2"],
+     "9ec8616e1c0555b38f1442d66d95d406696e2c831f93a5704abf0d63d1f380dd"),
+    (["download", "--graph", "grid2d:3x3", "--shots", "1500", "--nbar", "0.2", "--format", "json"],
+     "95ace1548607b208a7433f3032174cda331ce718fda113cf0bbf545d3b572dd1"),
+    (["thresholds", "--shots", "1000"],
+     "7f9f9bc6e86cc85d9fcbba22cf08e6f3502a4b5863537443de3628f0e787803f"),
+    (["sweep"], "313d44a2ca070a7e47717a49de4d93c78fb0b6e15f1da7fd89f6016f80948cce"),
+    # the factored-v2 records file itself (the summary names its path)
+    (["download", "--graph", "path:3", "--shots", "1500", "--nbar", "0.2", "--records"],
+     "ee426eb10e9707486078c601865863263a684cb18ca69bf3a562e6286e3985c6"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", _PINNED_DIGESTS, ids=[" ".join(args) for args, _ in _PINNED_DIGESTS]
+)
+def test_reproducible_output_digests(tmp_path, args, digest):
+    out, records = tmp_path / "out", tmp_path / "records.jsonl"
+    if args[-1] == "--records":
+        args, out = [*args, str(records), "--out", str(out)], records
+    else:
+        args = [*args, "--out", str(out)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

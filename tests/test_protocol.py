@@ -443,14 +443,6 @@ class TestRunDownload:
         total_deleted = per_qubit.sum()
         assert abs(summary.p_del_empirical - total_deleted / 400.0) < 1e-12
 
-    def test_record_round_trips_to_json(self):
-        params = _params(path_graph(2), 0.9, 0.3, seed=5)
-        records, _ = run_download(params, 3)
-        doc = json.loads(json.dumps(records[0].to_json()))
-        assert np.allclose(doc["q"], records[0].q)
-        assert doc["outcomes"][0][0] in ("keep", "delete")
-        assert "post_state" not in doc
-
 
 def _gate_by_gate_register(params, record):
     """Oracle for a kept-state shot: equivalent circuit, then one forced POVM per site."""
@@ -504,13 +496,16 @@ class TestOnePassRegister:
         # the register is stored with no float test, so these identities hold
         # exactly; its entries are the product's times the +-1 CZ signs, built
         # here as a complex copy of a fresh product and both sign passes
-        codes = data.draw(st.lists(st.integers(0, 2), min_size=graph.n, max_size=graph.n))
-        outcomes = tuple((("delete", 0), ("delete", 1), ("keep", None))[c] for c in codes)
-        rho = register_from_outcomes(graph, coherence, outcomes).rho
+        row = st.lists(st.integers(0, 1), min_size=graph.n, max_size=graph.n)
+        kept, bits = data.draw(row), data.draw(row)
+        rows = (kept, bits)  # a JSON line's lists, or a run's bool rows
+        if data.draw(st.booleans()):
+            rows = (np.array(kept, dtype=bool), np.array(bits, dtype=bool))
+        rho = register_from_outcomes(graph, coherence, *rows).rho
         assert np.array_equal(rho, rho.conj().T)
         assert rho.trace() == 1.0
-        kept = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
-        factors = [kept if kind == "keep" else np.diag([1.0 - bit, float(bit)]) for kind, bit in outcomes]
+        kept_factor = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
+        factors = [kept_factor if k else np.diag([1.0 - b, float(b)]) for k, b in zip(kept, bits)]
         expected = _tensor_product(factors, np.ones((1, 1)))
         phases = graph_phases(graph)
         expected = expected * phases[:, None]
@@ -518,27 +513,37 @@ class TestOnePassRegister:
         expected = np.array(expected, dtype=complex)
         assert rho.dtype == np.complex128
         assert rho.tobytes() == expected.tobytes()
+        # a kept qubit ignores its bit
+        flipped = [b ^ k for k, b in zip(kept, bits)]
+        again = register_from_outcomes(graph, coherence, kept, flipped).rho
+        assert again.tobytes() == rho.tobytes()
 
 
-_PATH3_KEEPS = (("keep", None),) * 3
+_PATH3_KEPT = ([1, 1, 1], [0, 0, 0])
 
 
 @pytest.mark.parametrize(
     "coherence, outcomes, match",
     [
-        (0.5, (("foo", 1), ("keep", None), ("keep", None)), r"^outcome 0 must be"),
-        (0.5, (("keep", None), ("keep", 5), ("keep", None)), r"^outcome 1 must be"),
-        (0.5, (("keep", None), ("keep", None), ("delete", 2)), r"^outcome 2 must be"),
-        (0.5, (("delete", None), ("keep", None), ("keep", None)), r"^outcome 0 must be"),
-        (0.5, ("keep", ("keep", None), ("keep", None)), r"^outcome 0 must be"),
-        (0.5, (("keep", None, 0), ("keep", None), ("keep", None)), r"^outcome 0 must be"),
-        (0.5, _PATH3_KEEPS[:2], r"^expected 3 outcomes, one per vertex, got 2$"),
+        (0.5, ([2, 1, 1], [0, 0, 0]), r"^outcome 0 must be"),
+        (0.5, ([1, 1, 1], [0, 5, 0]), r"^outcome 1 must be"),
+        (0.5, ([1, 1, 0], [0, 0, -1]), r"^outcome 2 must be"),
+        (0.5, ([0.5, 1, 1], [0, 0, 0]), r"^outcome 0 must be"),
+        # 2-d rows: each entry is a row, not a 0/1 value
+        (0.5, (np.ones((3, 3), dtype=bool), np.zeros((3, 3), dtype=bool)), r"^outcome 0 must be"),
+        (0.5, ([[1], [1], [1]], [0, 0, 0]), r"^outcome 0 must be"),
+        (0.5, ([1, 1], [0, 0]), r"^expected 3 outcomes, one per vertex, got 2 kept and 2 bits$"),
         # the 4^13 product of 13 entries would take 512 MB
-        (0.5, (("keep", None),) * 13, r"^expected 3 outcomes, one per vertex, got 13$"),
-        (3.0, _PATH3_KEEPS, r"^coherence must be finite and within \[-1, 1\]"),
-        (-2.0, _PATH3_KEEPS, r"^coherence must be finite and within \[-1, 1\]"),
-        (math.inf, _PATH3_KEEPS, r"^coherence must be finite and within \[-1, 1\]"),
-        (math.nan, _PATH3_KEEPS, r"^coherence must be finite and within \[-1, 1\]"),
+        (0.5, ([1] * 13, [0] * 13), r"^expected 3 outcomes, one per vertex, got 13 kept and 13"),
+        (3.0, _PATH3_KEPT, r"^coherence must be finite and within \[-1, 1\]"),
+        (-2.0, _PATH3_KEPT, r"^coherence must be finite and within \[-1, 1\]"),
+        (math.inf, _PATH3_KEPT, r"^coherence must be finite and within \[-1, 1\]"),
+        (math.nan, _PATH3_KEPT, r"^coherence must be finite and within \[-1, 1\]"),
+        (0.5, ([1, 1, 1], [0, 0]), r"^expected 3 outcomes, one per vertex, got 3 kept and 2 bits$"),
+        (0.5, (np.ones((1, 3), dtype=bool), np.zeros((1, 3), dtype=bool)), r"^expected 3 outcomes"),
+        (0.5, ([None, 1, 1], [0, 0, 0]), r"^outcome 0 must be"),
+        (0.5, ([1, 1, 1], [0, math.nan, 0]), r"^outcome 1 must be"),
+        (0.5, ([1, 1, 1], ["0", 0, 0]), r"^outcome 0 must be"),
     ],
 )
 def test_register_refuses_bad_input_before_allocating(coherence, outcomes, match):
@@ -546,7 +551,7 @@ def test_register_refuses_bad_input_before_allocating(coherence, outcomes, match
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_refused_before_allocating(
-            lambda: register_from_outcomes(graph, coherence, outcomes), match
+            lambda: register_from_outcomes(graph, coherence, *outcomes), match
         )
 
 
@@ -575,15 +580,15 @@ def _per_shot_reference(params, shots, keep_states):
     for q, u in draws:
         ell = log_imbalance(q, r0)
         kept = u < keep_probability(ell)
-        codes = 2 * kept + (ell > 0.0)
+        bits = ell > 0.0
         gamma = np.asarray(amplitude_imbalance(q, r0), dtype=float)
-        outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, codes.tolist()))
+        outcomes = tuple(map(_OUTCOME_BY_CODE.__getitem__, (2 * kept + bits).tolist()))
         deleted = n - int(np.count_nonzero(kept))
         kept_counts += kept
         histogram[deleted] += 1
         state = None
         if keep_states:
-            state = register_from_outcomes(graph, 1.0 - 2.0 * p_phi, outcomes)
+            state = register_from_outcomes(graph, 1.0 - 2.0 * p_phi, kept, bits)
         phi = SQRT_PI * (a @ q)
         records.append(DownloadRecord(q, phi, gamma, outcomes, state))
     per_qubit = shots - kept_counts
@@ -744,15 +749,33 @@ class TestColumnarRecords:
 
     def test_statistics_run_holds_only_its_columns(self):
         params = _params(grid2d_graph(10, 10), 1.15, 0.2, seed=13)
+        shots = 40 * SHOT_BLOCK
         tracemalloc.start()
         try:
-            records, summary = run_download(params, 10_000, keep_states=False)
-            held, _ = tracemalloc.get_traced_memory()
+            records, summary = run_download(params, shots, keep_states=False)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert summary.shots == len(records) == 10_000
+        assert summary.shots == len(records) == shots
         # q (8 bytes a qubit-shot), kept and bits (1 byte each): 1.25x q
         assert held <= 1.5 * records.q.nbytes
+        # each block is decided right after its draws, so no whole-run
+        # temporary (uniforms, l, the keep law's) exists: the peak is the
+        # columns plus one block's work
+        assert peak <= 1.6 * records.q.nbytes
+
+    def test_oversized_run_refused_before_allocating(self):
+        # q, kept and bits would hold 10 bytes a qubit-shot, 3 TB here
+        params = _params(path_graph(3), 0.5, 0.2)
+        for keep_states in (False, True):
+            assert_refused_before_allocating(
+                lambda: run_download(params, 10**11, keep_states), r"^shots \* n must be at most"
+            )
+        cap = protocol._MAX_QUBIT_SHOTS
+        assert_refused_before_allocating(
+            lambda: run_download(_params(Graph(1000, ()), 0.5, 0.2), cap // 1000 + 1, False),
+            r"^shots \* n must be at most 100000000 qubit-shots",
+        )
 
 
 class TestNegativeSqueezing:
