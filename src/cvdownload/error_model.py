@@ -83,8 +83,9 @@ def sample_q(r0: float, shots: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def log_imbalance(q, r0: float):
-    """``l = log gamma(q) = sqrt(pi) (2 q - sqrt(pi)) / (2 e^{2 r0})``, for a float or an array."""
-    return SQRT_PI * (2.0 * q - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
+    """``l = log gamma(q) = sqrt(pi) (2 q - sqrt(pi)) / (2 e^{2 r0})``, for a
+    float, a sequence or an array of outcomes."""
+    return SQRT_PI * (2.0 * np.asarray(q) - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
 
 
 def amplitude_imbalance(q, r0: float):
@@ -93,7 +94,7 @@ def amplitude_imbalance(q, r0: float):
     range.  Reported only: the law itself is computed from ``l``.
     """
     with np.errstate(over="ignore"):
-        return np.exp(log_imbalance(np.asarray(q), r0))
+        return np.exp(log_imbalance(q, r0))
 
 
 def keep_probability(log_gamma):

@@ -13,6 +13,12 @@ little-endian qubit bitstring (qubit ``s`` belongs to mode ``s``) and
 operation.  Normalization counts the cell volume:
 ``sum |amps|^2 dq^m = 1``.
 
+A made state's ``amps`` is read-only: only the gates write it, each
+reopening it for its own in-place write.  So the measurement keeps one
+table of slab masses per prepared state and reuses it for every draw until
+a gate writes, and an outside in-place write raises instead of leaving
+that table stale.
+
 This module exists as an independent oracle for the analytic protocol
 states: it knows nothing about conditional wavefunctions, imbalances or
 mixtures, only about arrays of amplitudes and elementwise phases.
@@ -21,6 +27,7 @@ mixtures, only about arrays of amplitudes and elementwise phases.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,12 +51,20 @@ __all__ = [
 MIN_CELLS_PER_SHIFT = 16
 BOUNDARY_MASS_TOL = 1e-10
 _CHUNK = 1 << 16  # cells per pass of the per-cell sum in ``_abs2``
+_SHIFT_CELLS = 1 << 14  # cells (256 KB) in the cache-sized temporary of the last-axis shift
 
 
 class HybridGridState:
-    """Mutable array state of ``modes`` gridded modes plus their qubits."""
+    """Array state of ``modes`` gridded modes plus their qubits.
 
-    __slots__ = ("modes", "k", "dq", "grid", "amps")
+    The gates change it in place.  ``_slabs`` holds the measurement's slab
+    table as ``(amps, slab_cdf)``: one slab table per prepared state,
+    reused until a gate writes.  It is kept only for a read-only ``amps``
+    (every made state's), so a hand-built state with a writable array is
+    re-read on every draw.
+    """
+
+    __slots__ = ("modes", "k", "dq", "grid", "amps", "_slabs")
 
     def __init__(self, modes: int, k: int, grid: np.ndarray, amps: np.ndarray):
         self.modes = modes
@@ -57,10 +72,25 @@ class HybridGridState:
         self.dq = SQRT_PI / k
         self.grid = grid
         self.amps = amps
+        self._slabs = None
 
     @property
     def cells(self) -> int:
         return len(self.grid)
+
+
+@contextmanager
+def _writing(state: HybridGridState):
+    """``state.amps``, open for one gate's in-place write: the slab table
+    is dropped, and the array's write flag is restored afterwards."""
+    amps = state.amps
+    state._slabs = None
+    writeable = amps.flags.writeable
+    amps.flags.writeable = True
+    try:
+        yield amps
+    finally:
+        amps.flags.writeable = writeable
 
 
 def required_length(r0: float) -> float:
@@ -72,14 +102,16 @@ def _abs2(planes: np.ndarray, per_cell: bool = False) -> float | np.ndarray:
     """``sum |planes|^2``, as sums of squares of the float view (real and
     imaginary parts interleaved), with no complex or ``np.abs`` temporaries.
 
-    By default the sum runs over every entry and a float is returned.  With
+    By default the sum runs over every entry and a float is returned; it is
+    an ``einsum``, not a BLAS dot product, whose split across threads
+    would move the last bits with the thread count.  With
     ``per_cell`` it runs over the leading (bitstring) axis only and returns
     one float per cell, shaped like ``planes[0]``; it is built ``_CHUNK``
     cells at a time, so its only temporary is a fraction of a plane.
     """
     if not per_cell:
         flat = planes.reshape(-1).view(float)
-        return float(flat @ flat)
+        return float(np.einsum("i,i->", flat, flat))
     flat = planes.reshape(len(planes), -1).view(float)
     out = np.empty(flat.shape[1] // 2)
     for start in range(0, len(out), _CHUNK):
@@ -103,7 +135,8 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
     ``r0`` beyond ``+-R0_LIMIT`` (the source's own range, where
     ``e^{2 r0}`` leaves the float range) and grids of more amplitudes than
     the largest dense register; refused before normalizing: a squeezed
-    vacuum so narrow that it puts no mass on any cell.
+    vacuum so narrow that it puts no mass on any cell.  The state's
+    ``amps`` is read-only; the gates reopen it for their own writes.
     """
     if modes not in (1, 2):
         raise ValueError(f"grid simulator supports 1 or 2 modes, got {modes}")
@@ -134,6 +167,7 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
     mode_amps /= math.sqrt(2**modes * mass)
     amps = np.empty((2**modes,) + mode_amps.shape, dtype=complex)
     amps[...] = mode_amps
+    amps.flags.writeable = False
     return HybridGridState(modes, k, grid, amps)
 
 
@@ -147,7 +181,8 @@ def apply_cphase_grid(state: HybridGridState) -> HybridGridState:
     angle = np.multiply.outer(state.grid, state.grid, out=phase.real)
     np.sin(angle, out=phase.imag)
     np.cos(angle, out=phase.real)
-    state.amps *= phase
+    with _writing(state) as amps:
+        amps *= phase
     return state
 
 
@@ -161,24 +196,38 @@ def apply_cd_grid(state: HybridGridState, mode: int) -> HybridGridState:
     """
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
-    k = state.k
-    planes = [state.amps[b] for b in range(2**state.modes) if (b >> mode) & 1]
-    boundary_mass = sum(_abs2(np.moveaxis(p, mode, 0)[-k:]) for p in planes)
+    k, cells = state.k, state.cells
+    bits = [b for b in range(2**state.modes) if (b >> mode) & 1]
+    boundary_mass = sum(_abs2(np.moveaxis(state.amps[b], mode, 0)[-k:]) for b in bits)
     boundary_mass *= state.dq**state.modes
     if boundary_mass >= BOUNDARY_MASS_TOL:
         raise ValueError(
             f"conditional displacement would push mass {boundary_mass:.3e} "
             f"past the grid edge; the grid fits one displacement per mode"
         )
-    # k cells along ``mode`` are ``step`` flat entries.  A one-dimensional
-    # overlapping copy is a memmove, with no temporary; it carries each
-    # line's last k cells into the next line's first k, which are exactly
-    # the cells zeroed next.
-    step = k * state.cells ** (state.modes - 1 - mode)
-    for p in planes:
-        flat = p.reshape(-1)
-        flat[step:] = flat[:-step]
-        np.moveaxis(p, mode, 0)[:k] = 0.0
+    # Every copy is a forward copy between disjoint memory (an overlapping
+    # one runs as a reversed strided loop, about three times slower).  Along
+    # the first axis the plane moves in k-row blocks, bottom-up, so no block
+    # is read after it is written; along the last axis the rows move a few
+    # at a time through one small reused temporary.  The k cells left
+    # behind are zeroed.
+    rows = max(1, _SHIFT_CELLS // cells)
+    temp = np.empty((rows, cells - k), dtype=complex) if mode else None
+    with _writing(state) as amps:
+        for b in bits:
+            plane = amps[b]
+            if mode == 0:
+                for end in range(cells, k, -k):
+                    start = max(end - k, k)
+                    plane[start:end] = plane[start - k : end - k]
+                plane[:k] = 0.0
+            else:
+                for first in range(0, cells, rows):
+                    block = plane[first : first + rows]
+                    moved = temp[: len(block)]
+                    np.copyto(moved, block[:, :-k])
+                    block[:, k:] = moved
+                    block[:, :k] = 0.0
     return state
 
 
@@ -200,24 +249,29 @@ def measure_q_grid(
 
     The state is left unchanged, so each call is an independent draw from
     the same pre-measurement state.  The joint outcome is sampled from
-    ``|amps|^2`` summed over qubit components, in one read of the state:
-    one uniform picks a slab of the first mode's grid by the slabs'
-    cumulative masses, then a cell within it, offset by the earlier slabs'
-    mass.  The qubit register is the amplitudes at that grid point,
-    renormalized.
+    ``|amps|^2`` summed over qubit components, with one slab table per
+    prepared state, reused until a gate writes: the first draw computes the
+    cumulative masses of the slabs along the first mode's grid in one
+    ``einsum`` pass.  Each draw's one uniform picks a slab by that table,
+    then a cell within it, offset by the earlier slabs' mass.  The qubit
+    register is the amplitudes at that grid point, renormalized.
     """
-    planes = state.amps.reshape(len(state.amps), state.cells, -1).view(float)
-    slabs = sum(np.einsum("ij,ij->i", p, p) for p in planes)
-    slab_cdf = np.cumsum(slabs)
-    if not slab_cdf[-1] > 0.0:
-        raise ValueError("state has no probability mass")
+    amps = state.amps
+    if state._slabs is not None and state._slabs[0] is amps and not amps.flags.writeable:
+        slab_cdf = state._slabs[1]
+    else:
+        planes = amps.reshape(len(amps), state.cells, -1).view(float)
+        slab_cdf = np.cumsum(sum(np.einsum("ij,ij->i", p, p) for p in planes))
+        if not slab_cdf[-1] > 0.0:
+            raise ValueError("state has no probability mass")
+        state._slabs = None if amps.flags.writeable else (amps, slab_cdf)
     target = rng.random() * slab_cdf[-1]
-    slab = min(int(np.searchsorted(slab_cdf, target, side="right")), len(slabs) - 1)
-    cell_cdf = np.cumsum(_abs2(state.amps[:, slab], per_cell=True).reshape(-1))
+    slab = min(int(np.searchsorted(slab_cdf, target, side="right")), len(slab_cdf) - 1)
+    cell_cdf = np.cumsum(_abs2(amps[:, slab], per_cell=True).reshape(-1))
     if slab > 0:
         cell_cdf += slab_cdf[slab - 1]
     cell = min(int(np.searchsorted(cell_cdf, target, side="right")), len(cell_cdf) - 1)
-    indices = (slab, *np.unravel_index(cell, state.amps.shape[2:]))
+    indices = (slab, *np.unravel_index(cell, amps.shape[2:]))
     q_values = state.grid[np.array(indices)]
-    qubit = QubitPureState(state.modes, state.amps[(slice(None), *indices)], normalize=True)
+    qubit = QubitPureState(state.modes, amps[(slice(None), *indices)], normalize=True)
     return q_values, qubit

@@ -522,10 +522,12 @@ def test_help_names_every_flag(capsys, command):
         assert flag in out
 
 
-#: SHA-256 of outputs whose digits come only from scalar arithmetic and the
-#: seeded draws, so no BLAS thread count or build changes them.  1500 shots
-#: cross the first block edge.  A change to any of them is a deliberate
-#: output change, to be recorded with its new digest.
+#: SHA-256 of outputs whose digits come only from scalar arithmetic, the
+#: seeded draws and, for ``verify``, ``einsum`` sums of the grid and LAPACK
+#: ``eigvalsh`` and BLAS products on matrices of at most 16x16, too small
+#: to be split across threads, so no BLAS thread count changes them.  1500
+#: shots cross the first block edge.  A change to any of them is a
+#: deliberate output change, to be recorded with its new digest.
 _PINNED_DIGESTS = [
     (["download", "--graph", "path:3", "--shots", "1500", "--nbar", "0.2"],
      "881dda5c2fed65530e62785fe37cc0fb42c95e1ac550147e7c4d095f0b1fa457"),
@@ -538,6 +540,10 @@ _PINNED_DIGESTS = [
     (["thresholds", "--shots", "1000"],
      "7f9f9bc6e86cc85d9fcbba22cf08e6f3502a4b5863537443de3628f0e787803f"),
     (["sweep"], "313d44a2ca070a7e47717a49de4d93c78fb0b6e15f1da7fd89f6016f80948cce"),
+    (["verify", "--seed", "0"],
+     "993650b41603876d2eaab6b9839cb37de1c6428bde1437452f04fcd3a343411c"),
+    (["verify", "--seed", "0", "--format", "json"],
+     "3b2b0d2fa2a890fc6ebf8bf31017a8e5c8beeeea008dbd757ed8ee0e28bec15d"),
     # the factored-v2 records file itself (the summary names its path)
     (["download", "--graph", "path:3", "--shots", "1500", "--nbar", "0.2", "--records"],
      "ee426eb10e9707486078c601865863263a684cb18ca69bf3a562e6286e3985c6"),

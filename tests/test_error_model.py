@@ -203,6 +203,15 @@ class TestFloatRange:
         unit = math.ulp(float(ref)) if float(ref) >= sys.float_info.min else math.ulp(0.0)
         assert abs(Decimal(got) - ref) <= 2 * Decimal(unit)
 
+    def test_log_imbalance_accepts_sequences(self):
+        q = [-3.5, 0.0, SQRT_PI / 2.0, 0.3, 12.0]
+        want = log_imbalance(np.array(q), 0.4)
+        for given_q in (q, tuple(q)):
+            assert log_imbalance(given_q, 0.4).tobytes() == want.tobytes()
+        scalar = log_imbalance(0.3, 0.4)
+        assert isinstance(scalar, float)
+        assert scalar == want[3]
+
     def test_extremes_without_warnings(self):
         big = [-sys.float_info.max, 1e200, 373.0, math.inf, -math.inf]
         assert np.array_equal(keep_probability(big), [0.0] * 5)
