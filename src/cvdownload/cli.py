@@ -8,15 +8,22 @@ download    Monte Carlo protocol shots with a summary row; ``--records``
             and ``post_state`` ``{"format": "factored-v2", "coherence": c}``
 thresholds  squeezing-versus-erasure tables plus target inversions
 plan        hardware decorrelation recipe for loss / inefficiency
-sweep       cartesian feasibility sweep of the planner
+sweep       cartesian sweep of the planner over noise points
 
 ``COMMANDS`` holds each key's type, default and help once; its flag and
 its ``--config`` value (see ``_convert``) both take that type, with flags
 over the config file over the defaults.  Every output starts with a
 metadata header (tool version, command, seed, resolved typed config;
-``download`` also names its draw rule, ``rng_scheme``) sufficient to
-reproduce it byte for byte; no timestamps, so identical inputs give
-identical files.  Floats print with 17 significant digits.
+``download`` also names its draw rule, ``rng_scheme``, and ``plan`` the
+layout of its network, ``network_format``) sufficient to reproduce it
+byte for byte; no timestamps, so identical inputs give identical files.
+Floats print with 17 significant digits.
+
+Every subcommand writes through ``_emit``, as CSV rows or as one JSON
+document; only ``verify``'s CSV is its text report.  JSON writes a result
+from its own fields (``_plain``): a dataclass by its fields, a structured
+array as its columns (``plan``'s network as ``{"i": [...], "j": [...],
+"angle": [...]}``) and any other array as nested lists.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,12 +72,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _plain(obj):
+    """What ``json`` cannot write itself, as plain data: a dataclass by its
+    fields, a structured array as its columns, any other array or NumPy
+    scalar as lists and Python scalars."""
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, np.ndarray) and obj.dtype.names:
+        return {name: obj[name] for name in obj.dtype.names}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _json_text(obj, **kwargs) -> str:
     """The one JSON writer: strict RFC 8259 text, each NaN or +-inf as null."""
     try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
+        return json.dumps(obj, allow_nan=False, default=_plain, **kwargs)
     except ValueError:  # a non-finite float: read the document back with it as null
-        obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+        obj = json.loads(json.dumps(obj, default=_plain), parse_constant=lambda _: None)
         return json.dumps(obj, allow_nan=False, **kwargs)
 
 
@@ -93,27 +113,23 @@ def _meta_lines(command: str, config: dict, extra: dict | None = None) -> list[s
     ]
 
 
-def _csv_output(path, command, config, header, rows, extra: dict | None = None) -> None:
-    lines = _meta_lines(command, config, extra)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(path, lines)
+def _emit(args, command: str, config: dict, header, rows, doc: dict | None = None,
+          extra: dict | None = None) -> None:
+    """Write one subcommand's result to ``args.out`` in ``args.format``.
 
-
-def _json_output(path, command, config, payload: dict, extra: dict | None = None) -> None:
-    doc = {
-        "meta": {
-            "tool": "cvdownload",
-            "version": __version__,
-            "command": command,
-            "seed": config["seed"],
-            "config": config,
-            **(extra or {}),
-        }
-    }
-    doc.update(payload)
-    _write_lines(path, [_json_text(doc, indent=2, sort_keys=True)])
+    CSV is the metadata header, then ``header`` and one line per row.  JSON
+    is one document: the metadata under ``meta``, beside ``doc`` or, without
+    one, ``columns`` and ``rows``.  ``extra`` adds keys to the metadata.
+    """
+    if args.format == "csv":
+        lines = [*_meta_lines(command, config, extra), ",".join(header)]
+        lines += [",".join(map(_fmt, row)) for row in rows]
+    else:
+        meta = {"tool": "cvdownload", "version": __version__, "command": command,
+                "seed": config["seed"], "config": config, **(extra or {})}
+        body = {"columns": header, "rows": rows} if doc is None else doc
+        lines = [_json_text({"meta": meta, **body}, indent=2, sort_keys=True)]
+    _write_lines(args.out, lines)
 
 
 class Setting(NamedTuple):
@@ -184,10 +200,10 @@ class CheckResult:
     name: str
     residual: float
     threshold: float
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.threshold
+    def __post_init__(self) -> None:
+        self.passed = bool(self.residual < self.threshold)
 
 
 def _battery_equivalent_circuit(rng: np.random.Generator) -> CheckResult:
@@ -273,19 +289,11 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> int:
     ok = n_pass == len(checks)
     exit_code = 0 if ok else 1
     if args.format == "json":
-        report = [
-            {
-                "name": c.name,
-                "residual": float(c.residual),
-                "threshold": c.threshold,
-                "passed": bool(c.passed),
-            }
-            for c in checks
-        ]
-        payload = {"checks": report, "result": "PASS" if ok else "FAIL", "exit_code": exit_code}
-        _json_output(args.out, "verify", config, payload)
+        doc = {"checks": checks, "result": "PASS" if ok else "FAIL", "exit_code": exit_code}
+        _emit(args, "verify", config, None, None, doc)
         return exit_code
 
+    # the text report, which stands for verify's CSV
     lines = _meta_lines("verify", config)
     width = max(len(c.name) for c in checks)
     for c in checks:
@@ -318,8 +326,7 @@ def cmd_download(args: argparse.Namespace, config: dict) -> int:
         columns = (records.q, records.kept.view(np.uint8), records.bits.view(np.uint8))
         with open(config["records"], "w", encoding="utf-8") as fh:
             for q, kept, bits in zip(*columns):
-                line = {"q": q.tolist(), "kept": kept.tolist(), "bits": bits.tolist(),
-                        "post_state": post_state}
+                line = {"q": q, "kept": kept, "bits": bits, "post_state": post_state}
                 fh.write(_json_text(line, sort_keys=True) + "\n")
 
     header = ["r_db", "nbar", "shots", "p_del_emp", "p_del_analytic", "kept_fidelity_mean"]
@@ -333,10 +340,7 @@ def cmd_download(args: argparse.Namespace, config: dict) -> int:
     ]
     # the draws depend on the block size: name the rule with the seed
     extra = {"rng_scheme": f"block-{SHOT_BLOCK}"}
-    if args.format == "json":
-        _json_output(args.out, "download", config, {"summary": summary.to_json()}, extra)
-    else:
-        _csv_output(args.out, "download", config, header, [row], extra)
+    _emit(args, "download", config, header, [row], {"summary": summary}, extra)
     return 0
 
 
@@ -393,14 +397,7 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
     for target in _float_list(config, "targets"):
         rows.append(one_row(squeezing_db_for_pdel(target)))
 
-    if args.format == "json":
-        payload = {
-            "columns": header,
-            "rows": rows,
-        }
-        _json_output(args.out, "thresholds", config, payload)
-    else:
-        _csv_output(args.out, "thresholds", config, header, rows)
+    _emit(args, "thresholds", config, header, rows)
     return 0
 
 
@@ -408,20 +405,13 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
 # plan / sweep
 # ---------------------------------------------------------------------------
 
-_PLAN_HEADER = ["eps1", "eps2", "r_prime", "feasible", "g_prime", "r_eff_db", "nbar_eff"]
+_PLAN_HEADER = ["eps1", "eps2", "r_prime", "g_prime", "r_eff_db", "nbar_eff"]
 
 
 def _plan_row(graph: Graph, noise: NoiseParams) -> tuple:
     p = plan(graph, noise)
-    return p, (
-        noise.eps1,
-        noise.eps2,
-        noise.r_prime,
-        int(p.physical),
-        p.g_prime,
-        squeezing_to_db(p.r_eff),
-        p.nbar_eff,
-    )
+    row = (noise.eps1, noise.eps2, noise.r_prime, p.g_prime, squeezing_to_db(p.r_eff), p.nbar_eff)
+    return p, row
 
 
 def _linearized_or_none(graph: Graph, noise: NoiseParams, use_degree_bound: bool):
@@ -438,24 +428,18 @@ def cmd_plan(args: argparse.Namespace, config: dict) -> int:
     noise = NoiseParams(config["eps1"], config["eps2"], config["r_prime"])
     p, row = _plan_row(graph, noise)
     residual = verify_plan(p, graph, noise)
-
-    if args.format == "csv":
-        _csv_output(args.out, "plan", config, _PLAN_HEADER, [row])
-        return 0
-
-    payload = {
-        "plan": p.to_json(),
-        "verification": {
-            "residual": residual,
-            "threshold": VERIFY_TOL,
-            "passed": bool(residual < VERIFY_TOL),
-        },
+    doc = {
+        "plan": p,
+        "verification": {"residual": residual, "threshold": VERIFY_TOL,
+                         "passed": residual < VERIFY_TOL},
         "linearized": {
             "spectral": _linearized_or_none(graph, noise, False),
             "degree_bound": _linearized_or_none(graph, noise, True),
         },
     }
-    _json_output(args.out, "plan", config, payload)
+    # the network is written as the three columns of NETWORK_DTYPE
+    extra = {"network_format": "columns i, j, angle"}
+    _emit(args, "plan", config, _PLAN_HEADER, [row], doc, extra)
     return 0
 
 
@@ -472,10 +456,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
                         f"sweep point eps1={e1} eps2={e2} r_prime={rp}: {exc}"
                     ) from exc
                 rows.append(row)
-    if args.format == "json":
-        _json_output(args.out, "sweep", config, {"columns": _PLAN_HEADER, "rows": rows})
-    else:
-        _csv_output(args.out, "sweep", config, _PLAN_HEADER, rows)
+    _emit(args, "sweep", config, _PLAN_HEADER, rows)
     return 0
 
 
@@ -524,7 +505,7 @@ COMMANDS = {
         "eps2": Setting(float, 0.01, "detector inefficiency"),
         "r_prime": Setting(float, 1.0, "hardware squeezing budget (nepers)"),
     }, format="json"),
-    "sweep": Command(cmd_sweep, "cartesian planner feasibility sweep", {
+    "sweep": Command(cmd_sweep, "cartesian planner sweep over noise points", {
         "seed": _SEED,
         "graph": _GRAPH,
         "eps1": Setting(str, "0,0.01,0.02", "comma list of loss values"),

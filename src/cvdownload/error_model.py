@@ -35,7 +35,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from .graphs import SQRT_PI
+from .graphs import SQRT_PI, _is_int
 from .qubits import QubitPureState
 
 __all__ = [
@@ -74,8 +74,8 @@ def outcome_density(q, r0: float):
 
 def sample_q(r0: float, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Draw measurement outcomes from ``P(q)`` exactly (mixture sampling)."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not (_is_int(shots) and shots >= 1):
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     centers = SQRT_PI * rng.integers(0, 2, size=shots)
     # bit for bit rng.normal(centers, scale), which NumPy forms as loc + scale * z,
     # without its per-call argument checks
@@ -84,8 +84,10 @@ def sample_q(r0: float, shots: int, rng: np.random.Generator) -> np.ndarray:
 
 def log_imbalance(q, r0: float):
     """``l = log gamma(q) = sqrt(pi) (2 q - sqrt(pi)) / (2 e^{2 r0})``, for a
-    float, a sequence or an array of outcomes."""
-    return SQRT_PI * (2.0 * np.asarray(q) - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
+    float, a sequence or an array of outcomes; ``+-inf``, without a warning,
+    where it leaves the float range (a basis state, kept with probability 0)."""
+    with np.errstate(over="ignore"):
+        return SQRT_PI * (2.0 * np.asarray(q) - SQRT_PI) / (2.0 * math.exp(2.0 * r0))
 
 
 def amplitude_imbalance(q, r0: float):
@@ -163,10 +165,9 @@ def p_del_monte_carlo(
 
     Samples outcomes from ``P(q)`` and draws a Bernoulli keep/delete per
     shot, exactly as the protocol does.  Small shot counts are allowed;
-    the standard error simply reflects them.
+    the standard error simply reflects them; ``shots`` is checked by
+    :func:`sample_q`.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     q = sample_q(r0, shots, rng)
     deleted = rng.random(shots) >= keep_probability(log_imbalance(q, r0))
     p_hat = float(np.mean(deleted))

@@ -40,6 +40,11 @@ __all__ = [
 
 SQRT_PI = math.sqrt(math.pi)
 
+#: The most edges :func:`make_graph` builds.  ``Graph`` builds and checks
+#: one tuple per edge, about 250 B and 2 us each, so the cap holds a graph
+#: near 250 MB; a larger one is refused before it is built.
+MAX_GRAPH_EDGES = 2**20
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -138,15 +143,16 @@ def random_graph(n: int, edge_probability: float, rng: np.random.Generator) -> G
     return Graph(n, edges)
 
 
-#: Each graph kind: its builder and the keys it takes.  A ``family:size``
-#: spec lists a named family's integer sizes in this order.
+#: Each graph kind: its builder, the keys it takes and its edge count from
+#: them.  A ``family:size`` spec lists a named family's integer sizes in
+#: this order.
 _KINDS = {
-    "path": (path_graph, ("n",)),
-    "cycle": (cycle_graph, ("n",)),
-    "complete": (complete_graph, ("n",)),
-    "star": (star_graph, ("n",)),
-    "grid2d": (grid2d_graph, ("rows", "cols")),
-    "custom": (Graph, ("n", "edges")),
+    "path": (path_graph, ("n",), lambda n: n - 1),
+    "cycle": (cycle_graph, ("n",), lambda n: n),
+    "complete": (complete_graph, ("n",), lambda n: n * (n - 1) // 2),
+    "star": (star_graph, ("n",), lambda n: n - 1),
+    "grid2d": (grid2d_graph, ("rows", "cols"), lambda rows, cols: 2 * rows * cols - rows - cols),
+    "custom": (Graph, ("n", "edges"), lambda n, edges: len(edges)),
 }
 
 
@@ -167,16 +173,23 @@ def make_graph(kind: str, **params) -> Graph:
     takes ``n``), ``grid2d`` (takes ``rows`` and ``cols``) and ``custom``
     (takes ``n`` and ``edges``, a list of ``[i, j]`` pairs).  A missing
     or ill-typed key, and any other key, is refused with a ``ValueError``
-    that names it.
+    that names it, and so is a graph of more than :data:`MAX_GRAPH_EDGES`
+    edges, counted from its sizes before it is built.
     """
     if not (isinstance(kind, str) and kind.lower() in _KINDS):
         raise ValueError(f"graph key 'kind' cannot take {kind!r}: unknown graph kind")
-    build, keys = _KINDS[kind.lower()]
+    build, keys, edge_count = _KINDS[kind.lower()]
     if set(params) != set(keys):
         raise ValueError(f"graph kind {kind!r} takes keys {list(keys)}, got {sorted(params)}")
     for key, value in params.items():
         if not (_is_edge_list if key == "edges" else _is_int)(value):
             raise ValueError(f"graph key {key!r} cannot take {value!r}")
+    # a size below 1 counts as 0 here; its builder refuses it by name
+    count = edge_count(**{key: value if key == "edges" else max(value, 0)
+                          for key, value in params.items()})
+    if count > MAX_GRAPH_EDGES:
+        raise ValueError(f"graph kind {kind!r} with these sizes has {count} edges, above the "
+                         f"cap MAX_GRAPH_EDGES = {MAX_GRAPH_EDGES}")
     return build(**params)
 
 

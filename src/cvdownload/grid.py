@@ -33,6 +33,7 @@ import numpy as np
 
 from .error_model import SQRT_PI, squeezed_vacuum_psi
 from .gaussian import R0_LIMIT
+from .graphs import _is_int
 from .qubits import DEFAULT_MAX_QUBITS, QubitPureState
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
 MIN_CELLS_PER_SHIFT = 16
 BOUNDARY_MASS_TOL = 1e-10
 _CHUNK = 1 << 16  # cells per pass of the per-cell sum in ``_abs2``
-_SHIFT_CELLS = 1 << 14  # cells (256 KB) in the cache-sized temporary of the last-axis shift
+_SHIFT_CELLS = 1 << 13  # cells (128 KB) in the cache-sized temporary of the last-axis shift
 
 
 class HybridGridState:
@@ -110,6 +111,9 @@ def _abs2(planes: np.ndarray, per_cell: bool = False) -> float | np.ndarray:
     cells at a time, so its only temporary is a fraction of a plane.
     """
     if not per_cell:
+        if not planes.flags.c_contiguous:  # a 2-d view with a contiguous last axis: no copy
+            rows = planes.view(float)
+            return float(np.einsum("ij,ij->", rows, rows))
         flat = planes.reshape(-1).view(float)
         return float(np.einsum("i,i->", flat, flat))
     flat = planes.reshape(len(planes), -1).view(float)
@@ -129,7 +133,7 @@ def total_mass(state: HybridGridState) -> float:
 def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
     """Squeezed vacuum on every mode, ``|+>`` on every qubit.
 
-    ``k`` cells per sqrt(pi) shift (at least 16); the grid spans
+    ``k`` cells per sqrt(pi) shift (an integer, at least 16); the grid spans
     ``[-length, length)`` with ``length =`` :func:`required_length`, so
     that tails and one full displacement fit.  Refused before allocating:
     ``r0`` beyond ``+-R0_LIMIT`` (the source's own range, where
@@ -138,10 +142,10 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
     vacuum so narrow that it puts no mass on any cell.  The state's
     ``amps`` is read-only; the gates reopen it for their own writes.
     """
-    if modes not in (1, 2):
-        raise ValueError(f"grid simulator supports 1 or 2 modes, got {modes}")
-    if k < MIN_CELLS_PER_SHIFT:
-        raise ValueError(f"k must be >= {MIN_CELLS_PER_SHIFT}, got {k}")
+    if not (_is_int(modes) and modes in (1, 2)):
+        raise ValueError(f"grid simulator supports 1 or 2 modes, got {modes!r}")
+    if not (_is_int(k) and k >= MIN_CELLS_PER_SHIFT):
+        raise ValueError(f"k must be an integer >= {MIN_CELLS_PER_SHIFT}, got {k!r}")
     if not abs(r0) <= R0_LIMIT:  # NaN fails too
         raise ValueError(f"r0 = {r0!r} must lie within +-R0_LIMIT = {R0_LIMIT!r}")
     length = required_length(r0)
@@ -198,7 +202,8 @@ def apply_cd_grid(state: HybridGridState, mode: int) -> HybridGridState:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
     k, cells = state.k, state.cells
     bits = [b for b in range(2**state.modes) if (b >> mode) & 1]
-    boundary_mass = sum(_abs2(np.moveaxis(state.amps[b], mode, 0)[-k:]) for b in bits)
+    edge = np.s_[-k:] if mode == 0 else np.s_[:, -k:]  # the cells about to leave the grid
+    boundary_mass = sum(_abs2(state.amps[b][edge]) for b in bits)
     boundary_mass *= state.dq**state.modes
     if boundary_mass >= BOUNDARY_MASS_TOL:
         raise ValueError(

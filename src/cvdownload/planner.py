@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -85,6 +85,11 @@ __all__ = [
 R_PRIME_LIMIT = 0.5 * math.log(sys.float_info.max)
 # A plan counts as verified while its verify_plan residual stays below this.
 VERIFY_TOL = 1e-9
+#: The most modes that :func:`plan`, :func:`linearized_plan` and
+#: :func:`verify_plan` take; a larger graph is refused before any n x n or
+#: network array exists.  A replay holds about 13 n^2 float64 at its peak,
+#: 0.94 GB at the cap (and the general path's dense A and A^2 2 n^2 more).
+MAX_PLAN_MODES = 3000
 # verify_plan refuses a replay whose covariance entries could exceed a
 # quarter of the largest float: each congruence adds its product to its
 # transpose, and the residual subtracts two such covariances.
@@ -172,13 +177,11 @@ class DecorrelationPlan:
     network: np.ndarray
     sign_layer: np.ndarray
 
-    def to_json(self) -> dict:
-        """Every field, arrays as nested lists; each rotation of ``network``
-        becomes ``{"modes": [i, j], "angle": angle}``."""
-        values = {field.name: getattr(self, field.name) for field in fields(self)}
-        doc = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
-        doc["network"] = [{"modes": [i, j], "angle": angle} for i, j, angle in doc["network"]]
-        return doc
+
+def _check_plan_modes(graph: Graph) -> None:
+    if graph.n > MAX_PLAN_MODES:
+        raise ValueError(f"the planner takes at most MAX_PLAN_MODES = {MAX_PLAN_MODES} modes, "
+                         f"got a graph of {graph.n}")
 
 
 def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
@@ -192,9 +195,11 @@ def plan(graph: Graph, noise: NoiseParams) -> DecorrelationPlan:
     (:func:`_spectrum`, :func:`_passive_network`); each call adds only the
     noise arithmetic.
 
-    Refused with a ``ValueError`` where ``(1 - eps1) e^{2 r'} / 2``
-    underflows or ``B2`` or ``g'`` overflows, so every plan is finite.
+    Refused with a ``ValueError`` above :data:`MAX_PLAN_MODES` modes, and
+    where ``(1 - eps1) e^{2 r'} / 2`` underflows or ``B2`` or ``g'``
+    overflows, so every plan is finite.
     """
+    _check_plan_modes(graph)
     d_vals = _spectrum(graph)[0]
     eps1, r_prime = noise.eps1, noise.r_prime
     c1, c2 = noise.c1, noise.c2
@@ -322,8 +327,10 @@ def linearized_plan(
     ``D e^{4 r'}`` would leave the float range there.  Below it the
     ``e^{4 r'}`` terms stay under half the largest float; the ``e^{-2 r'}``
     terms overflow only under heavy noise at strongly negative ``r'``,
-    which is refused too, so every result is finite.
+    which is refused too, so every result is finite.  A graph above
+    :data:`MAX_PLAN_MODES` modes is refused as by :func:`plan`.
     """
+    _check_plan_modes(graph)
     if use_degree_bound:
         d = float(max_degree(graph)) ** 2
     else:
@@ -368,12 +375,14 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     and the uncorrelated inputs pass it in one step per block,
     ``O diag(v) O^T``.
     Refuses to verify an unphysical plan, and refuses with a
-    ``ValueError``, before the replay, a plan with a negative or NaN
+    ``ValueError``, before the replay, a graph above
+    :data:`MAX_PLAN_MODES` modes, a plan with a negative or NaN
     thermal occupation (the recipe is replayed as given, not repaired),
     one whose replayed covariance or target could leave the float range
     (see :func:`_replay_log_bound`), or one whose network or sign layer
     :func:`compose_network` refuses.
     """
+    _check_plan_modes(graph)
     if not plan_.physical:
         raise ValueError(f"plan is not physical (violated: {plan_.violated})")
     nbar = np.asarray(plan_.mode_thermal, dtype=float)

@@ -70,7 +70,7 @@ from .error_model import (
     sample_q,
 )
 from .gaussian import SqueezedThermalParams, mixture_params
-from .graphs import Graph, adjacency_matrix, neighbor_phase
+from .graphs import Graph, _is_int, adjacency_matrix, neighbor_phase
 from .qubits import (
     QubitDensityMatrix,
     _bits,
@@ -86,6 +86,7 @@ from .qubits import (
 __all__ = [
     "DIRECT_PHASE_SCALE_MAX",
     "SHOT_BLOCK",
+    "MAX_REGISTER_BYTES",
     "ProtocolParams",
     "DownloadRecord",
     "DownloadSummary",
@@ -114,6 +115,11 @@ SHOT_BLOCK = 1024
 #: Most qubit-shots ``shots * n`` one :func:`run_download` takes: at 10 bytes
 #: each (``q`` 8, ``kept`` and ``bits`` 1 each) that is 1 GB of held columns.
 _MAX_QUBIT_SHOTS = 10**8
+
+#: Most bytes of registers ``shots * 16 * 4**n`` that a
+#: ``run_download(keep_states=True)`` keeps: 1 GB, 4 shots at the dense cap's
+#: 12 qubits or 256 shots at 8.
+MAX_REGISTER_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -311,18 +317,6 @@ class DownloadSummary:
     per_qubit_deletions: tuple[int, ...]
     deletions_histogram: tuple[int, ...]  # index = number of deletions in a shot
 
-    def to_json(self) -> dict:
-        return {
-            "shots": self.shots,
-            "n": self.n,
-            "p_del_empirical": self.p_del_empirical,
-            "p_del_analytic": self.p_del_analytic,
-            "all_kept_shots": self.all_kept_shots,
-            "mean_kept_fidelity": self.mean_kept_fidelity,
-            "per_qubit_deletions": list(self.per_qubit_deletions),
-            "deletions_histogram": list(self.deletions_histogram),
-        }
-
 
 #: Outcome of a qubit by ``2 * kept + (l > 0)``, ``l = log gamma``: a deleted qubit
 #: collapsed onto the basis state its imbalance favours.
@@ -413,15 +407,16 @@ def run_download(
 
     With ``keep_states=True`` (default) each shot's register is built here
     by :func:`register_from_outcomes` from its rows of ``kept`` and
-    ``bits`` (graphs above the dense cap are refused before any draw) and
-    is ``records[k].post_state``; the gate-by-gate route (the equivalent
+    ``bits`` (graphs above the dense cap, and runs whose registers would
+    hold more than :data:`MAX_REGISTER_BYTES`, are refused before any
+    draw) and is ``records[k].post_state``; the gate-by-gate route (the equivalent
     circuit, then one forced POVM per qubit) is its test oracle.
     ``keep_states=False`` builds no register and gives the same columns and
     summary.  The summary's kept-branch fidelity is the law ``(1 -
     p_phi)^n`` (NaN if no shot kept every qubit).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not (_is_int(shots) and shots >= 1):
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
     graph = params.graph
     n = graph.n
     if shots * n > _MAX_QUBIT_SHOTS:
@@ -431,6 +426,9 @@ def run_download(
     p_phi = dephasing_rate(sigma2)
     if keep_states:
         _check_dense_size(n)
+        if shots * 16 * 4**n > MAX_REGISTER_BYTES:
+            raise ValueError(f"{shots} registers of {n} qubits would hold {shots * 16 * 4**n} "
+                             f"bytes, above MAX_REGISTER_BYTES = {MAX_REGISTER_BYTES}")
         coherence = params.coherence()
 
     q = np.empty((shots, n))

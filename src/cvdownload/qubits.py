@@ -424,12 +424,15 @@ def postprocessing_equivalence(graph: Graph, l, mu) -> float:
             ~ prod_k RZ(-phi_k) |G>,
 
     with ``theta = sqrt(pi) A mu`` and ``phi = sqrt(pi) A q``.  Returns
-    ``1 - |overlap|``, which is zero when the identity holds.
+    ``1 - |overlap|``, which is zero when the identity holds.  An ``l``
+    entry that is not a whole number is refused, not truncated.
     """
-    l = np.asarray(l, dtype=int)
+    l = np.asarray(l)
     mu = np.asarray(mu, dtype=float)
     if l.shape != (graph.n,) or mu.shape != (graph.n,):
         raise ValueError("l and mu must each have one entry per vertex")
+    if l.dtype.kind not in "iuf" or not np.all(np.isfinite(l) & (l == np.floor(l))):
+        raise ValueError(f"l must hold whole numbers, got {l.tolist()!r}")
     psi_g = cluster_state(graph)
 
     lhs = psi_g

@@ -38,6 +38,11 @@ def random_test_graph(rng: np.random.Generator, n_max: int = 4, n_min: int = 1) 
     return random_graph(n, 0.6, rng)
 
 
+#: Floats that are not whole numbers, NaN and +-inf included: a count or an
+#: index that takes one must refuse it, not truncate it.
+non_integers = st.floats().filter(lambda x: not x.is_integer())
+
+
 @st.composite
 def small_graphs(draw, n_max=7):
     """Any simple graph on 1..n_max vertices, edges drawn pair by pair."""

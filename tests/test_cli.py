@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cvdownload.cli import COMMANDS, main
-from cvdownload.error_model import amplitude_imbalance, db_to_squeezing
+from cvdownload.error_model import amplitude_imbalance, db_to_squeezing, squeezing_to_db
 from cvdownload.gaussian import SqueezedThermalParams
 from cvdownload.graphs import neighbor_phase, parse_graph_spec
 from cvdownload.protocol import ProtocolParams, register_from_outcomes, run_download
@@ -182,13 +183,15 @@ class TestDownload:
 
     @pytest.mark.parametrize("command", ["thresholds", "plan", "sweep"])
     def test_other_headers_name_no_draw_rule(self, capsys, tmp_path, command):
+        # plan names the layout of its network instead
+        keys = ["command", "seed", *(["network_format"] if command == "plan" else []), "config"]
         out = tmp_path / "o.csv"
         assert main([command, "--format", "csv", "--out", str(out)]) == 0
         meta, _, _ = _read_rows(out)
-        assert [line.split(":")[0] for line in meta[1:]] == ["# command", "# seed", "# config"]
+        assert [line[2:].split(":")[0] for line in meta[1:]] == keys
         assert main([command, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert sorted(doc["meta"]) == ["command", "config", "seed", "tool", "version"]
+        assert sorted(doc["meta"]) == sorted([*keys, "tool", "version"])
 
     def test_json_writes_nan_as_null(self, capsys, tmp_path):
         # no shot keeps all 100 qubits, so the mean kept fidelity is NaN
@@ -289,7 +292,7 @@ class TestPlan:
         body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
         doc = json.loads(body)
         assert doc["plan"]["g_prime"] == 1.0
-        assert doc["plan"]["network"] == []
+        assert doc["plan"]["network"] == {"i": [], "j": [], "angle": []}
         assert doc["plan"]["sign_layer"] == [1.0, 1.0, 1.0]
         assert "orthogonal" not in doc["plan"]
 
@@ -331,12 +334,18 @@ class TestPlan:
         assert 0.0 < doc["plan"]["r_eff"] < 200.0
         assert doc["plan"]["physical"] is True
 
-    def test_csv_row(self, tmp_path):
+    def test_csv_row(self, tmp_path, capsys):
+        # the JSON plan's own numbers, with r_eff in dB
+        args = ["plan", "--eps1", "0.01", "--eps2", "0.01"]
         out = tmp_path / "p.csv"
-        main(["plan", "--eps1", "0.01", "--eps2", "0.01", "--format", "csv", "--out", str(out)])
+        assert main([*args, "--format", "csv", "--out", str(out)]) == 0
         _, header, rows = _read_rows(out)
-        assert header == ["eps1", "eps2", "r_prime", "feasible", "g_prime", "r_eff_db", "nbar_eff"]
-        assert rows[0][3] == "1"
+        assert header == ["eps1", "eps2", "r_prime", "g_prime", "r_eff_db", "nbar_eff"]
+        assert main(args) == 0
+        recipe = json.loads(capsys.readouterr().out)["plan"]
+        row = dict(zip(header, map(float, rows[0])))
+        assert row["g_prime"] == recipe["g_prime"] and row["nbar_eff"] == recipe["nbar_eff"]
+        assert row["r_eff_db"] == squeezing_to_db(recipe["r_eff"])
 
 
 class TestSweep:
@@ -348,15 +357,18 @@ class TestSweep:
         ])
         _, header, rows = _read_rows(out)
         assert len(rows) == 3 * 2 * 2
-        assert header[3] == "feasible"
+        assert header == ["eps1", "eps2", "r_prime", "g_prime", "r_eff_db", "nbar_eff"]
         # row order is the declared cartesian order, not completion order
         assert [r[0] for r in rows[:4]] == ["0", "0", "0", "0"]
 
     def test_feasibility_flags(self, tmp_path):
+        # every plan is physical by construction, so no row carries a flag
+        # that could only read 1
         out = tmp_path / "s.csv"
         main(["sweep", "--eps1", "0,0.01", "--eps2", "0", "--r-prime", "1.0", "--out", str(out)])
-        _, _, rows = _read_rows(out)
-        assert all(r[3] == "1" for r in rows)
+        _, header, rows = _read_rows(out)
+        assert "feasible" not in header
+        assert [len(r) for r in rows] == [len(header)] * 2
 
     def test_heavy_noise_plans_are_feasible(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -364,9 +376,9 @@ class TestSweep:
             "sweep", "--graph", "grid2d:4x4", "--eps1", "0.9", "--eps2", "0.9",
             "--r-prime=-0.1,15", "--out", str(out),
         ])
-        _, _, rows = _read_rows(out)
+        _, header, rows = _read_rows(out)
         assert len(rows) == 2
-        assert all(r[3] == "1" for r in rows)
+        assert all(math.isfinite(float(r[header.index("g_prime")])) for r in rows)
 
 
 class TestConfigHandling:
@@ -509,6 +521,17 @@ class TestConfigHandling:
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_writes_both_formats(capsys, command):
+    args = [command, "--seed", "3"]
+    assert main([*args, "--format", "json"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["meta"]["command"] == command and doc["meta"]["seed"] == 3
+    assert main([*args, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# cvdownload ") and f"# command: {command}\n" in out
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_help_names_every_flag(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -523,9 +546,10 @@ def test_help_names_every_flag(capsys, command):
 
 
 #: SHA-256 of outputs whose digits come only from scalar arithmetic, the
-#: seeded draws and, for ``verify``, ``einsum`` sums of the grid and LAPACK
-#: ``eigvalsh`` and BLAS products on matrices of at most 16x16, too small
-#: to be split across threads, so no BLAS thread count changes them.  1500
+#: seeded draws, closed-form path factors (``plan`` on a grid) and, for
+#: ``verify``, ``einsum`` sums of the grid and LAPACK ``eigvalsh``, with BLAS
+#: products on matrices of at most 16x16, too small to be split across
+#: threads, so no BLAS thread count changes them.  1500
 #: shots cross the first block edge.  A change to any of them is a
 #: deliberate output change, to be recorded with its new digest.
 _PINNED_DIGESTS = [
@@ -539,7 +563,11 @@ _PINNED_DIGESTS = [
      "95ace1548607b208a7433f3032174cda331ce718fda113cf0bbf545d3b572dd1"),
     (["thresholds", "--shots", "1000"],
      "7f9f9bc6e86cc85d9fcbba22cf08e6f3502a4b5863537443de3628f0e787803f"),
-    (["sweep"], "313d44a2ca070a7e47717a49de4d93c78fb0b6e15f1da7fd89f6016f80948cce"),
+    (["sweep"], "1204a11eb8ba5128d5c5bcea748463e0646d8fc23c1d2dd82c2a9f5bdc4b6ec2"),
+    (["plan", "--graph", "grid2d:3x3"],
+     "2e5cc9a43ba37df3f7869bc08b8ed162cfafa49ddaaee7361c5aa1c300ae63fb"),
+    (["plan", "--graph", "grid2d:3x3", "--format", "csv"],
+     "a16a483ab0bfdb51f40286b54fa938361d22b5eb2c43a9e55b5d72e44681a8c7"),
     (["verify", "--seed", "0"],
      "993650b41603876d2eaab6b9839cb37de1c6428bde1437452f04fcd3a343411c"),
     (["verify", "--seed", "0", "--format", "json"],

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from conftest import assert_refused_before_allocating, non_integers
 from cvdownload.error_model import (
     SQRT_PI,
     amplitude_imbalance,
@@ -344,3 +345,13 @@ class TestRails:
             vertex_disconnect_prob(1.2, 1)
         with pytest.raises(ValueError):
             vertex_disconnect_prob(0.5, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_integers)
+def test_sample_q_refuses_non_integer_shots(shots):
+    rng = np.random.default_rng(0)
+    assert_refused_before_allocating(lambda: sample_q(0.5, shots, rng), match="^shots must")
+    assert_refused_before_allocating(
+        lambda: p_del_monte_carlo(0.5, shots, rng), match="^shots must"
+    )

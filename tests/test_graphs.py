@@ -2,13 +2,17 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import assert_refused_before_allocating, small_graphs
+from cvdownload import graphs
 from cvdownload.graphs import (
+    MAX_GRAPH_EDGES,
     Graph,
     _grid_shape,
     _path_spectrum,
@@ -384,3 +388,39 @@ class TestSerialization:
 
     def test_explicit_form_without_edges_is_edgeless(self):
         assert graph_from_json({"n": 3}) == Graph(3)
+
+
+class TestEdgeCap:
+    """``make_graph`` counts a family's edges from its sizes and refuses a
+    graph above ``MAX_GRAPH_EDGES`` before building it."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["path:1000000000", "cycle:1048577", "star:2000000", "complete:1500", "grid2d:1000x1000"],
+    )
+    def test_refused_before_building(self, spec):
+        cap = f"edges, above the cap MAX_GRAPH_EDGES = {MAX_GRAPH_EDGES}"
+        assert_refused_before_allocating(lambda: parse_graph_spec(spec), match=cap)
+
+    def test_custom_edge_list_counted(self):
+        edges = [[0, 1], [1, 2], [2, 3]]
+        with mock.patch.object(graphs, "MAX_GRAPH_EDGES", 2):
+            with pytest.raises(ValueError, match="has 3 edges"):
+                make_graph("custom", n=4, edges=edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["path", "cycle", "complete", "star", "grid2d"]),
+           st.integers(1, 12), st.integers(1, 12))
+    def test_count_is_exact(self, kind, a, b):
+        # the cap at a graph's own edge count admits it, one below refuses it
+        sizes = {"rows": a, "cols": b} if kind == "grid2d" else {"n": a + 2}
+        count = len(make_graph(kind, **sizes).edges)
+        with mock.patch.object(graphs, "MAX_GRAPH_EDGES", count):
+            assert len(make_graph(kind, **sizes).edges) == count
+        with mock.patch.object(graphs, "MAX_GRAPH_EDGES", count - 1):
+            with pytest.raises(ValueError, match=f"has {count} edges"):
+                make_graph(kind, **sizes)
+
+    def test_bad_sizes_still_named_by_their_builder(self):
+        with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
+            parse_graph_spec("grid2d:-1000000x-1000000")

@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_refused_before_allocating
+from conftest import assert_refused_before_allocating, non_integers
+from hypothesis import given, settings
 from scipy import stats
 
 from cvdownload.error_model import SQRT_PI, qubit_given_outcome, squeezed_vacuum_psi
@@ -459,8 +460,15 @@ class TestAllocation:
         for name, call in calls.items():
             planes[name] = _traced_peak(call)[1] / plane
         bounds = {
-            "make": 2.0, "cphase": 1.5, "cd 0": 0.1, "cd 1": 0.1,
+            "make": 2.0, "cphase": 1.5, "cd 0": 0.1, "cd 1": 0.01,
             "measure": 0.01, "measure again": 0.01, "total_mass": 0.01,
         }
         over = {name: planes[name] for name in bounds if planes[name] > bounds[name]}
         assert not over, f"temporary peaks in planes above {bounds}: {over}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_integers)
+def test_non_integer_sizes_refused(value):
+    assert_refused_before_allocating(lambda: make_grid_state(0.5, 1, k=value), match="^k must")
+    assert_refused_before_allocating(lambda: make_grid_state(0.5, value), match="^grid simulator")

@@ -43,6 +43,7 @@ from cvdownload.graphs import (
     star_graph,
 )
 from cvdownload.planner import (
+    MAX_PLAN_MODES,
     NETWORK_DTYPE,
     R_PRIME_LIMIT,
     VERIFY_TOL,
@@ -992,16 +993,48 @@ class TestGraphCache:
 
 class TestPlanSerialization:
     def test_json_fields(self):
-        p = plan(path_graph(3), NoiseParams(0.01, 0.02, 1.1))
-        doc = p.to_json()
-        assert doc["physical"] is True
-        assert "orthogonal" not in doc
-        assert all(set(entry) == {"modes", "angle"} for entry in doc["network"])
-        # the written entries alone rebuild the eigenbasis they realize
-        entries = json.loads(json.dumps(doc["network"]))
-        network = np.array([(*e["modes"], e["angle"]) for e in entries], NETWORK_DTYPE)
-        recomposed = compose_network(network, doc["sign_layer"])
-        assert len(network) > 0
-        assert np.max(np.abs(recomposed - _basis(path_graph(3)))) < 1e-9
-        assert doc["g_prime"] >= 1.0
-        assert len(doc["mode_squeezing"]) == 3
+        # the three written columns alone rebuild the eigenbasis they realize,
+        # on the general path and on a grid
+        for graph in (path_graph(3), star_graph(5), grid2d_graph(3, 4)):
+            p = plan(graph, NoiseParams(0.01, 0.02, 1.1))
+            doc = json.loads(cli._json_text(p))
+            assert set(doc) == {field.name for field in dataclasses.fields(p)}
+            assert set(doc["network"]) == {"i", "j", "angle"}
+            columns = [doc["network"][name] for name in NETWORK_DTYPE.names]
+            network = np.array(list(zip(*columns)), NETWORK_DTYPE)
+            assert len(network) == len(p.network) > 0
+            recomposed = compose_network(network, doc["sign_layer"])
+            assert np.max(np.abs(recomposed - _basis(graph))) < 1e-9
+
+
+class TestModeCap:
+    """``plan``, ``linearized_plan`` and ``verify_plan`` refuse a graph above
+    ``MAX_PLAN_MODES`` before any n x n or network array exists."""
+
+    def test_refused_before_allocating(self):
+        # a relabelled grid2d:30x30 takes the general path and stays accepted
+        assert MAX_PLAN_MODES >= grid2d_graph(30, 30).n
+        big = Graph(MAX_PLAN_MODES + 1)
+        noise = NoiseParams(0.01, 0.01, 1.0)
+        small = plan(path_graph(3), noise)
+        for call in (
+            lambda: plan(big, noise),
+            lambda: linearized_plan(big, noise),
+            lambda: linearized_plan(big, noise, use_degree_bound=True),
+            lambda: verify_plan(small, big, noise),
+        ):
+            assert_refused_before_allocating(call, match="MAX_PLAN_MODES")
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        noise = NoiseParams(0.01, 0.01, 1.0)
+        monkeypatch.setattr(planner, "MAX_PLAN_MODES", 4)
+        recipe = plan(path_graph(4), noise)
+        assert verify_plan(recipe, path_graph(4), noise) < VERIFY_TOL
+        with pytest.raises(ValueError, match="at most MAX_PLAN_MODES = 4 modes, got a graph of 5"):
+            plan(path_graph(5), noise)
+
+    def test_cli_exits_cleanly(self, capsys):
+        assert cli.main(["plan", "--graph", "grid2d:100x100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cvdownload plan: the planner takes at most")

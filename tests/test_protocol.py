@@ -1,14 +1,14 @@
 """Download protocol: sampling, direct vs equivalent states, shot loop."""
 
-import json
 import math
 import tracemalloc
 import warnings
 from collections.abc import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_refused_before_allocating, small_graphs
+from conftest import assert_refused_before_allocating, non_integers, small_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
@@ -38,6 +38,7 @@ from cvdownload.graphs import (
 from cvdownload.protocol import (
     _OUTCOME_BY_CODE,
     DIRECT_PHASE_SCALE_MAX,
+    MAX_REGISTER_BYTES,
     SHOT_BLOCK,
     DownloadRecord,
     DownloadSummary,
@@ -377,7 +378,7 @@ class TestRunDownload:
         for a, b in zip(rec_a, rec_b):
             assert np.array_equal(a.q, b.q)
             assert a.outcomes == b.outcomes
-        assert sum_a.to_json() == sum_b.to_json()
+        assert repr(sum_a) == repr(sum_b)  # floats by repr: bit for bit, NaN included
 
     def test_pure_kept_states_are_cluster(self):
         params = _params(path_graph(2), 0.6, 0.0, seed=3)
@@ -618,7 +619,7 @@ def _assert_matches_reference(params, shots, keep_states):
             assert np.array_equal(rec.post_state.rho, ref.post_state.rho)
         else:
             assert rec.post_state is None and ref.post_state is None
-    assert json.dumps(summary.to_json()) == json.dumps(expected_summary.to_json())
+    assert repr(summary) == repr(expected_summary)  # bit for bit, NaN included
 
 
 class TestBatchedShotLoop:
@@ -813,7 +814,7 @@ class TestNegativeSqueezing:
         for a, b in zip(with_states, without):
             assert np.array_equal(a.gamma, b.gamma)
             assert a.outcomes == b.outcomes
-        assert sum_a.to_json()["deletions_histogram"] == sum_b.to_json()["deletions_histogram"]
+        assert sum_a.deletions_histogram == sum_b.deletions_histogram
 
 
 @st.composite
@@ -860,6 +861,15 @@ class TestDirectOracleDomain:
         _assert_agreement_or_refusal(params, q)
         if graph.edges:
             _assert_agreement_or_refusal(params, _onto_the_bound(graph, q))
+
+    def test_log_imbalance_beyond_the_float_range(self):
+        # at r = -352 an outcome moved onto the bound has |l| above float max:
+        # it is a basis state, and no overflow warning is raised
+        graph = Graph(7, ((5, 6),))
+        params = ProtocolParams(graph, SqueezedThermalParams(-352.0, 0.0))
+        q = _onto_the_bound(graph, sample_outcomes(params, np.random.default_rng(0)))
+        assert np.isinf(log_imbalance(q[5], params.mixture().r0))
+        _assert_agreement_or_refusal(params, q)
 
     @pytest.mark.parametrize("outcome", [1e17, -1e17])
     def test_far_tail_magnitudes_agree(self, outcome):
@@ -917,3 +927,36 @@ class TestKeptStateQuality:
         _, summary = run_download(params, 3)
         if summary.all_kept_shots == 0:
             assert math.isnan(summary.mean_kept_fidelity)
+
+
+class TestRunRefusals:
+    """``run_download`` refuses a non-integer shot count and, with
+    ``keep_states=True``, registers above ``MAX_REGISTER_BYTES``, before
+    it draws."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(non_integers)
+    def test_non_integer_shots(self, shots):
+        params = _params(path_graph(3), 1.0, 0.0)
+        for keep_states in (True, False):
+            assert_refused_before_allocating(
+                lambda: run_download(params, shots, keep_states), match="^shots must"
+            )
+
+    def test_register_budget(self):
+        # 5 registers of 12 qubits hold 1.3 GB
+        params = _params(path_graph(DEFAULT_MAX_QUBITS), 1.0, 0.0)
+        assert 5 * 16 * 4**DEFAULT_MAX_QUBITS > MAX_REGISTER_BYTES
+        assert_refused_before_allocating(lambda: run_download(params, 5), match="MAX_REGISTER_BYTES")
+        records, _ = run_download(params, 5, keep_states=False)
+        assert len(records) == 5
+
+    def test_register_budget_is_inclusive(self):
+        params = _params(path_graph(2), 1.0, 0.0)
+        with mock.patch.object(protocol, "MAX_REGISTER_BYTES", 3 * 16 * 4**2):
+            records, _ = run_download(params, 3)
+            assert len(records) == 3
+            with pytest.raises(ValueError, match="4 registers of 2 qubits would hold 1024 bytes"):
+                run_download(params, 4)
+        one_shot = _params(path_graph(9), 1.0, 0.0)  # the largest single-shot benchmark run
+        assert run_download(one_shot, 1)[0][0].post_state.n == 9

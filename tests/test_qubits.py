@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_refused_before_allocating
+from conftest import assert_refused_before_allocating, non_integers
+from hypothesis import given, settings
 
 from cvdownload.graphs import Graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from cvdownload.qubits import (
@@ -481,3 +482,13 @@ class TestPostprocessing:
             l = rng.integers(0, 2, size=n)
             mu = rng.uniform(-0.49, 0.49, size=n) * SQRT_PI
             assert postprocessing_equivalence(g, l, mu) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(non_integers)
+    def test_non_integer_l_refused(self, value):
+        # refused, not truncated; whole floats are still taken
+        g = path_graph(3)
+        assert_refused_before_allocating(
+            lambda: postprocessing_equivalence(g, [value, 1, 2], np.zeros(3)), match="^l must"
+        )
+        assert postprocessing_equivalence(g, [2.0, 1.0, -3.0], np.zeros(3)) < 1e-12
