@@ -439,7 +439,7 @@ def cmd_plan(args: argparse.Namespace, config: dict) -> int:
     }
     # the network is written as the three columns of NETWORK_DTYPE
     extra = {"network_format": "columns i, j, angle"}
-    _emit(args, "plan", config, _PLAN_HEADER, [row], doc, extra)
+    _emit(args, "plan", config, [*_PLAN_HEADER, "residual"], [(*row, residual)], doc, extra)
     return 0
 
 

@@ -108,11 +108,15 @@ class GaussianState:
             raise ValueError("covariance has non-finite entries")
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"expected a {2 * n}x{2 * n} covariance, got {cov.shape}")
+        # |C_ij| <= sqrt(C_ii C_jj) in a PSD matrix, so that is the scale of
+        # a float product's round-off in the pair
+        root = np.sqrt(np.abs(np.diagonal(cov)))
         step = max(1, _SYMMETRY_BLOCK // (2 * n))  # row blocks: small temporaries
         for s in range(0, 2 * n, step):
-            dev = float(np.abs(cov[s : s + step] - cov[:, s : s + step].T).max())
-            if not dev <= 1e-12:
-                raise ValueError(f"covariance is not symmetric (deviation {dev:.3e})")
+            dev = np.abs(cov[s : s + step] - cov[:, s : s + step].T)
+            over = dev > 1e-12 * root[s : s + step, None] * root
+            if over.any():
+                raise ValueError(f"covariance is not symmetric (deviation {dev[over].max():.3e})")
         qq, pp = cov[:n, :n], cov[n:, n:]
         state = _from_blocks(_symmetric_part(qq), cov[:n, n:].copy(), _symmetric_part(pp))
         self.qq, self.qp, self.pp = state.qq, state.qp, state.pp
@@ -185,9 +189,9 @@ def mode_diag_state(q_vars, p_vars) -> GaussianState:
 
 def _rotated_mode_diag_state(q_vars, p_vars, o: np.ndarray) -> GaussianState:
     """``apply_orthogonal(mode_diag_state(q_vars, p_vars), o)`` bit for bit,
-    for an ``o`` the caller has already checked orthogonal, in two GEMMs
-    instead of six: ``O diag(v)`` is ``O * v`` exactly (every other term of
-    its sums is an exact zero), and ``O 0 O^T`` is exactly zero."""
+    for an ``o`` orthogonal by construction (a composed network), in two
+    GEMMs instead of six: ``O diag(v)`` is ``O * v`` exactly (every other
+    term of its sums is an exact zero), and ``O 0 O^T`` is exactly zero."""
     q_vars, p_vars = _mode_variances(q_vars, p_vars)
     n = len(q_vars)
     if o.shape != (n, n):

@@ -76,6 +76,7 @@ from .qubits import (
     _bits,
     _check_dense_size,
     _from_exact,
+    _hermitian_from_lower,
     _tensor_product,
     apply_dephasing,
     dm_apply_cz,
@@ -191,11 +192,12 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     phase = 0.5 * np.einsum("bi,ij,bj->b", x, a, x)
     phase = phase + bits @ neighbor_phase(graph, q)
     amps = _tensor_product(rows, np.ones((1, 1)))[0] * np.exp(1j * phase)
-    rho = np.outer(amps, amps.conj())
+    rho = _hermitian_from_lower(np.outer(amps, amps.conj()))
     if sigma2 > 0.0:
         d = math.exp(-0.5 * math.pi * sigma2)  # 0 at sigma2 = inf
         rho *= _tensor_product([np.array([[1.0, d], [d, 1.0]])] * n, np.ones((1, 1)))
-    return QubitDensityMatrix(n, rho, normalize=True)
+    rho /= rho.trace().real  # about 1 or more: one bitstring has |amplitude| 1
+    return _from_exact(n, rho)
 
 
 def downloaded_state_equivalent(

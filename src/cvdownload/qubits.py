@@ -17,7 +17,11 @@ Conventions
   magnitude, trace distance); raw amplitude equality is never asserted.
 
 Everything is dense, so every entry point that builds a register refuses
-more than ``DEFAULT_MAX_QUBITS`` qubits before it allocates anything.
+more than ``DEFAULT_MAX_QUBITS`` qubits before it allocates anything.  Float
+checks run only on input from outside (``QubitPureState(n, amps)``,
+``QubitDensityMatrix(n, rho)``): a gate builds its result exactly Hermitian,
+with norm or trace 1 up to rounding, and stores it through
+:func:`_from_exact` or :func:`_pure_from_exact` with no float test.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ def _bit(n: int, site: int) -> np.ndarray:
     """Value of bit ``site`` for every basis index of an n-qubit register."""
     if not 0 <= site < n:
         raise ValueError(f"site {site} out of range for {n} qubits")
-    return _bits(n)[:, site]
+    return (np.arange(2**n) >> site) & 1
 
 
 def _tensor_product(factors, one: np.ndarray) -> np.ndarray:
@@ -88,6 +92,15 @@ def _tensor_product(factors, one: np.ndarray) -> np.ndarray:
     for f in factors:
         out = (f[:, None, :, None] * out[None, :, None, :]).reshape(f.shape[0] * out.shape[0], -1)
     return out
+
+
+def _hermitian_from_lower(rho: np.ndarray) -> np.ndarray:
+    """``rho`` made exactly Hermitian in place from its lower triangle: a
+    product can round ``M_ij`` and ``M_ji`` apart (NumPy's complex product may
+    fuse a multiply-add; ``(w_i x) w_j`` and ``(w_j x) w_i`` differ)."""
+    np.copyto(rho, rho.conj().T, where=~np.tri(len(rho), dtype=bool))
+    np.fill_diagonal(rho.imag, 0.0)
+    return rho
 
 
 class QubitPureState:
@@ -110,7 +123,7 @@ class QubitPureState:
         self.amps = amps
 
     def density_matrix(self) -> "QubitDensityMatrix":
-        return QubitDensityMatrix(self.n, np.outer(self.amps, self.amps.conj()))
+        return _from_exact(self.n, _hermitian_from_lower(np.outer(self.amps, self.amps.conj())))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QubitPureState(n={self.n})"
@@ -158,11 +171,17 @@ class QubitDensityMatrix:
 
 def _from_exact(n: int, rho: np.ndarray) -> QubitDensityMatrix:
     """The register with the fresh complex matrix ``rho``, stored without a
-    copy and taken as it is: the caller builds it exactly Hermitian with
-    unit trace, so no float test runs (``QubitDensityMatrix(n, rho)``
-    checks a matrix from outside)."""
+    copy or a float test: the caller builds it exactly Hermitian with unit
+    trace up to rounding (``QubitDensityMatrix(n, rho)`` checks one from outside)."""
     state = object.__new__(QubitDensityMatrix)
     state.n, state.rho = n, rho
+    return state
+
+
+def _pure_from_exact(n: int, amps: np.ndarray) -> QubitPureState:
+    """:func:`_from_exact` for fresh amplitudes of unit norm up to rounding."""
+    state = object.__new__(QubitPureState)
+    state.n, state.amps = n, amps.astype(complex, copy=False)
     return state
 
 
@@ -173,7 +192,7 @@ def _from_exact(n: int, rho: np.ndarray) -> QubitDensityMatrix:
 def plus_state(n: int) -> QubitPureState:
     """Product state ``|+>^n``."""
     _check_dense_size(n)
-    return QubitPureState(n, np.full(2**n, 2 ** (-n / 2), dtype=complex))
+    return _pure_from_exact(n, np.full(2**n, 2 ** (-n / 2)))
 
 
 def basis_state(n: int, bits) -> QubitPureState:
@@ -188,9 +207,9 @@ def basis_state(n: int, bits) -> QubitPureState:
         if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise ValueError(f"expected {n} bits, each 0 or 1, got {bits!r}")
         index = sum(int(b) << i for i, b in enumerate(bits))
-    amps = np.zeros(2**n, dtype=complex)
+    amps = np.zeros(2**n)
     amps[index] = 1.0
-    return QubitPureState(n, amps)
+    return _pure_from_exact(n, amps)
 
 
 @lru_cache(maxsize=8)
@@ -217,7 +236,7 @@ def cluster_state(graph: Graph) -> QubitPureState:
     Every amplitude has modulus ``2**(-n/2)``; the edge set only toggles
     signs ``(-1)**(b_i b_j)``.
     """
-    return QubitPureState(graph.n, 2 ** (-graph.n / 2) * graph_phases(graph))
+    return _pure_from_exact(graph.n, 2 ** (-graph.n / 2) * graph_phases(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +244,24 @@ def cluster_state(graph: Graph) -> QubitPureState:
 # ---------------------------------------------------------------------------
 
 def apply_rz(psi: QubitPureState, site: int, theta: float) -> QubitPureState:
-    """``RZ(theta) = exp(-i Z theta / 2)`` on one qubit."""
+    """``RZ(theta) = exp(-i Z theta / 2)`` on one qubit; ``theta`` must be finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
     b = _bit(psi.n, site)
     phase = np.where(b == 1, np.exp(0.5j * theta), np.exp(-0.5j * theta))
-    return QubitPureState(psi.n, psi.amps * phase)
+    return _pure_from_exact(psi.n, psi.amps * phase)
 
 
 def apply_x(psi: QubitPureState, site: int) -> QubitPureState:
     _bit(psi.n, site)
     flipped = np.arange(2**psi.n) ^ (1 << site)
-    return QubitPureState(psi.n, psi.amps[flipped])
+    return _pure_from_exact(psi.n, psi.amps[flipped])
 
 
 def apply_z(psi: QubitPureState, site: int) -> QubitPureState:
     amps = psi.amps.copy()
     amps[_bit(psi.n, site) == 1] *= -1.0
-    return QubitPureState(psi.n, amps)
+    return _pure_from_exact(psi.n, amps)
 
 
 def inner(a: QubitPureState, b: QubitPureState) -> complex:
@@ -252,7 +273,7 @@ def inner(a: QubitPureState, b: QubitPureState) -> complex:
 def tensor(states: list[QubitPureState]) -> QubitPureState:
     """Tensor product with qubit 0 of ``states[0]`` as the least significant bit."""
     amps = _tensor_product([s.amps[None, :] for s in states], np.ones((1, 1), dtype=complex))
-    return QubitPureState(sum(s.n for s in states), amps[0])
+    return _pure_from_exact(sum(s.n for s in states), amps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +283,7 @@ def tensor(states: list[QubitPureState]) -> QubitPureState:
 def dm_tensor(dms: list[QubitDensityMatrix]) -> QubitDensityMatrix:
     """Tensor product, same bit ordering as :func:`tensor`."""
     rho = _tensor_product([d.rho for d in dms], np.ones((1, 1), dtype=complex))
-    return QubitDensityMatrix(sum(d.n for d in dms), rho)
+    return _from_exact(sum(d.n for d in dms), rho)
 
 
 def dm_apply_cz(rho: QubitDensityMatrix, i: int, j: int) -> QubitDensityMatrix:
@@ -270,7 +291,7 @@ def dm_apply_cz(rho: QubitDensityMatrix, i: int, j: int) -> QubitDensityMatrix:
         raise ValueError("CZ needs two distinct qubits")
     both = _bit(rho.n, i) & _bit(rho.n, j)
     sign = np.where(both == 1, -1.0, 1.0)
-    return QubitDensityMatrix(rho.n, rho.rho * np.outer(sign, sign))
+    return _from_exact(rho.n, rho.rho * np.outer(sign, sign))
 
 
 def apply_dephasing(
@@ -281,7 +302,7 @@ def apply_dephasing(
         raise ValueError(f"dephasing probability must be in [0, 1/2], got {p_phi}")
     z = np.where(_bit(rho.n, site) == 1, -1.0, 1.0)
     flipped = z[:, None] * rho.rho * z[None, :]
-    return QubitDensityMatrix(rho.n, (1.0 - p_phi) * rho.rho + p_phi * flipped)
+    return _from_exact(rho.n, (1.0 - p_phi) * rho.rho + p_phi * flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -330,27 +351,21 @@ def apply_balancing_povm(
     of zero probability is refused.
     """
     keep, delete, deleted_bit = balancing_povm_diagonals(log_gamma)
-    b = _bit(rho.n, site)
-    w_keep = np.where(b == 1, keep[1], keep[0])
-    w_del = np.where(b == 1, delete[1], delete[0])
-    diag = rho.rho.diagonal().real
-    p_keep = float(np.sum(w_keep**2 * diag))
-    p_del = float(np.sum(w_del**2 * diag))
-    if abs(p_keep + p_del - 1.0) > 1e-9:  # pragma: no cover - defensive
-        raise RuntimeError("POVM branch probabilities do not sum to 1")
     if force not in ("keep", "delete"):
         raise ValueError(f"force must be 'keep' or 'delete', got {force!r}")
-    weights, prob = (w_keep, p_keep) if force == "keep" else (w_del, p_del)
+    weights = (keep if force == "keep" else delete)[_bit(rho.n, site)]
+    prob = float(np.sum(weights**2 * rho.rho.diagonal().real))
     if prob <= 0.0:
         raise ValueError(f"cannot realize zero-probability outcome {force!r}")
     # a complex register divided by a subnormal prob overflows, and such a
     # prob has too few digits for unit trace: scale the weights, then normalize
     weights = weights / math.sqrt(prob)
-    post = weights[:, None] * rho.rho * weights[None, :]
+    post = _hermitian_from_lower(weights[:, None] * rho.rho * weights[None, :])
+    post /= post.trace().real
     return PovmResult(
         force,
         prob,
-        QubitDensityMatrix(rho.n, post, normalize=True),
+        _from_exact(rho.n, post),
         None if force == "keep" else deleted_bit,
     )
 
@@ -368,7 +383,8 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 def fidelity(a, b) -> float:
     """Uhlmann fidelity; accepts pure states and density matrices mixed freely.
 
-    Pure/pure reduces to ``|<a|b>|^2`` and pure/mixed to ``<psi|rho|psi>``.
+    Pure/pure reduces to ``|<a|b>|^2``, pure/mixed to ``<psi|rho|psi>``; mixed/mixed
+    sums the singular values of ``sqrt(a) sqrt(b)``, free of the root of round-off.
     """
     pure_a = isinstance(a, QubitPureState)
     pure_b = isinstance(b, QubitPureState)
@@ -378,10 +394,7 @@ def fidelity(a, b) -> float:
         psi, rho = (a, b) if pure_a else (b, a)
         val = float(np.real(np.vdot(psi.amps, rho.rho @ psi.amps)))
         return min(max(val, 0.0), 1.0)
-    s = _psd_sqrt(a.rho)
-    vals = np.linalg.eigvalsh(s @ b.rho @ s)
-    vals = np.clip(vals, 0.0, None)
-    return float(np.sum(np.sqrt(vals)) ** 2)
+    return float(np.sum(np.linalg.svd(_psd_sqrt(a.rho) @ _psd_sqrt(b.rho), compute_uv=False)) ** 2)
 
 
 def trace_distance(a, b) -> float:

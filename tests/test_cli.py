@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from cvdownload.cli import COMMANDS, main
 from cvdownload.error_model import amplitude_imbalance, db_to_squeezing, squeezing_to_db
 from cvdownload.gaussian import SqueezedThermalParams
 from cvdownload.graphs import neighbor_phase, parse_graph_spec
+from cvdownload.planner import VERIFY_TOL
 from cvdownload.protocol import ProtocolParams, register_from_outcomes, run_download
 from cvdownload.qubits import DEFAULT_MAX_QUBITS
 
@@ -305,6 +310,35 @@ class TestPlan:
         assert ver["passed"] is True
         assert ver["residual"] < ver["threshold"]
 
+    def test_complete_bipartite_plan_verifies(self, tmp_path):
+        # K_{320,320}: with one BLAS thread the smallest A^2 eigenvalue is
+        # about -1.2e-10 against a largest of 1.02e5, round-off that the clamp
+        # must take at the spectrum's own scale; a fresh interpreter pins the
+        # thread count, and the CSV row carries the check's residual
+        m = 320
+        graph, out = tmp_path / "k.json", tmp_path / "plan.csv"
+        graph.write_text(json.dumps({"n": 2 * m, "edges": [[i, m + j] for i in range(m) for j in range(m)]}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "cvdownload", "plan", "--graph", str(graph), "--format", "csv",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        _, header, rows = _read_rows(out)
+        assert float(dict(zip(header, rows[0]))["residual"]) < VERIFY_TOL
+
+    def test_unconverged_eigh_exits_2(self, monkeypatch, capsys):
+        # LinAlgError is a ValueError, so it reaches the user as one line
+        def unconverged(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        assert main(["plan", "--graph", "complete:5"]) == 2
+        assert capsys.readouterr().err == "cvdownload plan: Eigenvalues did not converge\n"
+
     def test_linearized_variants_differ_when_dmax_below_d_squared(self, capsys):
         # path n=3: D_max=2 while d^2=4
         main(["plan", "--graph", "path:3", "--eps1", "0.01", "--eps2", "0.01"])
@@ -335,17 +369,20 @@ class TestPlan:
         assert doc["plan"]["physical"] is True
 
     def test_csv_row(self, tmp_path, capsys):
-        # the JSON plan's own numbers, with r_eff in dB
+        # the JSON plan's own numbers, with r_eff in dB, and the residual of
+        # the check that the CSV run makes too
         args = ["plan", "--eps1", "0.01", "--eps2", "0.01"]
         out = tmp_path / "p.csv"
         assert main([*args, "--format", "csv", "--out", str(out)]) == 0
         _, header, rows = _read_rows(out)
-        assert header == ["eps1", "eps2", "r_prime", "g_prime", "r_eff_db", "nbar_eff"]
+        assert header == ["eps1", "eps2", "r_prime", "g_prime", "r_eff_db", "nbar_eff", "residual"]
         assert main(args) == 0
-        recipe = json.loads(capsys.readouterr().out)["plan"]
+        doc = json.loads(capsys.readouterr().out)
+        recipe = doc["plan"]
         row = dict(zip(header, map(float, rows[0])))
         assert row["g_prime"] == recipe["g_prime"] and row["nbar_eff"] == recipe["nbar_eff"]
         assert row["r_eff_db"] == squeezing_to_db(recipe["r_eff"])
+        assert row["residual"] == doc["verification"]["residual"]
 
 
 class TestSweep:
@@ -567,7 +604,7 @@ _PINNED_DIGESTS = [
     (["plan", "--graph", "grid2d:3x3"],
      "2e5cc9a43ba37df3f7869bc08b8ed162cfafa49ddaaee7361c5aa1c300ae63fb"),
     (["plan", "--graph", "grid2d:3x3", "--format", "csv"],
-     "a16a483ab0bfdb51f40286b54fa938361d22b5eb2c43a9e55b5d72e44681a8c7"),
+     "37df7fd1f89ba97dda6f068f59d1f7506d6e6e2855a27214eb31b341a9ef2746"),
     (["verify", "--seed", "0"],
      "993650b41603876d2eaab6b9839cb37de1c6428bde1437452f04fcd3a343411c"),
     (["verify", "--seed", "0", "--format", "json"],

@@ -109,6 +109,28 @@ class TestPreparation:
         bad[-1, -2] = 1e-12  # within the tolerance
         GaussianState(n, bad)
 
+    @pytest.mark.parametrize("r", [2.0, 10.0, 20.0])
+    def test_symmetry_judged_at_the_covariance_scale(self, r, rng):
+        # S R V R^T S^T (CPHASE on path:3, a random rotation, nbar 0.1) by
+        # plain float products: its round-off asymmetry grows with the entries
+        # (16 at r = 20, where they reach 2.8e17), inside 1e-12 sqrt(C_ii C_jj),
+        # the bound on an entry of a PSD matrix
+        n = 3
+        zero, one, o = np.zeros((n, n)), np.eye(n), random_orthogonal(n, rng)
+        s = np.block([[one, zero], [adjacency_matrix(path_graph(n)), one]])
+        rot = np.block([[o, zero], [zero, o]])
+        params = SqueezedThermalParams(r, 0.1)
+        cov = s @ rot @ np.diag([params.q_variance] * n + [params.p_variance] * n) @ rot.T @ s.T
+        state = GaussianState(n, cov)
+        assert np.array_equal(state.cov, state.cov.T)
+        if r > 2.0:
+            assert np.abs(cov - cov.T).max() > 1e-12  # beyond any absolute 1e-12 bound
+        # an asymmetry above the scale is still refused
+        root = np.sqrt(np.diagonal(cov))
+        cov[0, 1] += 1e-11 * root[0] * root[1]
+        with pytest.raises(ValueError, match="^covariance is not symmetric"):
+            GaussianState(n, cov)
+
     def test_nan_covariance_rejected(self):
         # refused before the symmetry test, where inf - inf would warn
         match = "^covariance has non-finite entries$"

@@ -250,6 +250,19 @@ class TestSpectrum:
             d, _ = a_squared_spectrum(g)
             assert d[0] <= max_degree(g) ** 2 + 1e-9
 
+    @pytest.mark.parametrize("m", [320, 450])
+    def test_complete_bipartite_spectrum_is_clamped_at_zero(self, m):
+        # each colour class of K_{m,m} is one block m J of A^2: eigenvalues m^2
+        # and m - 1 zeros, which eigh returns with round-off near 1e-10 of
+        # either sign, at the scale of m^2
+        g = Graph(2 * m, tuple((i, m + j) for i in range(m) for j in range(m)))
+        d, o = a_squared_spectrum(g)
+        assert np.all(d >= 0.0)
+        assert np.abs(d[:2] - m * m).max() <= 1e-12 * m * m
+        assert d[2:].max() <= 1e-12 * m * m
+        a = adjacency_matrix(g)
+        assert np.abs(o.T @ (a @ a) @ o - np.diag(d)).max() <= 1e-12 * m * m
+
     def test_deterministic_ordering(self):
         d1, o1 = a_squared_spectrum(path_graph(3))
         d2, o2 = a_squared_spectrum(path_graph(3))

@@ -862,6 +862,21 @@ class TestDirectOracleDomain:
         if graph.edges:
             _assert_agreement_or_refusal(params, _onto_the_bound(graph, q))
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(n_max=8), _sources_within_limit(), st.integers(0, 2**31 - 1))
+    def test_register_is_exactly_hermitian(self, graph, source, seed):
+        # stored with no float test: its projector is mirrored from the lower
+        # triangle, and the damping and the trace are real
+        params = ProtocolParams(graph, source)
+        q = sample_outcomes(params, np.random.default_rng(seed))
+        try:
+            rho = downloaded_state_direct(params, q).rho
+        except ValueError as exc:
+            assert "DIRECT_PHASE_SCALE_MAX" in str(exc)
+            return
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(rho.trace().real - 1.0) <= 8 * np.finfo(float).eps
+
     def test_log_imbalance_beyond_the_float_range(self):
         # at r = -352 an outcome moved onto the bound has |l| above float max:
         # it is a basis state, and no overflow warning is raised

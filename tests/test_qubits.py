@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_refused_before_allocating, non_integers
+from conftest import assert_refused_before_allocating, non_integers, small_graphs
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvdownload.graphs import Graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from cvdownload.qubits import (
@@ -36,6 +37,55 @@ from cvdownload.qubits import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def _engine_pure_states(draw, n_max=5):
+    """A state the engine built: |+>^n, a basis state or a cluster state,
+    then up to eight RZ (any angle in [-1000, 1000]), X and Z gates."""
+    start = draw(st.sampled_from(["plus", "basis", "cluster"]))
+    if start == "cluster":
+        psi = cluster_state(draw(small_graphs(n_max=n_max)))
+    else:
+        n = draw(st.integers(1, n_max))
+        psi = plus_state(n) if start == "plus" else basis_state(n, draw(st.integers(0, 2**n - 1)))
+    gates = st.tuples(st.sampled_from("rxz"), st.integers(0, psi.n - 1), st.floats(-1e3, 1e3))
+    for gate, site, theta in draw(st.lists(gates, max_size=8)):
+        if gate == "r":
+            psi = apply_rz(psi, site, theta)
+        else:
+            psi = (apply_x if gate == "x" else apply_z)(psi, site)
+    return psi
+
+
+@st.composite
+def _engine_registers(draw):
+    """A register the engine built, and the gates it went through: the
+    projector of an engine-built pure state (or a tensor of two), then up
+    to six CZ, dephasing and balancing-POVM gates."""
+    psi = draw(_engine_pure_states(n_max=3))
+    rho = psi.density_matrix()
+    if draw(st.booleans()):
+        rho = dm_tensor([rho, draw(_engine_pure_states(n_max=2)).density_matrix()])
+    registers = [rho]
+    sites = st.integers(0, rho.n - 1)
+    for gate in draw(st.lists(st.sampled_from(["cz", "dephase", "povm"]), max_size=6)):
+        if gate == "cz" and rho.n > 1:
+            i, j = draw(st.lists(sites, min_size=2, max_size=2, unique=True))
+            rho = dm_apply_cz(rho, i, j)
+        elif gate == "dephase":
+            rho = apply_dephasing(rho, draw(sites), draw(st.floats(0.0, 0.5)))
+        elif gate == "povm":
+            site, ell = draw(sites), draw(st.floats(-50.0, 50.0))
+            for force in draw(st.permutations(["keep", "delete"])):
+                try:
+                    rho = apply_balancing_povm(rho, site, ell, force).state
+                    break
+                except ValueError as exc:
+                    assert "zero-probability" in str(exc)
+        registers.append(rho)
+    return registers
 
 
 def _random_pure(n, rng):
@@ -156,6 +206,69 @@ class TestStateTypes:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             QubitPureState(2, np.array([1.0, 0.0]))
+
+
+class TestExactByConstruction:
+    """Gates store their results with no float test; these are the
+    properties that make the tests unneeded, over engine-built inputs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_engine_pure_states(), _engine_pure_states(n_max=2))
+    def test_pure_gates_keep_unit_norm(self, psi, other):
+        for state in (psi, tensor([psi, other])):
+            assert state.amps.dtype == np.complex128
+            assert abs(np.linalg.norm(state.amps) - 1.0) <= 8 * EPS
+            QubitPureState(state.n, state.amps)  # the checked constructor agrees
+
+    @settings(max_examples=150, deadline=None)
+    @given(_engine_registers())
+    def test_register_gates_are_exactly_hermitian(self, registers):
+        for rho in registers:
+            assert rho.rho.dtype == np.complex128
+            assert np.array_equal(rho.rho, rho.rho.conj().T)
+            assert abs(rho.rho.trace().real - 1.0) <= 8 * EPS
+            QubitDensityMatrix(rho.n, rho.rho)  # the checked constructor agrees
+
+    def test_complex_projector_is_mirrored(self, rng):
+        # a fused multiply-add may round a_i conj(a_j) and a_j conj(a_i)
+        # apart; the projector keeps np.outer's lower triangle
+        psi = _random_pure(7, rng)
+        rho = psi.density_matrix().rho
+        outer = np.outer(psi.amps, psi.amps.conj())
+        assert np.array_equal(np.tril(rho, -1), np.tril(outer, -1))
+        assert np.array_equal(rho.diagonal().real, outer.diagonal().real)
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_non_finite_angle_refused(self):
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="rotation angle must be finite"):
+                apply_rz(plus_state(2), 0, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_engine_pure_states(n_max=4), st.floats(2e-12, 1.0), st.data())
+    def test_checked_constructors_refuse_outside_input(self, psi, size, data):
+        # what the engine builds passes; the same state moved off the unit
+        # sphere, off Hermiticity, off unit trace or holding a NaN does not
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        index = data.draw(st.integers(0, 2**psi.n - 1))
+        with pytest.raises(ValueError, match="not normalized"):
+            QubitPureState(psi.n, psi.amps * (1.0 + sign * size))
+        amps = psi.amps.copy()
+        amps[index] = math.nan
+        with pytest.raises(ValueError, match="not normalized"):
+            QubitPureState(psi.n, amps)
+        rho = psi.density_matrix().rho
+        with pytest.raises(ValueError, match=r"trace is"):
+            QubitDensityMatrix(psi.n, rho * (1.0 + sign * size))
+        i, j = data.draw(st.lists(st.integers(0, 2**psi.n - 1), min_size=2, max_size=2))
+        bad = rho.copy()
+        bad[i, j] += sign * 2 * size if i != j else 2j * size
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QubitDensityMatrix(psi.n, bad)
+        bad = rho.copy()
+        bad[i, j] = math.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            QubitDensityMatrix(psi.n, bad)
 
 
 class TestClusterStates:
