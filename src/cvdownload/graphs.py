@@ -15,8 +15,10 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -85,6 +87,11 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
         # hashed once: every planner cache lookup hashes the graph
         object.__setattr__(self, "_hash", hash((self.n, self.edges)))
+        # the edges as an (m, 2) array, one sorted (i, j) row per edge, built
+        # once and read-only: every array form of the graph starts from it
+        edge_array = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        edge_array.flags.writeable = False
+        object.__setattr__(self, "_edge_array", edge_array)
 
     def __hash__(self) -> int:
         return self._hash
@@ -193,22 +200,39 @@ def make_graph(kind: str, **params) -> Graph:
     return build(**params)
 
 
-def _edge_array(graph: Graph) -> np.ndarray:
-    """The edges as an ``(m, 2)`` integer array, one ``(i, j)`` row per edge."""
-    return np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
-
-
 def adjacency_matrix(graph: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix as float64."""
     a = np.zeros((graph.n, graph.n))
-    i, j = _edge_array(graph).T
+    i, j = graph._edge_array.T
     a[i, j] = 1.0
     a[j, i] = 1.0
     return a
 
 
+@lru_cache(maxsize=8)
+def _adjacency_operator(graph: Graph) -> csr_array:
+    """The adjacency matrix as a CSR array: unit float64 entries, sorted
+    column indices, no stored zeros.  Built once per graph, in O(n + m),
+    and shared, so its ``data``, ``indices`` and ``indptr`` are read-only.
+
+    A product ``A @ X`` with a dense ``(n, k)`` ``X`` sums each row's
+    neighbours' rows of ``X`` in ascending order: O(n d k) for maximum
+    degree ``d``, where a dense product takes O(n^2 k).
+    """
+    n = graph.n
+    i, j = graph._edge_array.T
+    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[np.lexsort((cols, rows))]
+    a = csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    for array in (a.data, a.indices, a.indptr):
+        array.flags.writeable = False
+    return a
+
+
 def degrees(graph: Graph) -> np.ndarray:
-    return np.bincount(_edge_array(graph).ravel(), minlength=graph.n)
+    return np.bincount(graph._edge_array.ravel(), minlength=graph.n)
 
 
 def max_degree(graph: Graph) -> int:
@@ -236,11 +260,12 @@ def a_squared_spectrum(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     The ordering matters downstream: the decorrelation planner assigns
     its principal (least-corrected) mode to the first column.
     """
-    a = adjacency_matrix(graph)
-    a2 = a @ a
+    a = _adjacency_operator(graph)
+    a2 = a @ a  # sparse: its entries are exact walk counts, none of them 0
     vals = np.empty(graph.n)
     vecs = np.zeros((graph.n, graph.n))
-    count, labels = connected_components(a2 != 0.0, directed=False)
+    count, labels = connected_components(a2, directed=False)
+    a2 = a2.toarray()
     start = 0
     for label in range(count):
         block = np.flatnonzero(labels == label)
@@ -271,7 +296,7 @@ def _grid_shape(graph: Graph) -> tuple[int, int] | None:
         v = np.arange(n).reshape(rows, cols)
         pairs = [(v[:, :-1], v[:, 1:]), (v[:-1], v[1:])]  # right, then down
         grid = np.concatenate([np.stack([i.ravel(), j.ravel()], axis=1) for i, j in pairs])
-        if np.array_equal(_edge_array(graph), grid[np.lexsort(grid.T[::-1])]):
+        if np.array_equal(graph._edge_array, grid[np.lexsort(grid.T[::-1])]):
             return rows, cols
     return None
 

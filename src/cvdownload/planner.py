@@ -87,8 +87,8 @@ R_PRIME_LIMIT = 0.5 * math.log(sys.float_info.max)
 VERIFY_TOL = 1e-9
 #: The most modes that :func:`plan`, :func:`linearized_plan` and
 #: :func:`verify_plan` take; a larger graph is refused before any n x n or
-#: network array exists.  A replay holds about 13 n^2 float64 at its peak,
-#: 0.94 GB at the cap (and the general path's dense A and A^2 2 n^2 more).
+#: network array exists.  A replay holds about 11.3 n^2 float64 at its peak,
+#: 0.81 GB at the cap (and the general path's dense A^2 n^2 more).
 MAX_PLAN_MODES = 3000
 # verify_plan refuses a replay whose covariance entries could exceed a
 # quarter of the largest float: each congruence adds its product to its

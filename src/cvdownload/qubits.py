@@ -62,7 +62,7 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 12
 
 _NORM_TOL = 1e-12
-_HERMITIAN_TILE = 128  # side of the square tiles of the Hermiticity check
+_HERMITIAN_TILE = 128  # side of the square tiles of the Hermiticity check and copy
 
 
 def _check_dense_size(n: int) -> None:
@@ -97,8 +97,15 @@ def _tensor_product(factors, one: np.ndarray) -> np.ndarray:
 def _hermitian_from_lower(rho: np.ndarray) -> np.ndarray:
     """``rho`` made exactly Hermitian in place from its lower triangle: a
     product can round ``M_ij`` and ``M_ji`` apart (NumPy's complex product may
-    fuse a multiply-add; ``(w_i x) w_j`` and ``(w_j x) w_i`` differ)."""
-    np.copyto(rho, rho.conj().T, where=~np.tri(len(rho), dtype=bool))
+    fuse a multiply-add; ``(w_i x) w_j`` and ``(w_j x) w_i`` differ).  The
+    copy runs over tile pairs (I, J > I), as the Hermiticity check does, so
+    its temporaries are tile-sized, not register-sized."""
+    t = _HERMITIAN_TILE
+    for i in range(0, len(rho), t):
+        diag = rho[i : i + t, i : i + t]
+        np.copyto(diag, diag.conj().T, where=~np.tri(len(diag), dtype=bool))
+        for j in range(i + t, len(rho), t):
+            np.conjugate(rho[j : j + t, i : i + t].T, out=rho[i : i + t, j : j + t])
     np.fill_diagonal(rho.imag, 0.0)
     return rho
 

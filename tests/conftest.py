@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cvdownload import planner, qubits
+from cvdownload import graphs, planner, qubits
 from cvdownload.graphs import Graph, random_graph
 
 #: Pass/fail lines appended by the acceptance battery; echoed after the run
@@ -87,9 +87,10 @@ def clear_plan_caches() -> None:
 @pytest.fixture(autouse=True)
 def _cold_caches():
     """Every test plans, verifies and builds registers on empty caches (the
-    planner's and ``qubits.graph_phases``), so none passes on work another
-    test left behind."""
+    planner's, ``graphs._adjacency_operator`` and ``qubits.graph_phases``), so
+    none passes on work another test left behind."""
     clear_plan_caches()
+    graphs._adjacency_operator.cache_clear()
     qubits.graph_phases.cache_clear()
 
 

@@ -583,12 +583,13 @@ def test_help_names_every_flag(capsys, command):
 
 
 #: SHA-256 of outputs whose digits come only from scalar arithmetic, the
-#: seeded draws, closed-form path factors (``plan`` on a grid) and, for
-#: ``verify``, ``einsum`` sums of the grid and LAPACK ``eigvalsh``, with BLAS
-#: products on matrices of at most 16x16, too small to be split across
-#: threads, so no BLAS thread count changes them.  1500
-#: shots cross the first block edge.  A change to any of them is a
-#: deliberate output change, to be recorded with its new digest.
+#: seeded draws, closed-form path factors (``plan`` on a grid), CPHASE as
+#: sparse-adjacency sums in a fixed order (no BLAS) and, for ``verify``,
+#: ``einsum`` sums of the grid and LAPACK ``eigvalsh``, with BLAS products on
+#: matrices of at most 16x16, too small to be split across threads, so no
+#: BLAS thread count changes them.  1500 shots cross the first block edge.
+#: A change to any of them is a deliberate output change, to be recorded
+#: with its new digest.
 _PINNED_DIGESTS = [
     (["download", "--graph", "path:3", "--shots", "1500", "--nbar", "0.2"],
      "881dda5c2fed65530e62785fe37cc0fb42c95e1ac550147e7c4d095f0b1fa457"),
@@ -602,9 +603,9 @@ _PINNED_DIGESTS = [
      "7f9f9bc6e86cc85d9fcbba22cf08e6f3502a4b5863537443de3628f0e787803f"),
     (["sweep"], "1204a11eb8ba5128d5c5bcea748463e0646d8fc23c1d2dd82c2a9f5bdc4b6ec2"),
     (["plan", "--graph", "grid2d:3x3"],
-     "2e5cc9a43ba37df3f7869bc08b8ed162cfafa49ddaaee7361c5aa1c300ae63fb"),
+     "b8f45726ac2c84d04633c07893aab0bd9f06fb4dbd6e9fb3951abc82f4967aa7"),
     (["plan", "--graph", "grid2d:3x3", "--format", "csv"],
-     "37df7fd1f89ba97dda6f068f59d1f7506d6e6e2855a27214eb31b341a9ef2746"),
+     "b3c748793b2476cfed2c4f0dfa6a642add056942cae77581eb7e402a544afb05"),
     (["verify", "--seed", "0"],
      "993650b41603876d2eaab6b9839cb37de1c6428bde1437452f04fcd3a343411c"),
     (["verify", "--seed", "0", "--format", "json"],

@@ -6,8 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
-from conftest import random_orthogonal
+from conftest import random_orthogonal, small_graphs
 from cvdownload.gaussian import (
     R0_LIMIT,
     GaussianState,
@@ -26,6 +27,8 @@ from cvdownload.gaussian import (
     vacuum,
 )
 from cvdownload.graphs import Graph, adjacency_matrix, complete_graph, path_graph, random_graph
+
+EPS = np.finfo(float).eps
 
 
 def _congruence(s, cov):
@@ -293,6 +296,28 @@ class TestBlockChannels:
                 assert np.array_equal(out.qq, out.qq.T) and np.array_equal(out.pp, out.pp.T)
                 got = out.cov
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=small_graphs(n_max=12),
+        g=strategies.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        seed=strategies.integers(0, 2**32 - 1),
+    )
+    @example(graph=Graph(12), g=1.5, seed=1)
+    @example(graph=complete_graph(12), g=1.9, seed=2)
+    @example(graph=Graph(7, ((0, 3), (3, 5))), g=0.3, seed=3)  # isolated vertices
+    def test_cphase_matches_dense_congruence(self, graph, g, seed):
+        # the sparse-adjacency products against S V S^T with S built from the
+        # dense adjacency, within round-off of the products' absolute sums
+        n = graph.n
+        state = _random_state(n, 1.0, np.random.default_rng(seed))
+        s = np.eye(2 * n)
+        s[n:, :n] = g * adjacency_matrix(graph)
+        out = apply_cphase(state, graph, g)
+        assert np.array_equal(out.qq, out.qq.T) and np.array_equal(out.pp, out.pp.T)
+        scale = np.abs(s) @ np.abs(state.cov) @ np.abs(s).T
+        tiny = np.finfo(float).smallest_subnormal  # an underflowing g has no relative bound
+        assert np.all(np.abs(out.cov - _congruence(s, state.cov)) <= 8 * n * (EPS * scale + tiny))
 
     def test_channels_leave_input_blocks_unchanged(self, rng):
         # channels share blocks between states, so none may write into one

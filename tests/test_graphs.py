@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conftest import assert_refused_before_allocating, small_graphs
 from cvdownload import graphs
 from cvdownload.graphs import (
     MAX_GRAPH_EDGES,
     Graph,
+    _adjacency_operator,
     _grid_shape,
     _path_spectrum,
     a_squared_spectrum,
@@ -162,6 +164,16 @@ class TestAdjacency:
             got_a, got_d = adjacency_matrix(g), degrees(g)
             assert got_a.dtype == a.dtype and np.array_equal(got_a, a)
             assert got_d.dtype == d.dtype and np.array_equal(got_d, d)
+            # the cached CSR form: unit entries, sorted indices, and a sparse
+            # A^2 whose exact counts and component labels match the dense ones
+            op = _adjacency_operator(g)
+            assert op.has_sorted_indices and np.array_equal(op.data, np.ones(2 * len(g.edges)))
+            assert op.data.dtype == a.dtype and np.array_equal(op.toarray(), a)
+            a2 = op @ op
+            assert np.array_equal(a2.toarray(), a @ a)
+            for got, want in zip(connected_components(a2, directed=False),
+                                 connected_components(a @ a != 0.0, directed=False)):
+                assert np.array_equal(got, want)
 
     def test_neighbor_phase_path(self):
         phi = neighbor_phase(path_graph(3), np.array([1.0, 0.0, 0.0]))

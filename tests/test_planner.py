@@ -22,7 +22,7 @@ from conftest import (
     random_orthogonal,
     small_graphs,
 )
-from cvdownload import cli, graphs, planner
+from cvdownload import cli, graphs, planner, qubits
 from cvdownload.gaussian import (
     SqueezedThermalParams,
     mode_diag_state,
@@ -286,7 +286,8 @@ class TestVerifyPlan:
 
     def test_replay_memory_bound(self):
         # the replay holds a few n x n blocks per state and never a 2n x 2n
-        # copy: about 13 n^2 float64 at its peak
+        # copy, and CPHASE no dense adjacency: about 11.3 n^2 float64 at its
+        # peak
         g = grid2d_graph(20, 20)
         noise = NoiseParams(0.01, 0.02, 1.0)
         p = plan(g, noise)
@@ -297,7 +298,7 @@ class TestVerifyPlan:
         finally:
             tracemalloc.stop()
         assert residual < 1e-12
-        assert peak <= 15 * g.n**2 * 8
+        assert peak <= 11.5 * g.n**2 * 8
 
     @pytest.mark.parametrize("bad", [-0.4, -0.6, math.nan])
     def test_negative_or_nan_occupation_refused(self, bad):
@@ -966,6 +967,19 @@ class TestGraphCache:
                     assert not getattr(p, name).flags.writeable
             for later in self.NOISES:
                 assert _plan_bits(plan(graph, later)) == want[later]
+
+    @pytest.mark.parametrize("graph", [grid2d_graph(3, 4), star_graph(7)])
+    def test_every_cached_graph_array_is_read_only(self, graph):
+        # each is shared by every caller of an equal graph
+        op = graphs._adjacency_operator(graph)
+        assert graphs._adjacency_operator(Graph(graph.n, graph.edges)) is op
+        d_vals, factors = planner._spectrum(graph)
+        cached = [graph._edge_array, op.data, op.indices, op.indptr, qubits.graph_phases(graph),
+                  d_vals, *factors, *planner._passive_network(graph)]
+        for array in cached:
+            assert array.size
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
 
     def test_cache_is_bounded(self):
         size = planner._GRAPH_CACHE_SIZE

@@ -14,6 +14,7 @@ from cvdownload.qubits import (
     QubitDensityMatrix,
     _bit,
     _bits,
+    _hermitian_from_lower,
     _tensor_product,
     QubitPureState,
     apply_balancing_povm,
@@ -198,6 +199,27 @@ class TestStateTypes:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * rho.nbytes  # the copy plus tiles; was 3x
+
+    @pytest.mark.parametrize("n", [0, 3, 7, 9])
+    def test_hermitian_from_lower_matches_whole_matrix_copy(self, n, rng):
+        # the tiled copy against the whole-matrix form, bit for bit; n = 9
+        # spans 4 x 4 tiles
+        dim = 2**n
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        want = m.copy()
+        np.copyto(want, want.conj().T, where=~np.tri(dim, dtype=bool))
+        np.fill_diagonal(want.imag, 0.0)
+        assert _hermitian_from_lower(m).tobytes() == want.tobytes()
+
+    def test_hermitian_from_lower_temporaries_stay_small(self):
+        amps = np.full(2**10, 2.0**-5, dtype=complex)
+        tracemalloc.start()
+        try:
+            rho = _hermitian_from_lower(np.outer(amps, amps.conj()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * rho.nbytes  # the register plus tiles; was 2.1x
 
     def test_purity_of_pure_projector(self):
         rho = plus_state(2).density_matrix()
