@@ -374,6 +374,8 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
                          f"needs |r0| <= {R0_LIMIT!r}, as download does, where the deletion "
                          f"law and its sampling stay in the float range")
     rails = config["rails"]
+    if rails < 1:
+        raise ValueError(f"rails must be >= 1, got {rails}")
     shots = config["shots"]
     if not 0 <= shots <= _MAX_THRESHOLD_SHOTS:
         raise ValueError(f"shots must lie within [0, {_MAX_THRESHOLD_SHOTS}] (0 turns Monte"

@@ -219,6 +219,6 @@ def vertex_disconnect_prob(p_del: float, n_rails: int) -> float:
     """Probability that all ``n_rails`` redundant rails of a vertex delete."""
     if not 0.0 <= p_del <= 1.0:
         raise ValueError(f"p_del must be in [0, 1], got {p_del}")
-    if n_rails < 1:
-        raise ValueError(f"n_rails must be >= 1, got {n_rails}")
+    if not (_is_int(n_rails) and n_rails >= 1):
+        raise ValueError(f"n_rails must be an integer >= 1, got {n_rails!r}")
     return float(p_del**n_rails)

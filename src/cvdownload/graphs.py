@@ -7,6 +7,9 @@ phase shifts applied after quadrature measurement.  The decorrelation
 planner additionally consumes the eigendecomposition of A^2, where A is
 the 0/1 adjacency matrix; on a grid it takes the closed-form spectra of
 the grid's two path factors instead.
+
+A has one matrix form, a read-only CSR array cached per graph: CPHASE, A^2
+and the phases ``phi = sqrt(pi) A q`` all multiply through it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "complete_graph",
     "star_graph",
     "random_graph",
-    "adjacency_matrix",
     "degrees",
     "max_degree",
     "a_squared_spectrum",
@@ -46,6 +48,11 @@ SQRT_PI = math.sqrt(math.pi)
 #: one tuple per edge, about 250 B and 2 us each, so the cap holds a graph
 #: near 250 MB; a larger one is refused before it is built.
 MAX_GRAPH_EDGES = 2**20
+
+#: How many graphs (or, for the planner's composed networks, recipes) each
+#: per-graph ``lru_cache`` keeps: the adjacency operator here, the CZ phases
+#: in ``qubits`` and the planner's three.
+_GRAPH_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -200,16 +207,7 @@ def make_graph(kind: str, **params) -> Graph:
     return build(**params)
 
 
-def adjacency_matrix(graph: Graph) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix as float64."""
-    a = np.zeros((graph.n, graph.n))
-    i, j = graph._edge_array.T
-    a[i, j] = 1.0
-    a[j, i] = 1.0
-    return a
-
-
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _adjacency_operator(graph: Graph) -> csr_array:
     """The adjacency matrix as a CSR array: unit float64 entries, sorted
     column indices, no stored zeros.  Built once per graph, in O(n + m),
@@ -326,14 +324,17 @@ def neighbor_phase(graph: Graph, q: np.ndarray) -> np.ndarray:
     """Corrective phases ``phi = sqrt(pi) A q`` for measured outcomes.
 
     ``q`` has shape ``(..., n)``: one outcome vector, or a stack of them
-    such as one row per shot.  A is built once per call, and each row of
-    the result is bit-identical to the call on that row alone.  This is
-    the one place the formula is written.
+    such as one row per shot.  The stack goes through the graph's cached
+    sparse A once, in O(rows m) for m edges: each entry sums its vertex's
+    neighbours' outcomes in ascending index order, with no BLAS, so each row
+    of the result is bit-identical to the call on that row alone whatever
+    the BLAS thread count.  This is the one place the formula is written.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (graph.n,):
         raise ValueError(f"expected {graph.n} outcomes on the last axis, got shape {q.shape}")
-    return SQRT_PI * (adjacency_matrix(graph) @ q[..., None])[..., 0]
+    sums = _adjacency_operator(graph) @ q.reshape(-1, graph.n).T
+    return np.multiply(SQRT_PI, sums.T, order="C").reshape(q.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,9 @@ def parse_graph_spec(spec: str) -> Graph:
 
     Either the path of a JSON file (see :func:`graph_from_json`), or a
     compact ``family:size`` string: ``path:4``, ``cycle:5``,
-    ``complete:3``, ``star:6``, ``grid2d:2x3`` (sizes joined by ``x``).
+    ``complete:3``, ``star:6``, ``grid2d:2x3`` (sizes joined by ``x``).  A
+    wrong number of sizes, or one that is not an integer, is refused with a
+    ``ValueError`` that quotes the spec and names the sizes it takes.
     """
     if os.path.isfile(spec):
         with open(spec, "r", encoding="utf-8") as fh:
@@ -378,7 +381,10 @@ def parse_graph_spec(spec: str) -> Graph:
     if kind not in _KINDS or kind == "custom":
         raise ValueError(f"unknown graph kind {kind!r} in spec {spec!r}")
     keys = _KINDS[kind][1]
-    sizes = size.split("x")
+    try:
+        sizes = [int(token) for token in size.split("x")]
+    except ValueError:
+        sizes = []
     if len(sizes) != len(keys):
-        raise ValueError(f"{kind} spec needs {' x '.join(keys)}, got {spec!r}")
-    return make_graph(kind, **dict(zip(keys, map(int, sizes))))
+        raise ValueError(f"{kind} spec needs {' x '.join(keys)}, each an integer, got {spec!r}")
+    return make_graph(kind, **dict(zip(keys, sizes)))

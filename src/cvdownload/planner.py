@@ -67,7 +67,14 @@ from .gaussian import (
     apply_loss,
     thermal_cvcs,
 )
-from .graphs import Graph, _grid_shape, _path_spectrum, a_squared_spectrum, max_degree
+from .graphs import (
+    _GRAPH_CACHE_SIZE,
+    Graph,
+    _grid_shape,
+    _path_spectrum,
+    a_squared_spectrum,
+    max_degree,
+)
 
 __all__ = [
     "NoiseParams",
@@ -94,14 +101,13 @@ MAX_PLAN_MODES = 3000
 # quarter of the largest float: each congruence adds its product to its
 # transpose, and the residual subtracts two such covariances.
 _REPLAY_LOG_LIMIT = math.log(sys.float_info.max / 4.0)
-# Graphs for which the noise-independent half of a plan is kept, and recipes
-# whose composed network is kept: each of :func:`_spectrum`,
-# :func:`_passive_network` and :func:`_composed_network` caches that many.  A
+# :func:`_spectrum` and :func:`_passive_network` keep the noise-independent
+# half of a plan for the last ``_GRAPH_CACHE_SIZE`` graphs, and
+# :func:`_composed_network` the composed network of as many recipes.  A
 # graph's entries hold one basis of at most n^2 floats and n (n - 1) / 2 beam
 # splitters of 24 bytes, under 20 n^2 bytes.  A plan's recipe holds its n x n
 # composition and, as its key, its network and signs: under 20 n^2 + 8 n
 # bytes too (each about 16 MB at n = 900).
-_GRAPH_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)

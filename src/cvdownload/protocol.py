@@ -70,7 +70,7 @@ from .error_model import (
     sample_q,
 )
 from .gaussian import SqueezedThermalParams, mixture_params
-from .graphs import Graph, _is_int, adjacency_matrix, neighbor_phase
+from .graphs import Graph, _adjacency_operator, _is_int, neighbor_phase
 from .qubits import (
     QubitDensityMatrix,
     _bits,
@@ -175,7 +175,7 @@ def downloaded_state_direct(params: ProtocolParams, q: np.ndarray) -> QubitDensi
     if not np.all(np.isfinite(q)):
         raise ValueError(f"outcomes must be finite, got {q}")
     r0, sigma2 = params.mixture()
-    a = adjacency_matrix(graph)
+    a = _adjacency_operator(graph).toarray()  # dense: n is within the cap
     m = np.abs(q - 0.5 * SQRT_PI) + 0.5 * SQRT_PI  # the larger |q - sqrt(pi) b|
     with np.errstate(over="ignore"):  # inf: refused here
         scale = math.sqrt(n / 2.0) * float(m @ a @ m)

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import SQRT_PI, Graph, neighbor_phase
+from .graphs import _GRAPH_CACHE_SIZE, SQRT_PI, Graph, neighbor_phase
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
@@ -219,7 +219,7 @@ def basis_state(n: int, bits) -> QubitPureState:
     return _pure_from_exact(n, amps)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def graph_phases(graph: Graph) -> np.ndarray:
     """Diagonal ``s(b) = prod_edges (-1)^(b_i b_j)`` of the CZ entangling layer.
 

@@ -1,5 +1,6 @@
 """Shared helpers for the cvdownload test suite."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from cvdownload import graphs, planner, qubits
 from cvdownload.graphs import Graph, random_graph
+
+SQRT_PI = math.sqrt(math.pi)
 
 #: Pass/fail lines appended by the acceptance battery; echoed after the run
 #: so they are visible without -s.
@@ -36,6 +39,34 @@ def random_test_graph(rng: np.random.Generator, n_max: int = 4, n_min: int = 1) 
     """A small random graph for property loops (may be edgeless)."""
     n = int(rng.integers(n_min, n_max + 1))
     return random_graph(n, 0.6, rng)
+
+
+def dense_adjacency(graph: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix as float64, set entry by entry from
+    ``graph.edges``: a reference that shares no code with the graph's edge
+    array or its sparse operator."""
+    a = np.zeros((graph.n, graph.n))
+    for i, j in graph.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def neighbor_sum_phase(graph: Graph, q: np.ndarray) -> np.ndarray:
+    """``sqrt(pi)`` times, for each vertex, the left-to-right sum of
+    ``q[..., j]`` over its neighbours ``j`` in ascending order, from 0.0 and
+    built from ``graph.edges``: the reference for ``neighbor_phase``."""
+    q = np.asarray(q, dtype=float)
+    neighbours = [[] for _ in range(graph.n)]
+    for i, j in graph.edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    phi = np.empty(q.shape)
+    for v, around in enumerate(neighbours):
+        total = np.zeros(q.shape[:-1])
+        for j in sorted(around):
+            total = total + q[..., j]
+        phi[..., v] = SQRT_PI * total
+    return phi
 
 
 #: Floats that are not whole numbers, NaN and +-inf included: a count or an
@@ -73,10 +104,21 @@ def assert_refused_before_allocating(call, match: str = "dense-simulation cap") 
 PLAN_CACHES = (planner._spectrum, planner._passive_network)
 
 
+def module_caches(module) -> list:
+    """Every ``lru_cache`` in ``module``: each module attribute with a
+    ``cache_clear``."""
+    return [value for value in vars(module).values() if hasattr(value, "cache_clear")]
+
+
 def planner_caches() -> list:
-    """Every ``lru_cache`` in ``cvdownload.planner``: each module attribute
-    with a ``cache_clear``."""
-    return [value for value in vars(planner).values() if hasattr(value, "cache_clear")]
+    """Every ``lru_cache`` in ``cvdownload.planner``."""
+    return module_caches(planner)
+
+
+def graph_caches() -> list:
+    """Every ``lru_cache`` in ``graphs``, ``qubits`` and ``planner``: all the
+    per-graph caches of the package."""
+    return [cache for module in (graphs, qubits, planner) for cache in module_caches(module)]
 
 
 def clear_plan_caches() -> None:
@@ -86,12 +128,11 @@ def clear_plan_caches() -> None:
 
 @pytest.fixture(autouse=True)
 def _cold_caches():
-    """Every test plans, verifies and builds registers on empty caches (the
-    planner's, ``graphs._adjacency_operator`` and ``qubits.graph_phases``), so
-    none passes on work another test left behind."""
-    clear_plan_caches()
-    graphs._adjacency_operator.cache_clear()
-    qubits.graph_phases.cache_clear()
+    """Every test plans, verifies and builds registers on empty caches (every
+    ``lru_cache`` of ``graphs``, ``qubits`` and ``planner``), so none passes
+    on work another test left behind."""
+    for cache in graph_caches():
+        cache.cache_clear()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,19 @@ class TestThresholds:
         pv = float(rows[0][header.index("p_vertex")])
         assert abs(pv - p**3) < 1e-12
 
+    def test_bad_rails_refused_before_the_first_row(self, capsys):
+        # the first row's Monte Carlo alone would draw about 0.7 GB
+        tracemalloc.start()
+        try:
+            code = main(["thresholds", "--rails", "0", "--shots", "10000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 64 * 1024
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cvdownload thresholds: rails ")
+
     @pytest.mark.parametrize(
         "flags, key",
         [
@@ -281,6 +295,7 @@ class TestThresholds:
             (["--shots", "1000000000000"], "shots"),  # 48 TB of draws, refused before any
             (["--db-range=-7000:-7000:1"], "db_range"),  # exp(-r0) overflows in p_del
             (["--db-range", "7000:7000:1", "--shots", "10"], "db_range"),  # and exp(r0) in sampling
+            (["--rails", "-1"], "rails"),
         ],
     )
     def test_bad_range_or_shots_refused(self, capsys, flags, key):
@@ -470,6 +485,28 @@ class TestConfigHandling:
     def test_bad_graph_spec_is_reported(self, capsys):
         assert main(["download", "--graph", "moebius:9"]) == 2
         assert "moebius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, keys",
+        [
+            ("grid2d:3x", "rows x cols"),
+            ("grid2d:x", "rows x cols"),
+            ("grid2d:3", "rows x cols"),
+            ("path:1e3", "n"),
+            ("path:3x3", "n"),
+            ("star:", "n"),
+            ("cycle:5.0", "n"),
+        ],
+    )
+    def test_malformed_spec_size_names_spec_and_keys(self, capsys, spec, keys):
+        with pytest.raises(ValueError) as refused:
+            parse_graph_spec(spec)
+        message = str(refused.value)
+        assert repr(spec) in message and f"needs {keys}," in message
+        assert main(["download", "--graph", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cvdownload download: {message}\n"
 
     def test_sweep_error_names_grid_point(self, capsys):
         # eps2 = 1 is outside the channel's domain

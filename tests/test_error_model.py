@@ -348,6 +348,13 @@ class TestRails:
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.one_of(non_integers, st.booleans()))
+def test_vertex_disconnect_prob_refuses_non_integer_rails(n_rails):
+    with pytest.raises(ValueError, match="^n_rails must be an integer >= 1, got "):
+        vertex_disconnect_prob(0.3, n_rails)
+
+
+@settings(max_examples=40, deadline=None)
 @given(non_integers)
 def test_sample_q_refuses_non_integer_shots(shots):
     rng = np.random.default_rng(0)

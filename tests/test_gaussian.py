@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
-from conftest import random_orthogonal, small_graphs
+from conftest import dense_adjacency, random_orthogonal, small_graphs
 from cvdownload.gaussian import (
     R0_LIMIT,
     GaussianState,
@@ -26,7 +26,7 @@ from cvdownload.gaussian import (
     thermal_cvcs,
     vacuum,
 )
-from cvdownload.graphs import Graph, adjacency_matrix, complete_graph, path_graph, random_graph
+from cvdownload.graphs import Graph, complete_graph, path_graph, random_graph
 
 EPS = np.finfo(float).eps
 
@@ -47,7 +47,7 @@ def _refused_without_warnings(call, match):
 
 def _closed_form_cvcs(graph, b1, b2):
     """Hand assembly of the unit-strength CPHASE output covariance."""
-    a = adjacency_matrix(graph)
+    a = dense_adjacency(graph)
     n = graph.n
     eye = np.eye(n)
     top = np.hstack([b1 * eye, b1 * a])
@@ -120,7 +120,7 @@ class TestPreparation:
         # the bound on an entry of a PSD matrix
         n = 3
         zero, one, o = np.zeros((n, n)), np.eye(n), random_orthogonal(n, rng)
-        s = np.block([[one, zero], [adjacency_matrix(path_graph(n)), one]])
+        s = np.block([[one, zero], [dense_adjacency(path_graph(n)), one]])
         rot = np.block([[o, zero], [zero, o]])
         params = SqueezedThermalParams(r, 0.1)
         cov = s @ rot @ np.diag([params.q_variance] * n + [params.p_variance] * n) @ rot.T @ s.T
@@ -267,7 +267,7 @@ def _random_state(n, scale, rng):
     u = np.zeros((2 * n, 2 * n))
     u[:n, :n] = u[n:, n:] = random_orthogonal(n, rng)
     s = np.eye(2 * n)
-    s[n:, :n] = rng.uniform(0.5, 2.0) * adjacency_matrix(random_graph(n, 0.6, rng))
+    s[n:, :n] = rng.uniform(0.5, 2.0) * dense_adjacency(random_graph(n, 0.6, rng))
     return GaussianState(n, _congruence(s, _congruence(u, v)))
 
 
@@ -284,7 +284,7 @@ class TestBlockChannels:
             graph = random_graph(n, 0.6, rng)
             g = float(rng.uniform(0.5, 3.0))
             s = np.eye(2 * n)
-            s[n:, :n] = g * adjacency_matrix(graph)
+            s[n:, :n] = g * dense_adjacency(graph)
             eps = float(rng.uniform(0.0, 0.9))
             q_noise = np.diag(np.concatenate([np.ones(n), np.zeros(n)]))
             for out, want in (
@@ -312,7 +312,7 @@ class TestBlockChannels:
         n = graph.n
         state = _random_state(n, 1.0, np.random.default_rng(seed))
         s = np.eye(2 * n)
-        s[n:, :n] = g * adjacency_matrix(graph)
+        s[n:, :n] = g * dense_adjacency(graph)
         out = apply_cphase(state, graph, g)
         assert np.array_equal(out.qq, out.qq.T) and np.array_equal(out.pp, out.pp.T)
         scale = np.abs(s) @ np.abs(state.cov) @ np.abs(s).T

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from conftest import assert_refused_before_allocating, small_graphs
+from conftest import (
+    assert_refused_before_allocating,
+    dense_adjacency,
+    neighbor_sum_phase,
+    small_graphs,
+)
 from cvdownload import graphs
 from cvdownload.graphs import (
     MAX_GRAPH_EDGES,
@@ -19,7 +25,6 @@ from cvdownload.graphs import (
     _grid_shape,
     _path_spectrum,
     a_squared_spectrum,
-    adjacency_matrix,
     complete_graph,
     cycle_graph,
     degrees,
@@ -141,7 +146,7 @@ class TestValidation:
 
 class TestAdjacency:
     def test_path_matrix(self):
-        a = adjacency_matrix(path_graph(3))
+        a = _adjacency_operator(path_graph(3)).toarray()
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         assert np.array_equal(a, expected)
 
@@ -155,14 +160,12 @@ class TestAdjacency:
     @given(graph=small_graphs(n_max=12))
     def test_vectorised_forms_match_edge_loop(self, graph):
         for g in (graph, Graph(1)):
-            a = np.zeros((g.n, g.n))
+            a = dense_adjacency(g)
             d = np.zeros(g.n, dtype=int)
             for i, j in g.edges:
-                a[i, j] = a[j, i] = 1.0
                 d[i] += 1
                 d[j] += 1
-            got_a, got_d = adjacency_matrix(g), degrees(g)
-            assert got_a.dtype == a.dtype and np.array_equal(got_a, a)
+            got_d = degrees(g)
             assert got_d.dtype == d.dtype and np.array_equal(got_d, d)
             # the cached CSR form: unit entries, sorted indices, and a sparse
             # A^2 whose exact counts and component labels match the dense ones
@@ -207,18 +210,31 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("spec", ["path:1", "path:3", "cycle:5", "star:7", "grid2d:10x10"])
     def test_neighbor_phase_stack_is_rowwise_bitwise(self, spec, rng):
-        # one call on (shots, n) outcomes equals the row-by-row calls and the
-        # hoisted-A form sqrt(pi) * (A @ row) bit for bit
+        # single rows, the (shots, n) stack and a 3-d stack each equal the
+        # ascending left-to-right neighbour sums, times sqrt(pi), bit for bit
         graph = parse_graph_spec(spec)
-        a = adjacency_matrix(graph)
         q = rng.normal(0.0, 3.0, size=(300, graph.n))
         stacked = neighbor_phase(graph, q)
         assert stacked.shape == q.shape
+        assert np.array_equal(stacked, neighbor_sum_phase(graph, q))
         for row, phi in zip(q, stacked):
-            assert np.array_equal(phi, neighbor_phase(graph, row))
-            assert np.array_equal(phi, SQRT_PI * (a @ row))
-        deeper = neighbor_phase(graph, q.reshape(3, 100, graph.n))
-        assert np.array_equal(deeper.reshape(q.shape), stacked)
+            assert np.array_equal(neighbor_phase(graph, row), phi)
+        deeper = q.reshape(3, 100, graph.n)
+        assert np.array_equal(neighbor_phase(graph, deeper), neighbor_sum_phase(graph, deeper))
+
+    def test_neighbor_phase_builds_no_dense_adjacency(self):
+        # one outcome vector on 1600 vertices, cold caches: the CSR build and
+        # the product stay far below one n x n float64 array (20.5 MB)
+        graph = grid2d_graph(40, 40)
+        q = np.random.default_rng(3).normal(size=graph.n)
+        tracemalloc.start()
+        try:
+            phi = neighbor_phase(graph, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(phi, neighbor_sum_phase(graph, q))
+        assert peak < 1024 * 1024
 
 
 class TestSpectrum:
@@ -226,7 +242,7 @@ class TestSpectrum:
         # A^2 = [[1,0,1],[0,2,0],[1,0,1]] has eigenvalues {2, 2, 0}.
         d, o = a_squared_spectrum(path_graph(3))
         assert np.allclose(d, [2.0, 2.0, 0.0], atol=1e-12)
-        a2 = adjacency_matrix(path_graph(3)) @ adjacency_matrix(path_graph(3))
+        a2 = dense_adjacency(path_graph(3)) @ dense_adjacency(path_graph(3))
         assert np.allclose(o @ np.diag(d) @ o.T, a2, atol=1e-10)
 
     def test_edgeless_is_identity(self):
@@ -250,7 +266,7 @@ class TestSpectrum:
         for _ in range(20):
             n = int(rng.integers(2, 13))
             g = random_graph(n, 0.5, rng)
-            a = adjacency_matrix(g)
+            a = dense_adjacency(g)
             d, o = a_squared_spectrum(g)
             assert np.max(np.abs(o @ o.T - np.eye(n))) < 1e-12
             assert np.max(np.abs(o @ np.diag(d) @ o.T - a @ a)) < 1e-10
@@ -272,7 +288,7 @@ class TestSpectrum:
         assert np.all(d >= 0.0)
         assert np.abs(d[:2] - m * m).max() <= 1e-12 * m * m
         assert d[2:].max() <= 1e-12 * m * m
-        a = adjacency_matrix(g)
+        a = dense_adjacency(g)
         assert np.abs(o.T @ (a @ a) @ o - np.diag(d)).max() <= 1e-12 * m * m
 
     def test_deterministic_ordering(self):
@@ -307,7 +323,7 @@ class TestGridFactors:
     @pytest.mark.parametrize("m", range(1, 31))
     def test_path_spectrum_closed_form(self, m):
         lam, o = _path_spectrum(m)
-        a = adjacency_matrix(path_graph(m))
+        a = dense_adjacency(path_graph(m))
         assert np.max(np.abs(o @ o.T - np.eye(m))) <= 1e-14
         assert np.max(np.abs(o.T @ a @ o - np.diag(lam))) <= 1e-14
         assert np.array_equal(lam, -lam[::-1])
@@ -318,7 +334,7 @@ class TestGridFactors:
 def _a2_reach(graph):
     """``reach[i, j]``: vertices i and j are joined in the nonzero pattern of
     ``A^2``, found as the support of ``(I + pattern)^n``."""
-    a = adjacency_matrix(graph)
+    a = dense_adjacency(graph)
     step = np.eye(graph.n) + (a @ a != 0.0)
     return np.linalg.matrix_power(step, graph.n) > 0.0
 
@@ -330,7 +346,7 @@ class TestBlockSpectrum:
     @given(graph=small_graphs(n_max=12))
     def test_layout_over_random_graphs(self, graph):
         n = graph.n
-        a = adjacency_matrix(graph)
+        a = dense_adjacency(graph)
         a2 = a @ a
         d, o = a_squared_spectrum(graph)
         # every column lives on one block: entries across blocks are exact zeros

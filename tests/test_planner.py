@@ -19,6 +19,9 @@ from conftest import (
     PLAN_CACHES,
     assert_refused_before_allocating,
     clear_plan_caches,
+    dense_adjacency,
+    graph_caches,
+    planner_caches,
     random_orthogonal,
     small_graphs,
 )
@@ -33,7 +36,6 @@ from cvdownload.graphs import (
     Graph,
     _grid_shape,
     a_squared_spectrum,
-    adjacency_matrix,
     complete_graph,
     cycle_graph,
     grid2d_graph,
@@ -407,7 +409,7 @@ class TestPrintedRecipe:
         assert (info.maxsize, info.misses, info.currsize) == (size, size + 3, size)
 
     def test_fixture_clears_every_planner_cache(self):
-        caches = [v for v in vars(planner).values() if hasattr(v, "cache_clear")]
+        caches = planner_caches()
         assert {*PLAN_CACHES, planner._composed_network} <= set(caches)
         # the autouse fixture ran before this test ...
         assert all(cache.cache_info().currsize == 0 for cache in caches)
@@ -858,7 +860,7 @@ class TestGridPlans:
                 basis = _basis(g)
                 recomposed = compose_network(p.network, p.sign_layer)
                 assert np.max(np.abs(recomposed - basis)) <= 1e-12
-                a = adjacency_matrix(g)
+                a = dense_adjacency(g)
                 a2_diag = basis.T @ (a @ a) @ basis
                 assert np.max(np.abs(a2_diag - np.diag(p.eig_a2))) <= 1e-12 * p.eig_a2[0]
                 assert p.eig_a2[0] == p.eig_a2.max()
@@ -988,6 +990,14 @@ class TestGraphCache:
         for cache in PLAN_CACHES:
             info = cache.cache_info()
             assert (info.maxsize, info.misses, info.currsize) == (size, size + 3, size)
+
+    def test_every_graph_cache_starts_empty_and_shares_one_size(self):
+        caches = graph_caches()
+        assert {graphs._adjacency_operator, qubits.graph_phases, *planner_caches()} == set(caches)
+        assert len(caches) == 5
+        for cache in caches:
+            info = cache.cache_info()
+            assert (info.maxsize, info.currsize) == (graphs._GRAPH_CACHE_SIZE, 0)
 
     def test_only_noisy_plans_synthesise(self, monkeypatch):
         # a noiseless plan and linearized_plan read only the spectrum

@@ -8,7 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_refused_before_allocating, non_integers, small_graphs
+from conftest import (
+    assert_refused_before_allocating,
+    dense_adjacency,
+    neighbor_sum_phase,
+    non_integers,
+    small_graphs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
@@ -28,7 +34,6 @@ from cvdownload.error_model import (
 from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams
 from cvdownload.graphs import (
     Graph,
-    adjacency_matrix,
     complete_graph,
     cycle_graph,
     grid2d_graph,
@@ -70,7 +75,7 @@ def _phase_scale(graph, q):
     that the direct register bounds by ``DIRECT_PHASE_SCALE_MAX`` (inf past float max)."""
     m = np.abs(np.asarray(q) - SQRT_PI / 2.0) + SQRT_PI / 2.0
     with np.errstate(over="ignore"):
-        return math.sqrt(graph.n / 2.0) * float(m @ adjacency_matrix(graph) @ m)
+        return math.sqrt(graph.n / 2.0) * float(m @ dense_adjacency(graph) @ m)
 
 
 def _onto_the_bound(graph, q):
@@ -223,7 +228,7 @@ class TestDirectState:
         for n, r, nbar in ((4, 2.0, 2.0), (8, 1.5, 1.0)):
             r0 = _params(path_graph(1), r, nbar).mixture()[0]
             q = sample_q(r0, n * 100_000, np.random.default_rng(n)).reshape(-1, n)
-            a = adjacency_matrix(complete_graph(n))
+            a = dense_adjacency(complete_graph(n))
             m = np.abs(q - SQRT_PI / 2.0) + SQRT_PI / 2.0
             scales = math.sqrt(n / 2.0) * np.einsum("si,ij,sj->s", m, a, m)
             assert scales.max() < DIRECT_PHASE_SCALE_MAX / 4.0
@@ -235,7 +240,7 @@ def _direct_with_hamming_tensor(params, q):
     the full (2^n, 2^n, n) difference array, instead of per-qubit factors."""
     n = params.graph.n
     r0, sigma2 = params.mixture()
-    a = adjacency_matrix(params.graph)
+    a = dense_adjacency(params.graph)
     bits = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
     x = q[None, :] - SQRT_PI * bits
     log_mag = -np.sum(x**2, axis=1) / (2.0 * math.exp(2.0 * r0))
@@ -394,9 +399,7 @@ class TestRunDownload:
         params = _params(path_graph(3), 0.8, 0.5, seed=7)
         records, _ = run_download(params, 30, keep_states=False)
         r0, _ = params.mixture()
-        from cvdownload.graphs import adjacency_matrix
-
-        a = adjacency_matrix(path_graph(3))
+        a = dense_adjacency(path_graph(3))
         for rec in records:
             assert np.allclose(rec.phi, SQRT_PI * a @ rec.q, atol=1e-12)
             gamma = np.exp(SQRT_PI * (2.0 * rec.q - SQRT_PI) / (2.0 * math.exp(2.0 * r0)))
@@ -560,13 +563,13 @@ def _per_shot_reference(params, shots, keep_states):
     """Oracle for run_download: each block of SHOT_BLOCK shots drawn by the
     documented rule (its own spawned generator: all its q outcomes, then all
     its uniforms, shot-major), then the shot loop one shot at a time, each
-    shot deciding its own imbalances, keeps and phase from a private A, with
-    the counts kept as running totals."""
+    shot deciding its own imbalances, keeps and phase (its ascending
+    neighbour sums, from the edge list), with the counts kept as running
+    totals."""
     graph = params.graph
     n = graph.n
     r0, sigma2 = params.mixture()
     p_phi = dephasing_rate(sigma2)
-    a = adjacency_matrix(graph)
     draws = []
     children = np.random.SeedSequence(params.seed).spawn(math.ceil(shots / SHOT_BLOCK))
     for b, child in enumerate(children):
@@ -590,7 +593,7 @@ def _per_shot_reference(params, shots, keep_states):
         state = None
         if keep_states:
             state = register_from_outcomes(graph, 1.0 - 2.0 * p_phi, kept, bits)
-        phi = SQRT_PI * (a @ q)
+        phi = neighbor_sum_phase(graph, q)
         records.append(DownloadRecord(q, phi, gamma, outcomes, state))
     per_qubit = shots - kept_counts
     summary = DownloadSummary(
