@@ -73,25 +73,34 @@ def _fmt(value) -> str:
 
 
 def _plain(obj):
-    """What ``json`` cannot write itself, as plain data: a dataclass by its
-    fields, a structured array as its columns, any other array or NumPy
-    scalar as lists and Python scalars."""
+    """``obj`` as plain JSON data, each NaN or +-inf float as None: a
+    dataclass by its fields, a structured array as its columns, any other
+    array or NumPy scalar as lists and Python scalars.  One walk; an integer
+    or all-finite float array is converted whole, with no walk of its items."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
     if is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
-    if isinstance(obj, np.ndarray) and obj.dtype.names:
-        return {name: obj[name] for name in obj.dtype.names}
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.names:
+            return {name: _plain(obj[name]) for name in obj.dtype.names}
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
+        return _plain(obj.tolist())
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(obj, **kwargs) -> str:
-    """The one JSON writer: strict RFC 8259 text, each NaN or +-inf as null."""
-    try:
-        return json.dumps(obj, allow_nan=False, default=_plain, **kwargs)
-    except ValueError:  # a non-finite float: read the document back with it as null
-        obj = json.loads(json.dumps(obj, default=_plain), parse_constant=lambda _: None)
-        return json.dumps(obj, allow_nan=False, **kwargs)
+    """The one JSON writer: strict RFC 8259 text, each NaN or +-inf as null,
+    encoded once from the plain data of one walk (``_plain``)."""
+    return json.dumps(_plain(obj), allow_nan=False, **kwargs)
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:

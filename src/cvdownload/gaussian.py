@@ -317,6 +317,8 @@ def thermal_cvcs(graph: Graph, params: SqueezedThermalParams) -> GaussianState:
     Every CPHASE has unit strength.  With per-mode variances ``(B1, B2)``
     the covariance works out to ``[[B1 I, B1 A], [B1 A, B2 I + B1 A^2]]``;
     tests pin the channel composition against that closed form.
+    ``planner.verify_plan`` reads its target off that form without building
+    this state, and this constructor is the tests' oracle for it.
     """
     return apply_cphase(squeezed_thermal(params, graph.n), graph)
 

@@ -9,7 +9,9 @@ the 0/1 adjacency matrix; on a grid it takes the closed-form spectra of
 the grid's two path factors instead.
 
 A has one matrix form, a read-only CSR array cached per graph: CPHASE, A^2
-and the phases ``phi = sqrt(pi) A q`` all multiply through it.
+and the phases ``phi = sqrt(pi) A q`` all multiply through it.  A^2 has one
+too, the CSR array of its walk counts cached beside it: the spectrum and the
+planner's replay target read it.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ SQRT_PI = math.sqrt(math.pi)
 MAX_GRAPH_EDGES = 2**20
 
 #: How many graphs (or, for the planner's composed networks, recipes) each
-#: per-graph ``lru_cache`` keeps: the adjacency operator here, the CZ phases
-#: in ``qubits`` and the planner's three.
+#: per-graph ``lru_cache`` keeps: the adjacency operator and its square here,
+#: the CZ phases in ``qubits`` and the planner's three.
 _GRAPH_CACHE_SIZE = 8
 
 
@@ -229,6 +231,21 @@ def _adjacency_operator(graph: Graph) -> csr_array:
     return a
 
 
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+def _adjacency_square(graph: Graph) -> csr_array:
+    """``A^2`` as a CSR array of its walk counts: ``(A^2)_ij`` is the number of
+    common neighbours of ``i`` and ``j`` (the degree on the diagonal), stored
+    exactly, as floats, where it is nonzero and nowhere else.  The sparse
+    product of :func:`_adjacency_operator` with itself, built once per graph
+    in O(n d^2) for maximum degree ``d`` and shared, so its ``data``,
+    ``indices`` and ``indptr`` are read-only."""
+    a = _adjacency_operator(graph)
+    a2 = a @ a
+    for array in (a2.data, a2.indices, a2.indptr):
+        array.flags.writeable = False
+    return a2
+
+
 def degrees(graph: Graph) -> np.ndarray:
     return np.bincount(graph._edge_array.ravel(), minlength=graph.n)
 
@@ -258,8 +275,7 @@ def a_squared_spectrum(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     The ordering matters downstream: the decorrelation planner assigns
     its principal (least-corrected) mode to the first column.
     """
-    a = _adjacency_operator(graph)
-    a2 = a @ a  # sparse: its entries are exact walk counts, none of them 0
+    a2 = _adjacency_square(graph)
     vals = np.empty(graph.n)
     vecs = np.zeros((graph.n, graph.n))
     count, labels = connected_components(a2, directed=False)

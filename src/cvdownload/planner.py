@@ -37,7 +37,11 @@ their Kronecker order.  The passive network is printed once, as two-mode
 rotations plus a sign layer.  ``verify_plan`` multiplies out exactly that
 printed network, replays the whole pipeline forward through the Gaussian
 channel engine and reports the worst covariance residual against the
-ideal target.
+ideal target.  That target, the cluster state of i.i.d. ``(r_eff,
+nbar_eff)`` modes, has the closed form ``[[B1 I, B1 A], [B1 A, B2 I + B1
+A^2]]`` in the source's q and p variances; it is read off the graph's
+cached patterns of A and A^2, each ``B1 (A^2)_ij`` as the running sum of
+``B1 / 2`` that CPHASE computes, and never formed.
 
 Every plan is physical by construction.  With ``k = B1 - C1 =
 (1 - eps1) e^{2 r'} / 2 > 0`` (so ``g' = B1 / k``) the input conditions
@@ -58,14 +62,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import graphs  # its cached A and A^2: this namespace holds only the planner's caches
 from .gaussian import (
+    GaussianState,
     SqueezedThermalParams,
     _check_orthogonal,
     _rotated_mode_diag_state,
     apply_cphase,
     apply_detector_noise,
     apply_loss,
-    thermal_cvcs,
 )
 from .graphs import (
     _GRAPH_CACHE_SIZE,
@@ -73,6 +78,7 @@ from .graphs import (
     _grid_shape,
     _path_spectrum,
     a_squared_spectrum,
+    degrees,
     max_degree,
 )
 
@@ -94,8 +100,8 @@ R_PRIME_LIMIT = 0.5 * math.log(sys.float_info.max)
 VERIFY_TOL = 1e-9
 #: The most modes that :func:`plan`, :func:`linearized_plan` and
 #: :func:`verify_plan` take; a larger graph is refused before any n x n or
-#: network array exists.  A replay holds about 11.3 n^2 float64 at its peak,
-#: 0.81 GB at the cap (and the general path's dense A^2 n^2 more).
+#: network array exists.  A replay holds about 8.3 n^2 float64 at its peak,
+#: 0.60 GB at the cap (and the general path's dense A^2 n^2 more).
 MAX_PLAN_MODES = 3000
 # verify_plan refuses a replay whose covariance entries could exceed a
 # quarter of the largest float: each congruence adds its product to its
@@ -379,7 +385,11 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     modes.  The composition is memoised on the recipe's bytes (see
     :func:`_composed_network`), so a repeated recipe pays only that key,
     and the uncorrelated inputs pass it in one step per block,
-    ``O diag(v) O^T``.
+    ``O diag(v) O^T``.  The target is the closed form ``[[B1 I, B1 A],
+    [B1 A, B2 I + B1 A^2]]``, read off the graph's cached A and A^2 with
+    the running-sum rule of :func:`_target_residual`: no target state is
+    formed, and the residual is the one against :func:`gaussian.thermal_cvcs`
+    bit for bit.
     Refuses to verify an unphysical plan, and refuses with a
     ``ValueError``, before the replay, a graph above
     :data:`MAX_PLAN_MODES` modes, a plan with a negative or NaN
@@ -415,9 +425,45 @@ def verify_plan(plan_: DecorrelationPlan, graph: Graph, noise: NoiseParams) -> f
     state = apply_cphase(state, graph, plan_.g_prime)
     state = apply_loss(state, noise.eps1)
     state = apply_detector_noise(state, noise.eps2)
-    target = thermal_cvcs(graph, source)
-    pairs = ((state.qq, target.qq), (state.qp, target.qp), (state.pp, target.pp))
-    return max(float(np.abs(got - want).max()) for got, want in pairs)
+    return _target_residual(state, graph, source)
+
+
+def _target_residual(state: GaussianState, graph: Graph, source: SqueezedThermalParams) -> float:
+    """``max |V - V_target|`` over the blocks ``qq``, ``qp`` and ``pp``, for
+    ``V_target`` the state :func:`gaussian.thermal_cvcs` builds from ``graph``
+    and ``source``, bit for bit but never formed.
+
+    Unit-strength CPHASE on uncorrelated modes sums exact zeros and equal
+    terms, so that state is ``[[B1 I, B1 A], [B1 A, B2 I + (h + h^T)]]``
+    exactly, with ``(B1, B2)`` the source's q and p variances and ``h_ij``
+    the running sum of ``(A^2)_ij`` terms ``x = B1 / 2``: ``0, x, 2x,
+    round(2x + x), ...``, one table for every count (the product ``(A^2)_ij
+    x`` is not always that number).  Each block is copied and its target
+    subtracted on its pattern alone: the diagonal, the cached A
+    (:func:`graphs._adjacency_operator`) or the cached A^2
+    (:func:`graphs._adjacency_square`).
+    """
+    n = graph.n
+    b1, b2 = source.q_variance, source.p_variance
+    a, a2 = graphs._adjacency_operator(graph), graphs._adjacency_square(graph)
+    counts = a2.data.astype(np.intp)
+    walks = np.zeros(int(counts.max(initial=0)) + 1)
+    np.cumsum(np.full(len(walks) - 1, 0.5 * b1), out=walks[1:])
+    walks += walks  # h + h^T: both terms are the same number
+    diagonal = np.arange(n) * (n + 1)
+    qq, qp, pp = (block.flatten() for block in (state.qq, state.qp, state.pp))
+    qq[diagonal] -= b1
+    qp[_flat_pattern(a)] -= b1
+    pp[_flat_pattern(a2)] -= walks[counts]
+    # the diagonal's target is one sum, B2 + 2 h_ii, subtracted in one step
+    pp[diagonal] = np.diagonal(state.pp) - (b2 + walks[degrees(graph)])
+    return max(float(np.abs(block, out=block).max()) for block in (qq, qp, pp))
+
+
+def _flat_pattern(a) -> np.ndarray:
+    """Flat indices ``i n + j`` of the stored entries of an n x n CSR array."""
+    n = a.shape[0]
+    return np.repeat(np.arange(0, n * n, n), np.diff(a.indptr)) + a.indices
 
 
 def _replay_log_bound(

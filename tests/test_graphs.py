@@ -22,6 +22,7 @@ from cvdownload.graphs import (
     MAX_GRAPH_EDGES,
     Graph,
     _adjacency_operator,
+    _adjacency_square,
     _grid_shape,
     _path_spectrum,
     a_squared_spectrum,
@@ -167,13 +168,15 @@ class TestAdjacency:
                 d[j] += 1
             got_d = degrees(g)
             assert got_d.dtype == d.dtype and np.array_equal(got_d, d)
-            # the cached CSR form: unit entries, sorted indices, and a sparse
-            # A^2 whose exact counts and component labels match the dense ones
+            # the cached CSR forms: unit entries, sorted indices, and an A^2
+            # that stores exactly the nonzero walk counts of the dense one,
+            # with its component labels
             op = _adjacency_operator(g)
             assert op.has_sorted_indices and np.array_equal(op.data, np.ones(2 * len(g.edges)))
             assert op.data.dtype == a.dtype and np.array_equal(op.toarray(), a)
-            a2 = op @ op
-            assert np.array_equal(a2.toarray(), a @ a)
+            a2 = _adjacency_square(g)
+            assert a2.data.dtype == a.dtype and np.array_equal(a2.toarray(), a @ a)
+            assert a2.nnz == np.count_nonzero(a @ a)
             for got, want in zip(connected_components(a2, directed=False),
                                  connected_components(a @ a != 0.0, directed=False)):
                 assert np.array_equal(got, want)

@@ -12,7 +12,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -25,7 +25,7 @@ from conftest import (
     random_orthogonal,
     small_graphs,
 )
-from cvdownload import cli, graphs, planner, qubits
+from cvdownload import cli, gaussian, graphs, planner, qubits
 from cvdownload.gaussian import (
     SqueezedThermalParams,
     mode_diag_state,
@@ -288,8 +288,8 @@ class TestVerifyPlan:
 
     def test_replay_memory_bound(self):
         # the replay holds a few n x n blocks per state and never a 2n x 2n
-        # copy, and CPHASE no dense adjacency: about 11.3 n^2 float64 at its
-        # peak
+        # copy, CPHASE no dense adjacency, and the residual no dense target:
+        # about 8.32 n^2 float64 at its peak
         g = grid2d_graph(20, 20)
         noise = NoiseParams(0.01, 0.02, 1.0)
         p = plan(g, noise)
@@ -300,7 +300,69 @@ class TestVerifyPlan:
         finally:
             tracemalloc.stop()
         assert residual < 1e-12
-        assert peak <= 11.5 * g.n**2 * 8
+        assert peak <= 8.5 * g.n**2 * 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        graph=st.one_of(
+            small_graphs(n_max=14),
+            st.integers(1, 14).map(star_graph),
+            st.integers(1, 14).map(complete_graph),
+        ),
+        eps1=st.floats(0.0, 0.5, exclude_max=True),
+        eps2=st.floats(0.0, 0.5, exclude_max=True),
+        r_prime=st.floats(-3.0, 12.0),
+    )
+    @example(graph=Graph(1), eps1=0.1, eps2=0.2, r_prime=1.0)
+    @example(graph=Graph(5), eps1=0.0, eps2=0.3, r_prime=-3.0)
+    @example(graph=Graph(7, ((0, 1), (1, 2), (4, 5))), eps1=0.2, eps2=0.1, r_prime=12.0)
+    @example(graph=star_graph(14), eps1=0.3, eps2=0.0, r_prime=2.0)
+    @example(graph=complete_graph(14), eps1=0.49, eps2=0.49, r_prime=0.5)
+    def test_residual_is_the_dense_targets_bit_for_bit(self, graph, eps1, eps2, r_prime):
+        # the closed-form target, read off the patterns of A and A^2, is
+        # thermal_cvcs entry for entry, so the residual is the one against
+        # the dense target; star and complete graphs hold walk counts >= 4,
+        # where count * B1 / 2 is not CPHASE's running sum
+        noise = NoiseParams(eps1, eps2, r_prime)
+        p = plan(graph, noise)
+        source = SqueezedThermalParams(p.r_eff, p.nbar_eff)
+        replays = []
+        target_residual = planner._target_residual
+
+        def keep_replay(state, graph, source):
+            replays.append(state)
+            return target_residual(state, graph, source)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planner, "_target_residual", keep_replay)
+            residual = verify_plan(p, graph, noise)
+        (state,) = replays
+        target = thermal_cvcs(graph, source)
+        pairs = ((state.qq, target.qq), (state.qp, target.qp), (state.pp, target.pp))
+        dense = max(float(np.abs(got - want).max()) for got, want in pairs)
+        assert residual.hex() == dense.hex()
+        assert target_residual(target, graph, source) == 0.0
+
+    @pytest.mark.parametrize("entry", [(0, 0), (5, 5), (1, 2)])
+    def test_target_an_ulp_off_changes_the_residual(self, entry):
+        # K_12 has walk counts 10 and 11, where the running sum of B1 / 2
+        # and the product count * B1 / 2 differ; (0, 0) and (5, 5) carry
+        # B2, (1, 2) an A^2 entry off the diagonal
+        g = complete_graph(12)
+        source = SqueezedThermalParams(0.3, 0.1)
+        target = thermal_cvcs(g, source)
+        assert planner._target_residual(target, g, source) == 0.0
+        i, j = entry
+        pp = target.pp.copy()
+        pp[i, j] = pp[j, i] = np.nextafter(pp[i, j], math.inf)
+        off = gaussian._from_blocks(target.qq, target.qp, pp)
+        assert planner._target_residual(off, g, source) == pp[i, j] - target.pp[i, j] > 0.0
+        x = 0.5 * source.q_variance
+        count = dense_adjacency(g) @ dense_adjacency(g)
+        product = np.diag(np.full(g.n, source.p_variance)) + 2.0 * (count * x)
+        assert not np.array_equal(product, target.pp)
+        by_product = gaussian._from_blocks(target.qq, target.qp, product)
+        assert planner._target_residual(by_product, g, source) > 0.0
 
     @pytest.mark.parametrize("bad", [-0.4, -0.6, math.nan])
     def test_negative_or_nan_occupation_refused(self, bad):
@@ -976,8 +1038,11 @@ class TestGraphCache:
         op = graphs._adjacency_operator(graph)
         assert graphs._adjacency_operator(Graph(graph.n, graph.edges)) is op
         d_vals, factors = planner._spectrum(graph)
-        cached = [graph._edge_array, op.data, op.indices, op.indptr, qubits.graph_phases(graph),
-                  d_vals, *factors, *planner._passive_network(graph)]
+        square = graphs._adjacency_square(graph)
+        assert graphs._adjacency_square(Graph(graph.n, graph.edges)) is square
+        cached = [graph._edge_array, op.data, op.indices, op.indptr, square.data,
+                  square.indices, square.indptr, qubits.graph_phases(graph), d_vals, *factors,
+                  *planner._passive_network(graph)]
         for array in cached:
             assert array.size
             with pytest.raises(ValueError, match="read-only"):
@@ -993,8 +1058,9 @@ class TestGraphCache:
 
     def test_every_graph_cache_starts_empty_and_shares_one_size(self):
         caches = graph_caches()
-        assert {graphs._adjacency_operator, qubits.graph_phases, *planner_caches()} == set(caches)
-        assert len(caches) == 5
+        assert {graphs._adjacency_operator, graphs._adjacency_square, qubits.graph_phases,
+                *planner_caches()} == set(caches)
+        assert len(caches) == 6
         for cache in caches:
             info = cache.cache_info()
             assert (info.maxsize, info.currsize) == (graphs._GRAPH_CACHE_SIZE, 0)
