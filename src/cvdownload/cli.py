@@ -50,7 +50,7 @@ from .error_model import (
 from .gaussian import R0_LIMIT, SqueezedThermalParams
 from .graphs import Graph, neighbor_phase, parse_graph_spec, path_graph, random_graph
 from .grid import apply_cd_grid, apply_cphase_grid, make_grid_state, measure_q_grid
-from .planner import VERIFY_TOL, NoiseParams, linearized_plan, plan, verify_plan
+from .planner import VERIFY_TOL, NoiseParams, plan, verify_plan
 from .protocol import (
     SHOT_BLOCK,
     ProtocolParams,
@@ -425,15 +425,6 @@ def _plan_row(graph: Graph, noise: NoiseParams) -> tuple:
     return p, row
 
 
-def _linearized_or_none(graph: Graph, noise: NoiseParams, use_degree_bound: bool):
-    """The first-order plan as a dict, or None where ``linearized_plan``
-    refuses because one of its terms leaves the float range."""
-    try:
-        return linearized_plan(graph, noise, use_degree_bound)._asdict()
-    except ValueError:
-        return None
-
-
 def cmd_plan(args: argparse.Namespace, config: dict) -> int:
     graph = parse_graph_spec(config["graph"])
     noise = NoiseParams(config["eps1"], config["eps2"], config["r_prime"])
@@ -443,10 +434,6 @@ def cmd_plan(args: argparse.Namespace, config: dict) -> int:
         "plan": p,
         "verification": {"residual": residual, "threshold": VERIFY_TOL,
                          "passed": residual < VERIFY_TOL},
-        "linearized": {
-            "spectral": _linearized_or_none(graph, noise, False),
-            "degree_bound": _linearized_or_none(graph, noise, True),
-        },
     }
     # the network is written as the three columns of NETWORK_DTYPE
     extra = {"network_format": "columns i, j, angle"}
@@ -553,8 +540,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The flags that take a value; every other flag is a bool.  argparse reads
+#: ``--r-prime -1e-3`` or ``--db-range -6:0:2`` as two flags, so :func:`main`
+#: joins each of these to the next token, ``--key=value``, which takes any value.
+_VALUE_FLAGS = {"--config", "--out", "--format"} | {
+    "--" + key.replace("_", "-") for command in COMMANDS.values()
+    for key, setting in command.settings.items() if setting.type is not bool}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    joined, tokens = [], iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        joined.append(token if value is None else f"{token}={value}")
+    args = build_parser().parse_args(joined)
     command = COMMANDS[args.command]
     try:
         return command.run(args, _resolve(args, command.settings))

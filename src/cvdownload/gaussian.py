@@ -136,13 +136,20 @@ class GaussianState:
 def _from_blocks(qq: np.ndarray, qp: np.ndarray, pp: np.ndarray) -> GaussianState:
     """The state with these blocks, taken as they are: the caller hands over
     ``qq`` and ``pp`` exactly symmetric (every channel but the passive network
-    builds them so).  A non-finite entry, as from an overflowing channel, is
-    refused."""
-    if not all(np.isfinite(block).all() for block in (qq, qp, pp)):
-        raise ValueError("covariance leaves the float range")
+    builds them so) and finite: a state's inputs are tested where it is made,
+    and of the channels only products can overflow (CPHASE's new ``qp`` and
+    ``pp``, the passive network's congruences), so only they pass :func:`_finite`.
+    Loss maps a finite ``x`` to ``(1 - eps) x + eps / 2``, and detector noise
+    adds at most about 9e15, under half an ulp of the largest float."""
     state = object.__new__(GaussianState)
     state.qq, state.qp, state.pp = qq, qp, pp
     return state
+
+
+def _finite(*blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise ValueError("covariance leaves the float range")
+    return blocks
 
 
 def _symmetric_part(x: np.ndarray) -> np.ndarray:
@@ -197,7 +204,7 @@ def _rotated_mode_diag_state(q_vars, p_vars, o: np.ndarray) -> GaussianState:
     if o.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {o.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        qq, pp = ((o * v) @ o.T for v in (q_vars, p_vars))
+        qq, pp = _finite(*((o * v) @ o.T for v in (q_vars, p_vars)))
     return _from_blocks(_symmetric_part(qq), np.zeros((n, n)), _symmetric_part(pp))
 
 
@@ -237,7 +244,7 @@ def apply_cphase(state: GaussianState, graph: Graph, strength: float = 1.0) -> G
     with np.errstate(over="ignore", invalid="ignore"):
         qq_g = (strength * (a @ qq)).T
         h = strength * (a @ (qp + 0.5 * qq_g))
-        return _from_blocks(qq, qp + qq_g, state.pp + (h + h.T))
+        return _from_blocks(qq, *_finite(qp + qq_g, state.pp + (h + h.T)))
 
 
 def apply_loss(state: GaussianState, eps: float) -> GaussianState:
@@ -264,8 +271,7 @@ def apply_detector_noise(state: GaussianState, eps2: float) -> GaussianState:
     if not 0.0 <= eps2 < 1.0:
         raise ValueError(f"detector inefficiency must be in [0, 1), got {eps2}")
     qq = state.qq.copy()
-    with np.errstate(over="ignore"):
-        qq.flat[:: state.n + 1] += eps2 / (1.0 - eps2)
+    qq.flat[:: state.n + 1] += eps2 / (1.0 - eps2)
     return _from_blocks(qq, state.qp, state.pp)
 
 
@@ -278,7 +284,7 @@ def apply_orthogonal(state: GaussianState, o: np.ndarray) -> GaussianState:
         raise ValueError(f"expected a {n}x{n} matrix, got {o.shape}")
     _check_orthogonal(o)
     with np.errstate(over="ignore", invalid="ignore"):
-        qq, qp, pp = (o @ block @ o.T for block in (state.qq, state.qp, state.pp))
+        qq, qp, pp = _finite(*(o @ block @ o.T for block in (state.qq, state.qp, state.pp)))
     # the products' round-off is not symmetric: average with the transposes
     return _from_blocks(_symmetric_part(qq), qp, _symmetric_part(pp))
 

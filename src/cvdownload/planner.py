@@ -316,23 +316,20 @@ class LinearizedPlan(NamedTuple):
     g_prime: float
 
 
-def linearized_plan(
-    graph: Graph, noise: NoiseParams, use_degree_bound: bool = False
-) -> LinearizedPlan:
+def linearized_plan(graph: Graph, noise: NoiseParams) -> LinearizedPlan:
     """Small-noise expansion of the effective downloaded source.
 
-    With ``W+- = (D e^{4 r'} + e^{4 r'} +- 1) / 2`` and
-    ``V+- = D e^{4 r'} +- 1``:
+    With ``D`` the top eigenvalue of ``A^2``,
+    ``W+- = (D e^{4 r'} + e^{4 r'} +- 1) / 2`` and ``V+- = D e^{4 r'} +- 1``:
 
         e^{2 r_eff} ~ e^{2 r'} - eps1 W- - eps2 V-,
         nbar_eff    ~ (eps1 / 2) (W+ e^{-2 r'} - 1)
                       + (eps2 / 2) V+ e^{-2 r'},
         g'          ~ 1 + e^{-2 r'} (eps1 + 2 eps2).
 
-    ``D`` is the top eigenvalue of ``A^2`` by default; passing
-    ``use_degree_bound=True`` substitutes the coarser square of the
-    maximum vertex degree, which is the convenient back-of-envelope bound
-    (``D_max <= d^2`` always).
+    Valid only while ``eps (1 + D) e^{2 r'} << 1`` (beyond, ``e2r_eff`` can
+    turn negative), it is the oracle :func:`plan` converges to at second order
+    in eps, and no command prints it.
 
     ``r'`` above ``log(float max / (2 (1 + D))) / 4``, which is at most
     ``log(float max) / 4`` (about 177.4), is refused with a ``ValueError``:
@@ -343,10 +340,7 @@ def linearized_plan(
     :data:`MAX_PLAN_MODES` modes is refused as by :func:`plan`.
     """
     _check_plan_modes(graph)
-    if use_degree_bound:
-        d = float(max_degree(graph)) ** 2
-    else:
-        d = float(_spectrum(graph)[0].max())
+    d = float(_spectrum(graph)[0].max())
     limit = 0.25 * math.log(sys.float_info.max / (2.0 * (1.0 + d)))
     if noise.r_prime > limit:
         raise ValueError(

@@ -14,7 +14,7 @@ import pytest
 
 from cvdownload.cli import COMMANDS, main
 from cvdownload.error_model import amplitude_imbalance, db_to_squeezing, squeezing_to_db
-from cvdownload.gaussian import SqueezedThermalParams
+from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams
 from cvdownload.graphs import neighbor_phase, parse_graph_spec
 from cvdownload.planner import VERIFY_TOL
 from cvdownload.protocol import ProtocolParams, register_from_outcomes, run_download
@@ -354,16 +354,6 @@ class TestPlan:
         assert main(["plan", "--graph", "complete:5"]) == 2
         assert capsys.readouterr().err == "cvdownload plan: Eigenvalues did not converge\n"
 
-    def test_linearized_variants_differ_when_dmax_below_d_squared(self, capsys):
-        # path n=3: D_max=2 while d^2=4
-        main(["plan", "--graph", "path:3", "--eps1", "0.01", "--eps2", "0.01"])
-        doc = json.loads(
-            "\n".join(l for l in capsys.readouterr().out.splitlines() if not l.startswith("#"))
-        )
-        spectral = doc["linearized"]["spectral"]["nbar_eff"]
-        degree = doc["linearized"]["degree_bound"]["nbar_eff"]
-        assert degree > spectral
-
     def test_noiseless_plan_at_large_squeezing_verifies(self, capsys):
         # sqrt(B1) sqrt(B2) - 1/2 rounds below 0 here; nbar_eff is clamped
         assert main(["plan", "--eps1", "0", "--eps2", "0", "--r-prime", "300"]) == 0
@@ -373,13 +363,12 @@ class TestPlan:
         assert doc["plan"]["nbar_eff"] == 0.0
         assert doc["verification"]["residual"] is not None
 
-    def test_linearized_is_null_where_it_leaves_the_float_range(self, capsys):
+    def test_exact_plan_prints_where_e4rp_overflows(self, capsys):
         # e^{4 r'} overflows at r' = 200; the exact plan still prints
         assert main(["plan", "--r-prime", "200"]) == 0
         doc = json.loads(
             "\n".join(l for l in capsys.readouterr().out.splitlines() if not l.startswith("#"))
         )
-        assert doc["linearized"] == {"spectral": None, "degree_bound": None}
         assert 0.0 < doc["plan"]["r_eff"] < 200.0
         assert doc["plan"]["physical"] is True
 
@@ -583,6 +572,24 @@ class TestConfigHandling:
         assert capsys.readouterr().out == from_flags
         assert '"r_db": 10.0' in from_flags
 
+    @pytest.mark.parametrize("command, key, value, code", [
+        ("plan", "--r-prime", "-1e-3", 0),
+        ("download", "--r-db", "-1e6", 2),
+        ("thresholds", "--db-range", "-6:0:2", 0),
+    ])
+    def test_negative_value_in_either_form(self, capsys, command, key, value, code):
+        # argparse alone reads "-1e-3" after a flag as another flag, not as its value
+        results = []
+        for form in ([key, value], [f"{key}={value}"]):
+            results.append((main([command, *form]), *capsys.readouterr()))
+        assert results[0] == results[1]
+        exit_code, out, err = results[0]
+        assert exit_code == code
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == "" and err.count("\n") == 1 and str(R0_LIMIT) in err
+
     def test_config_numbers_and_null_where_allowed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eps1": 0.01, "eps2": 0, "r_prime": 1.0}))
@@ -640,7 +647,7 @@ _PINNED_DIGESTS = [
      "7f9f9bc6e86cc85d9fcbba22cf08e6f3502a4b5863537443de3628f0e787803f"),
     (["sweep"], "1204a11eb8ba5128d5c5bcea748463e0646d8fc23c1d2dd82c2a9f5bdc4b6ec2"),
     (["plan", "--graph", "grid2d:3x3"],
-     "b8f45726ac2c84d04633c07893aab0bd9f06fb4dbd6e9fb3951abc82f4967aa7"),
+     "da9984d8f62f6d4f7d8d8d6596e3260cacfa34afd95093dee83cf1084c70dcd0"),
     (["plan", "--graph", "grid2d:3x3", "--format", "csv"],
      "b3c748793b2476cfed2c4f0dfa6a642add056942cae77581eb7e402a544afb05"),
     (["verify", "--seed", "0"],

@@ -39,7 +39,6 @@ from cvdownload.graphs import (
     complete_graph,
     cycle_graph,
     grid2d_graph,
-    max_degree,
     path_graph,
     random_graph,
     star_graph,
@@ -594,14 +593,13 @@ class TestLinearized:
         eps1=_eps,
         eps2=_eps,
         r_prime=st.floats(-R_PRIME_LIMIT, R_PRIME_LIMIT),
-        use_degree_bound=st.booleans(),
     )
-    def test_whole_r_prime_range(self, graph, eps1, eps2, r_prime, use_degree_bound):
+    def test_whole_r_prime_range(self, graph, eps1, eps2, r_prime):
         noise = NoiseParams(eps1, eps2, r_prime)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                lin = linearized_plan(graph, noise, use_degree_bound)
+                lin = linearized_plan(graph, noise)
             except ValueError as exc:
                 # D e^{4 r'} above the bound, or e^{-2 r'} terms at strongly
                 # negative r' with heavy noise
@@ -609,48 +607,25 @@ class TestLinearized:
                 return
         assert all(math.isfinite(v) for v in lin)
 
-    @pytest.mark.parametrize("use_degree_bound", [False, True])
-    def test_refuses_overflowing_gain(self, use_degree_bound):
+    def test_refuses_overflowing_gain(self):
         # g' = 1 + (eps1 + 2 eps2) e^{-2 r'} was inf here
         noise = NoiseParams(0.99, 0.99, -R_PRIME_LIMIT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="g_prime=inf.* float range"):
-                linearized_plan(complete_graph(7), noise, use_degree_bound)
+                linearized_plan(complete_graph(7), noise)
             lin = linearized_plan(complete_graph(7), NoiseParams(0.99, 0.99, -300.0))
         assert all(math.isfinite(v) for v in lin)
 
-    @pytest.mark.parametrize("use_degree_bound", [False, True])
     @pytest.mark.parametrize("graph", [Graph(1), path_graph(3), complete_graph(7)])
-    def test_finite_up_to_its_bound(self, graph, use_degree_bound):
-        if use_degree_bound:
-            d = float(max_degree(graph)) ** 2
-        else:
-            d = float(a_squared_spectrum(graph)[0][0])
+    def test_finite_up_to_its_bound(self, graph):
+        d = float(a_squared_spectrum(graph)[0][0])
         limit = 0.25 * math.log(sys.float_info.max / (2.0 * (1.0 + d)))
         for eps1, eps2 in [(0.0, 0.0), (0.0, 0.99), (0.99, 0.0), (0.99, 0.99)]:
-            lin = linearized_plan(graph, NoiseParams(eps1, eps2, limit), use_degree_bound)
+            lin = linearized_plan(graph, NoiseParams(eps1, eps2, limit))
             assert all(math.isfinite(v) for v in lin)
             with pytest.raises(ValueError, match="float range"):
-                linearized_plan(
-                    graph,
-                    NoiseParams(eps1, eps2, math.nextafter(limit, math.inf)),
-                    use_degree_bound,
-                )
-
-    def test_degree_bound_variant(self):
-        # path n=3: D_max = 2 but d^2 = 4, so the degree-bound form is
-        # more pessimistic about thermalization.
-        g = path_graph(3)
-        noise = NoiseParams(0.01, 0.01, 0.8)
-        spectral = linearized_plan(g, noise)
-        degree = linearized_plan(g, noise, use_degree_bound=True)
-        assert degree.nbar_eff > spectral.nbar_eff
-        # on a cycle every vertex has degree 2 and D_max = 4: identical
-        g2 = cycle_graph(5)
-        a = linearized_plan(g2, noise)
-        b = linearized_plan(g2, noise, use_degree_bound=True)
-        assert abs(a.nbar_eff - b.nbar_eff) < 1e-15
+                linearized_plan(graph, NoiseParams(eps1, eps2, math.nextafter(limit, math.inf)))
 
 
 def _rotation_matrix(n, i, j, angle):
@@ -1093,7 +1068,7 @@ class TestGraphCache:
         assert counts == {"a_squared_spectrum": 1, "givens_network": 1}
 
     def test_plan_command_computes_the_spectrum_once(self, monkeypatch, capsys):
-        # plan, then linearized_plan's spectral D, from one spectrum
+        # plan and its verification from one spectrum
         counts = Counter()
         monkeypatch.setattr(
             planner, "a_squared_spectrum",
@@ -1101,7 +1076,7 @@ class TestGraphCache:
         )
         assert cli.main(["plan", "--graph", "star:9"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["linearized"]["spectral"] is not None
+        assert set(doc) == {"meta", "plan", "verification"}
         assert counts == {"a_squared_spectrum": 1}
 
 
@@ -1134,7 +1109,6 @@ class TestModeCap:
         for call in (
             lambda: plan(big, noise),
             lambda: linearized_plan(big, noise),
-            lambda: linearized_plan(big, noise, use_degree_bound=True),
             lambda: verify_plan(small, big, noise),
         ):
             assert_refused_before_allocating(call, match="MAX_PLAN_MODES")
