@@ -17,7 +17,6 @@ from .error_model import (
     keep_probability,
     log_imbalance,
     p_del_analytic,
-    p_del_monte_carlo,
     p_succ_quadrature,
     qubit_given_outcome,
     squeezing_db_for_pdel,
@@ -76,7 +75,6 @@ __all__ = [
     "amplitude_imbalance",
     "keep_probability",
     "p_del_analytic",
-    "p_del_monte_carlo",
     "p_succ_quadrature",
     "dephasing_rate",
     "squeezing_db_for_pdel",

@@ -12,12 +12,17 @@ sweep       cartesian sweep of the planner over noise points
 
 ``COMMANDS`` holds each key's type, default and help once; its flag and
 its ``--config`` value (see ``_convert``) both take that type, with flags
-over the config file over the defaults.  Every output starts with a
-metadata header (tool version, command, seed, resolved typed config;
-``download`` also names its draw rule, ``rng_scheme``, and ``plan`` the
-layout of its network, ``network_format``) sufficient to reproduce it
-byte for byte; no timestamps, so identical inputs give identical files.
-Floats print with 17 significant digits.
+over the config file over the defaults; no flag takes an abbreviation.
+Every output starts with a metadata header (tool version, command,
+resolved typed config; only the commands that draw take and name a
+``seed``, ``download`` and ``thresholds`` with their draw rule,
+``rng_scheme`` (``thresholds --shots 0`` draws nothing and has neither
+line), and ``plan`` names the layout of its network,
+``network_format``) sufficient to reproduce it byte for byte; no
+timestamps, so identical inputs give identical files.  Floats print with
+17 significant digits.  A ``thresholds`` row's ``p_del_mc`` is the
+``p_del_emp`` of ``download --graph path:1 --nbar 0`` at its dB, shots and
+seed, under ``run_download``'s cap of 10^8 qubit-shots (10 bytes each).
 
 Every subcommand writes through ``_emit``, as CSV rows or as one JSON
 document; only ``verify``'s CSV is its text report.  JSON writes a result
@@ -41,7 +46,6 @@ from . import __version__
 from .error_model import (
     db_to_squeezing,
     p_del_analytic,
-    p_del_monte_carlo,
     qubit_given_outcome,
     squeezing_db_for_pdel,
     squeezing_to_db,
@@ -54,6 +58,7 @@ from .planner import VERIFY_TOL, NoiseParams, plan, verify_plan
 from .protocol import (
     SHOT_BLOCK,
     ProtocolParams,
+    _check_seed,
     downloaded_state_direct,
     downloaded_state_equivalent,
     run_download,
@@ -116,7 +121,6 @@ def _meta_lines(command: str, config: dict, extra: dict | None = None) -> list[s
     return [
         f"# cvdownload {__version__}",
         f"# command: {command}",
-        f"# seed: {config['seed']}",
         *(f"# {key}: {value}" for key, value in (extra or {}).items()),
         f"# config: {_json_text(config, sort_keys=True)}",
     ]
@@ -135,7 +139,7 @@ def _emit(args, command: str, config: dict, header, rows, doc: dict | None = Non
         lines += [",".join(map(_fmt, row)) for row in rows]
     else:
         meta = {"tool": "cvdownload", "version": __version__, "command": command,
-                "seed": config["seed"], "config": config, **(extra or {})}
+                "config": config, **(extra or {})}
         body = {"columns": header, "rows": rows} if doc is None else doc
         lines = [_json_text({"meta": meta, **body}, indent=2, sort_keys=True)]
     _write_lines(args.out, lines)
@@ -190,6 +194,8 @@ def _resolve(args: argparse.Namespace, settings: dict[str, Setting]) -> dict:
         value = getattr(args, key)
         if value is not None:
             config[key] = value
+    if "seed" in config:  # refused before a command draws, as ProtocolParams refuses it
+        _check_seed(config["seed"])
     return config
 
 
@@ -288,6 +294,7 @@ def _battery_povm(rng: np.random.Generator) -> CheckResult:
 
 
 def cmd_verify(args: argparse.Namespace, config: dict) -> int:
+    extra = {"seed": config["seed"]}
     rng = np.random.default_rng(config["seed"])
     checks = [_battery_equivalent_circuit(rng)]
     checks.extend(_battery_grid(rng))
@@ -299,11 +306,11 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> int:
     exit_code = 0 if ok else 1
     if args.format == "json":
         doc = {"checks": checks, "result": "PASS" if ok else "FAIL", "exit_code": exit_code}
-        _emit(args, "verify", config, None, None, doc)
+        _emit(args, "verify", config, None, None, doc, extra)
         return exit_code
 
     # the text report, which stands for verify's CSV
-    lines = _meta_lines("verify", config)
+    lines = _meta_lines("verify", config, extra)
     width = max(len(c.name) for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -321,6 +328,8 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_download(args: argparse.Namespace, config: dict) -> int:
+    # the draws depend on the block size: name the rule with the seed
+    extra = {"seed": config["seed"], "rng_scheme": f"block-{SHOT_BLOCK}"}
     graph = parse_graph_spec(config["graph"])
     r = db_to_squeezing(config["r_db"])
     params = ProtocolParams(
@@ -347,8 +356,6 @@ def cmd_download(args: argparse.Namespace, config: dict) -> int:
         summary.p_del_analytic,
         summary.mean_kept_fidelity,
     ]
-    # the draws depend on the block size: name the rule with the seed
-    extra = {"rng_scheme": f"block-{SHOT_BLOCK}"}
     _emit(args, "download", config, header, [row], {"summary": summary}, extra)
     return 0
 
@@ -358,7 +365,6 @@ def cmd_download(args: argparse.Namespace, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 _MAX_THRESHOLD_ROWS = 100_000  # dB rows per table; the default range has 15
-_MAX_THRESHOLD_SHOTS = 10_000_000  # Monte Carlo shots per row, at 48 B each about 480 MB
 
 
 def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
@@ -386,10 +392,10 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
     if rails < 1:
         raise ValueError(f"rails must be >= 1, got {rails}")
     shots = config["shots"]
-    if not 0 <= shots <= _MAX_THRESHOLD_SHOTS:
-        raise ValueError(f"shots must lie within [0, {_MAX_THRESHOLD_SHOTS}] (0 turns Monte"
-                         f" Carlo off), got {shots}")
-    rng = np.random.default_rng(config["seed"])
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0 (0 turns Monte Carlo off), got {shots}")
+    # as download's, when a row draws; 0 shots draw nothing, so name no seed
+    extra = {"seed": config["seed"], "rng_scheme": f"block-{SHOT_BLOCK}"} if shots else {}
 
     header = ["db", "r0", "p_del", "p_del_mc", "stderr", "n_rails", "p_vertex"]
     rows = []
@@ -397,10 +403,11 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
     def one_row(db: float) -> list:
         r0 = db_to_squeezing(db)
         p = p_del_analytic(r0)
-        if shots > 0:
-            p_mc, err = p_del_monte_carlo(r0, shots, rng)
-        else:
-            p_mc, err = None, None
+        p_mc = err = None
+        if shots > 0:  # the shots of download --graph path:1 --nbar 0
+            params = ProtocolParams(path_graph(1), SqueezedThermalParams(r0), seed=config["seed"])
+            p_mc = run_download(params, shots, keep_states=False)[1].p_del_empirical
+            err = math.sqrt(p_mc * (1.0 - p_mc) / shots)
         return [db, r0, p, p_mc, err, rails, vertex_disconnect_prob(p, rails)]
 
     for db in db_values:
@@ -408,7 +415,7 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
     for target in _float_list(config, "targets"):
         rows.append(one_row(squeezing_db_for_pdel(target)))
 
-    _emit(args, "thresholds", config, header, rows)
+    _emit(args, "thresholds", config, header, rows, extra=extra)
     return 0
 
 
@@ -497,14 +504,12 @@ COMMANDS = {
         "shots": Setting(int, 0, "Monte Carlo shots per row, 0 disables"),
     }),
     "plan": Command(cmd_plan, "decorrelation recipe for one noise point", {
-        "seed": _SEED,
         "graph": _GRAPH,
         "eps1": Setting(float, 0.01, "photon loss"),
         "eps2": Setting(float, 0.01, "detector inefficiency"),
         "r_prime": Setting(float, 1.0, "hardware squeezing budget (nepers)"),
     }, format="json"),
     "sweep": Command(cmd_sweep, "cartesian planner sweep over noise points", {
-        "seed": _SEED,
         "graph": _GRAPH,
         "eps1": Setting(str, "0,0.01,0.02", "comma list of loss values"),
         "eps2": Setting(str, "0,0.01", "comma list of inefficiency values"),
@@ -516,13 +521,14 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvdownload",
+        allow_abbrev=False,
         description="Simulate and analyze downloading qubit cluster states "
         "from continuous-variable cluster states.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument(
@@ -543,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: The flags that take a value; every other flag is a bool.  argparse reads
 #: ``--r-prime -1e-3`` or ``--db-range -6:0:2`` as two flags, so :func:`main`
 #: joins each of these to the next token, ``--key=value``, which takes any value.
+#: The parsers take no abbreviations, so these are every spelling of a flag.
 _VALUE_FLAGS = {"--config", "--out", "--format"} | {
     "--" + key.replace("_", "-") for command in COMMANDS.values()
     for key, setting in command.settings.items() if setting.type is not bool}

@@ -49,7 +49,6 @@ __all__ = [
     "qubit_given_outcome",
     "p_del_analytic",
     "p_succ_quadrature",
-    "p_del_monte_carlo",
     "dephasing_rate",
     "squeezing_to_db",
     "db_to_squeezing",
@@ -156,23 +155,6 @@ def p_succ_quadrature(r0: float) -> float:
             f"quadrature did not converge (estimate {val!r}, error {err!r})"
         )
     return float(val)
-
-
-def p_del_monte_carlo(
-    r0: float, shots: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte Carlo deletion probability with its binomial standard error.
-
-    Samples outcomes from ``P(q)`` and draws a Bernoulli keep/delete per
-    shot, exactly as the protocol does.  Small shot counts are allowed;
-    the standard error simply reflects them; ``shots`` is checked by
-    :func:`sample_q`.
-    """
-    q = sample_q(r0, shots, rng)
-    deleted = rng.random(shots) >= keep_probability(log_imbalance(q, r0))
-    p_hat = float(np.mean(deleted))
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / shots)
-    return p_hat, stderr
 
 
 def dephasing_rate(sigma2: float) -> float:

@@ -123,6 +123,12 @@ _MAX_QUBIT_SHOTS = 10**8
 MAX_REGISTER_BYTES = 2**30
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that ``SeedSequence`` cannot take: only an integer >= 0 passes."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Full description of one protocol configuration.
@@ -138,6 +144,9 @@ class ProtocolParams:
     graph: Graph
     source: SqueezedThermalParams
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_seed(self.seed)
 
     def mixture(self):
         return mixture_params(self.source)

@@ -17,7 +17,6 @@ from cvdownload.error_model import (
     dephasing_rate,
     log_imbalance,
     p_del_analytic,
-    p_del_monte_carlo,
     p_succ_quadrature,
     qubit_given_outcome,
     squeezing_db_for_pdel,
@@ -42,6 +41,7 @@ from cvdownload.protocol import (
     ProtocolParams,
     downloaded_state_direct,
     downloaded_state_equivalent,
+    run_download,
     sample_outcomes,
 )
 from cvdownload.qubits import (
@@ -127,14 +127,16 @@ def test_c03_equivalent_circuit_theorem():
 
 
 def test_c04_erasure_law():
-    rng = np.random.default_rng(1004)
     t0 = time.perf_counter()
     shots = 100_000
     mc_ok, quad_gap = True, 0.0
     details = []
     for r0 in (0.3, 0.62, 1.0, 1.37):
         expected = p_del_analytic(r0)
-        estimate, stderr = p_del_monte_carlo(r0, shots, rng)
+        # the engine's own erasures: the shots of download --graph path:1 --nbar 0
+        params = ProtocolParams(path_graph(1), SqueezedThermalParams(r0), seed=1004)
+        estimate = run_download(params, shots, keep_states=False)[1].p_del_empirical
+        stderr = math.sqrt(estimate * (1.0 - estimate) / shots)
         mc_ok &= abs(estimate - expected) < 3.0 * stderr
         quad_gap = max(quad_gap, abs(p_succ_quadrature(r0) - (1.0 - expected)))
         details.append(f"r0={r0}: |{estimate:.4f}-{expected:.4f}|<3x{stderr:.1e}")

@@ -42,6 +42,14 @@ def _read_rows(path):
     return meta, header, rows
 
 
+def _exit_code(argv):
+    """``main``'s exit code, where argparse refuses by raising SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestVerify:
     def test_default_passes(self, capsys):
         assert main(["verify", "--seed", "42"]) == 0
@@ -180,22 +188,26 @@ class TestDownload:
         assert doc["summary"]["shots"] == 20
 
     def test_header_names_the_draw_rule(self, capsys, tmp_path):
-        out = tmp_path / "dl.csv"
-        assert main(["download", "--shots", "10", "--seed", "5", "--out", str(out)]) == 0
-        meta, _, _ = _read_rows(out)
-        assert meta[2:4] == ["# seed: 5", "# rng_scheme: block-1024"]
-        assert main(["download", "--shots", "10", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["meta"]["rng_scheme"] == "block-1024"
+        # both commands that draw in blocks of shots
+        for command in ("download", "thresholds"):
+            out = tmp_path / "o.csv"
+            assert main([command, "--shots", "10", "--seed", "5", "--out", str(out)]) == 0
+            meta, _, _ = _read_rows(out)
+            assert meta[2:4] == ["# seed: 5", "# rng_scheme: block-1024"]
+            assert main([command, "--shots", "10", "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["meta"]["rng_scheme"] == "block-1024"
 
     @pytest.mark.parametrize("command", ["thresholds", "plan", "sweep"])
     def test_other_headers_name_no_draw_rule(self, capsys, tmp_path, command):
-        # plan names the layout of its network instead
-        keys = ["command", "seed", *(["network_format"] if command == "plan" else []), "config"]
+        # they draw nothing (thresholds with Monte Carlo off), so they name no
+        # seed either; plan names the layout of its network instead
+        keys = ["command", *(["network_format"] if command == "plan" else []), "config"]
+        argv = [command, *(["--shots", "0"] if command == "thresholds" else [])]
         out = tmp_path / "o.csv"
-        assert main([command, "--format", "csv", "--out", str(out)]) == 0
+        assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
         meta, _, _ = _read_rows(out)
         assert [line[2:].split(":")[0] for line in meta[1:]] == keys
-        assert main([command, "--format", "json"]) == 0
+        assert main([*argv, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert sorted(doc["meta"]) == sorted([*keys, "tool", "version"])
 
@@ -251,6 +263,25 @@ class TestThresholds:
         for row in rows:
             assert abs(float(row[mc]) - float(row[2])) < 4.0 * float(row[err])
 
+    @pytest.mark.parametrize("flags, shots, seed", [
+        (["--db-range", "7:7:1", "--targets", ""], 2500, 3),  # crosses two block edges
+        (["--db-range", "-3:-3:1", "--targets", ""], 1000, 0),  # negative squeezing
+        (["--db-range", "6:6:1", "--targets", "0.249"], 1500, 11),  # a target row
+    ])
+    def test_monte_carlo_column_is_a_one_qubit_download(self, tmp_path, flags, shots, seed):
+        draws = ["--shots", str(shots), "--seed", str(seed)]
+        table, summary = tmp_path / "t.csv", tmp_path / "d.csv"
+        assert main(["thresholds", *flags, *draws, "--out", str(table)]) == 0
+        _, header, rows = _read_rows(table)
+        row = rows[-1]
+        assert main(["download", "--graph", "path:1", "--r-db", row[0], "--nbar", "0",
+                     *draws, "--out", str(summary)]) == 0
+        _, dl_header, dl_rows = _read_rows(summary)
+        p_mc = row[header.index("p_del_mc")]
+        assert p_mc == dl_rows[0][dl_header.index("p_del_emp")]
+        p = float(p_mc)
+        assert float(row[header.index("stderr")]) == math.sqrt(p * (1.0 - p) / shots)
+
     def test_empty_mc_columns_without_shots(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["thresholds", "--db-range", "6:7:1", "--targets", "", "--out", str(out)])
@@ -266,7 +297,7 @@ class TestThresholds:
         assert abs(pv - p**3) < 1e-12
 
     def test_bad_rails_refused_before_the_first_row(self, capsys):
-        # the first row's Monte Carlo alone would draw about 0.7 GB
+        # the first row's Monte Carlo alone would hold 100 MB of shot columns
         tracemalloc.start()
         try:
             code = main(["thresholds", "--rails", "0", "--shots", "10000000"])
@@ -292,7 +323,7 @@ class TestThresholds:
             (["--db-range", "0:1e12:1e-3"], "db_range"),  # 1e15 rows, refused before allocating
             (["--db-range", "0:16:1e-300"], "db_range"),  # beyond what np.arange can size
             (["--db-range", "16:2:1"], "db_range"),  # stop below start: no rows
-            (["--shots", "1000000000000"], "shots"),  # 48 TB of draws, refused before any
+            (["--shots", "1000000000000"], "shots"),  # 10 TB of columns, refused before any
             (["--db-range=-7000:-7000:1"], "db_range"),  # exp(-r0) overflows in p_del
             (["--db-range", "7000:7000:1", "--shots", "10"], "db_range"),  # and exp(r0) in sampling
             (["--rails", "-1"], "rails"),
@@ -590,6 +621,16 @@ class TestConfigHandling:
         else:
             assert out == "" and err.count("\n") == 1 and str(R0_LIMIT) in err
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--r-pr", "-1e-3"], 2),
+        (["--r-pr", "0.5"], 2),  # a prefix is refused whatever its value
+        (["--r-prime", "-1e-3"], 0),
+    ])
+    def test_flags_take_no_abbreviation(self, capsys, flags, code):
+        assert _exit_code(["plan", *flags]) == code
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments: --r-pr" in err) == (code == 2)
+
     def test_config_numbers_and_null_where_allowed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eps1": 0.01, "eps2": 0, "r_prime": 1.0}))
@@ -601,12 +642,34 @@ class TestConfigHandling:
         assert main(["download", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+class TestSeed:
+    @pytest.mark.parametrize("command", ["verify", "download", "thresholds"])
+    def test_negative_seed_refused(self, capsys, command):
+        assert main([command, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cvdownload {command}: seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_commands_that_draw_nothing_take_no_seed(self, tmp_path, capsys, command):
+        assert _exit_code([command, "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"cvdownload {command}: unknown config keys: ['seed']\n"
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_command_writes_both_formats(capsys, command):
-    args = [command, "--seed", "3"]
+    draws = "seed" in COMMANDS[command].settings
+    # thresholds draws, and so names its seed, only with Monte Carlo on
+    args = [command, *(["--seed", "3"] if draws else []),
+            *(["--shots", "10"] if command == "thresholds" else [])]
     assert main([*args, "--format", "json"]) == 0
     doc = _strict_json(capsys.readouterr().out)
-    assert doc["meta"]["command"] == command and doc["meta"]["seed"] == 3
+    assert doc["meta"]["command"] == command
+    assert doc["meta"].get("seed") == (3 if draws else None)
     assert main([*args, "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# cvdownload ") and f"# command: {command}\n" in out
@@ -644,12 +707,14 @@ _PINNED_DIGESTS = [
     (["download", "--graph", "grid2d:3x3", "--shots", "1500", "--nbar", "0.2", "--format", "json"],
      "95ace1548607b208a7433f3032174cda331ce718fda113cf0bbf545d3b572dd1"),
     (["thresholds", "--shots", "1000"],
-     "7f9f9bc6e86cc85d9fcbba22cf08e6f3502a4b5863537443de3628f0e787803f"),
-    (["sweep"], "1204a11eb8ba5128d5c5bcea748463e0646d8fc23c1d2dd82c2a9f5bdc4b6ec2"),
+     "05a360d02e5a28c5e6934ba06e1d8a765049f40c8947811551af31b20077ddc6"),
+    (["thresholds", "--shots", "1000", "--format", "json"],
+     "012a3a7d6d8a8a8a9f5adbc16ec58c3a0362725af4f57067af93a4e16d7f5213"),
+    (["sweep"], "b78a66d20b924798e8fb4df45ea9a7631a9bb2dc26e558e9f047ed58da064311"),
     (["plan", "--graph", "grid2d:3x3"],
-     "da9984d8f62f6d4f7d8d8d6596e3260cacfa34afd95093dee83cf1084c70dcd0"),
+     "100957a34a9dc4e48110ffde59c46444951683639f46ddfaca420b5680a9100c"),
     (["plan", "--graph", "grid2d:3x3", "--format", "csv"],
-     "b3c748793b2476cfed2c4f0dfa6a642add056942cae77581eb7e402a544afb05"),
+     "707cdbafc78ace3e8a9f9d325704231cfdd40ad1f28ed150304ffa927a1f3d56"),
     (["verify", "--seed", "0"],
      "993650b41603876d2eaab6b9839cb37de1c6428bde1437452f04fcd3a343411c"),
     (["verify", "--seed", "0", "--format", "json"],

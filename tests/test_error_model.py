@@ -21,7 +21,6 @@ from cvdownload.error_model import (
     log_imbalance,
     outcome_density,
     p_del_analytic,
-    p_del_monte_carlo,
     p_succ_quadrature,
     qubit_given_outcome,
     sample_q,
@@ -30,6 +29,8 @@ from cvdownload.error_model import (
     vertex_disconnect_prob,
 )
 from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams, mixture_params
+from cvdownload.graphs import path_graph
+from cvdownload.protocol import ProtocolParams, run_download
 from cvdownload.qubits import (
     QubitPureState,
     apply_balancing_povm,
@@ -262,24 +263,21 @@ class TestDeletionProbability:
             expected = 1.0 - p_del_analytic(r0)
             assert abs(p_succ_quadrature(r0) - expected) < 1e-8
 
+    @staticmethod
+    def _engine_rate(r0, shots, seed):
+        """The erasure rate and its stderr as ``run_download`` draws them on one qubit."""
+        params = ProtocolParams(path_graph(1), SqueezedThermalParams(r0), seed=seed)
+        est = run_download(params, shots, keep_states=False)[1].p_del_empirical
+        return est, math.sqrt(est * (1.0 - est) / shots)
+
     def test_monte_carlo_three_sigma(self):
-        rng = np.random.default_rng(77)
-        est, stderr = p_del_monte_carlo(0.5, 100_000, rng)
+        est, stderr = self._engine_rate(0.5, 100_000, 77)
         assert abs(est - p_del_analytic(0.5)) < 3.0 * stderr
 
     def test_monte_carlo_threshold_point(self):
-        rng = np.random.default_rng(78)
-        est, stderr = p_del_monte_carlo(1.372, 100_000, rng)
+        # the fault-tolerance target, good to three digits
+        est, stderr = self._engine_rate(1.372, 100_000, 78)
         assert abs(est - 0.249) < max(3.0 * stderr, 2e-3)
-
-    def test_tiny_shot_count_returns(self):
-        est, stderr = p_del_monte_carlo(0.5, 10, np.random.default_rng(0))
-        assert 0.0 <= est <= 1.0
-        assert stderr > 0.05  # ten shots cannot resolve much
-
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ValueError):
-            p_del_monte_carlo(0.5, 0, np.random.default_rng(0))
 
 
 class TestThresholds:
@@ -359,6 +357,3 @@ def test_vertex_disconnect_prob_refuses_non_integer_rails(n_rails):
 def test_sample_q_refuses_non_integer_shots(shots):
     rng = np.random.default_rng(0)
     assert_refused_before_allocating(lambda: sample_q(0.5, shots, rng), match="^shots must")
-    assert_refused_before_allocating(
-        lambda: p_del_monte_carlo(0.5, shots, rng), match="^shots must"
-    )

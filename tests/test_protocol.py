@@ -430,6 +430,12 @@ class TestRunDownload:
         assert abs(summary.p_del_empirical - expected) < 3.0 * stderr
         assert abs(summary.p_del_analytic - expected) < 1e-15
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_malformed_seed_refused(self, seed):
+        # SeedSequence would refuse these only later, in the run, and not by name
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            _params(path_graph(1), 1.0, 0.0, seed=seed)
+
     def test_summary_bookkeeping(self):
         params = _params(path_graph(2), 0.4, 0.2, seed=8)
         records, summary = run_download(params, 200, keep_states=False)
