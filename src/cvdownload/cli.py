@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-verify      cross-module consistency batteries with a residual report
+verify      four cross-module batteries (equivalent circuit, grid oracle on
+            one and two modes, planner replay) with a residual report
 download    Monte Carlo protocol shots with a summary row; ``--records``
             adds one JSON line per shot: ``q``, ``kept`` and ``bits`` (0/1)
             and ``post_state`` ``{"format": "factored-v2", "coherence": c}``
@@ -22,7 +23,9 @@ line), and ``plan`` names the layout of its network,
 timestamps, so identical inputs give identical files.  Floats print with
 17 significant digits.  A ``thresholds`` row's ``p_del_mc`` is the
 ``p_del_emp`` of ``download --graph path:1 --nbar 0`` at its dB, shots and
-seed, under ``run_download``'s cap of 10^8 qubit-shots (10 bytes each).
+seed, under ``run_download``'s cap of 10^8 qubit-shots (10 bytes each); every
+target and both ``db_range`` ends are checked before the first row.  A
+refusal, a parse error included, is exit 2 and one stderr line.
 
 Every subcommand writes through ``_emit``, as CSV rows or as one JSON
 document; only ``verify``'s CSV is its text report.  JSON writes a result
@@ -51,7 +54,7 @@ from .error_model import (
     squeezing_to_db,
     vertex_disconnect_prob,
 )
-from .gaussian import R0_LIMIT, SqueezedThermalParams
+from .gaussian import SqueezedThermalParams, _check_r0
 from .graphs import Graph, neighbor_phase, parse_graph_spec, path_graph, random_graph
 from .grid import apply_cd_grid, apply_cphase_grid, make_grid_state, measure_q_grid
 from .planner import VERIFY_TOL, NoiseParams, plan, verify_plan
@@ -64,7 +67,7 @@ from .protocol import (
     run_download,
     sample_outcomes,
 )
-from .qubits import apply_rz, balancing_povm_diagonals, trace_distance
+from .qubits import apply_rz, trace_distance
 
 _FLOAT_FMT = ".17g"
 
@@ -284,22 +287,12 @@ def _battery_planner(rng: np.random.Generator, inject_fault: bool) -> CheckResul
     return CheckResult(name, worst, VERIFY_TOL)
 
 
-def _battery_povm(rng: np.random.Generator) -> CheckResult:
-    """Completeness of the balancing POVM across imbalance scales."""
-    worst = 0.0
-    for _ in range(200):
-        keep, delete, _ = balancing_povm_diagonals(rng.uniform(-3.0, 3.0))
-        worst = max(worst, float(np.abs(keep**2 + delete**2 - 1.0).max()))
-    return CheckResult("POVM completeness", worst, 1e-12)
-
-
 def cmd_verify(args: argparse.Namespace, config: dict) -> int:
     extra = {"seed": config["seed"]}
     rng = np.random.default_rng(config["seed"])
     checks = [_battery_equivalent_circuit(rng)]
     checks.extend(_battery_grid(rng))
     checks.append(_battery_planner(rng, config["inject_fault"]))
-    checks.append(_battery_povm(rng))
 
     n_pass = sum(c.passed for c in checks)
     ok = n_pass == len(checks)
@@ -383,22 +376,23 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
         raise ValueError(f"db_range asks for {rows:.6g} rows, above the cap of "
                          f"{_MAX_THRESHOLD_ROWS}")
     db_values = np.arange(start, stop + 1e-9, step)
-    r0_ends = [db_to_squeezing(float(db)) for db in db_values[[0, -1]]]  # r0 grows with dB
-    if max(map(abs, r0_ends)) > R0_LIMIT:
-        raise ValueError(f"db_range runs over r0 = {r0_ends[0]!r} to {r0_ends[1]!r}; each row "
-                         f"needs |r0| <= {R0_LIMIT!r}, as download does, where the deletion "
-                         f"law and its sampling stay in the float range")
+    for db in map(float, db_values[[0, -1]]):  # r0 grows with dB
+        _check_r0(db_to_squeezing(db), f"db_range end {db!r} dB as r0")
     rails = config["rails"]
     if rails < 1:
         raise ValueError(f"rails must be >= 1, got {rails}")
     shots = config["shots"]
     if shots < 0:
         raise ValueError(f"shots must be >= 0 (0 turns Monte Carlo off), got {shots}")
+    targets = _float_list(config, "targets")
+    try:  # every target is inverted before the first row draws
+        target_dbs = [squeezing_db_for_pdel(p) for p in targets]
+    except ValueError as exc:
+        raise ValueError(f"targets: {exc}") from None
     # as download's, when a row draws; 0 shots draw nothing, so name no seed
     extra = {"seed": config["seed"], "rng_scheme": f"block-{SHOT_BLOCK}"} if shots else {}
 
     header = ["db", "r0", "p_del", "p_del_mc", "stderr", "n_rails", "p_vertex"]
-    rows = []
 
     def one_row(db: float) -> list:
         r0 = db_to_squeezing(db)
@@ -410,10 +404,7 @@ def cmd_thresholds(args: argparse.Namespace, config: dict) -> int:
             err = math.sqrt(p_mc * (1.0 - p_mc) / shots)
         return [db, r0, p, p_mc, err, rails, vertex_disconnect_prob(p, rails)]
 
-    for db in db_values:
-        rows.append(one_row(float(db)))
-    for target in _float_list(config, "targets"):
-        rows.append(one_row(squeezing_db_for_pdel(target)))
+    rows = [one_row(float(db)) for db in [*db_values, *target_dbs]]
 
     _emit(args, "thresholds", config, header, rows, extra=extra)
     return 0
@@ -518,8 +509,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each parse error, led by ``prog``, for :func:`main` to report in
+    one line with no usage block; the subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvdownload",
         allow_abbrev=False,
         description="Simulate and analyze downloading qubit cluster states "
@@ -560,12 +559,14 @@ def main(argv: list[str] | None = None) -> int:
     for token in tokens:
         value = next(tokens, None) if token in _VALUE_FLAGS else None
         joined.append(token if value is None else f"{token}={value}")
-    args = build_parser().parse_args(joined)
-    command = COMMANDS[args.command]
+    prefix = ""  # a parse error names its parser's prog itself
     try:
+        args = build_parser().parse_args(joined)
+        prefix = f"cvdownload {args.command}: "
+        command = COMMANDS[args.command]
         return command.run(args, _resolve(args, command.settings))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"cvdownload {args.command}: {exc}", file=sys.stderr)
+        print(f"{prefix}{exc}", file=sys.stderr)
         return 2
 
 

@@ -35,6 +35,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
+from .gaussian import _check_r0
 from .graphs import SQRT_PI, _is_int
 from .qubits import QubitPureState
 
@@ -178,23 +179,19 @@ def db_to_squeezing(db: float) -> float:
     return db * math.log(10.0) / 20.0
 
 
-_R0_BRACKET = (0.0, 10.0)
-
-
 def squeezing_db_for_pdel(p_target: float) -> float:
     """Invert the deletion law: squeezing (dB) that yields ``p_del = p_target``.
 
     ``erf(exp(-r0) sqrt(pi) / 2) = p`` solves in closed form to
-    ``r0 = -log(2 erfinv(p) / sqrt(pi))``.  Targets outside the range
-    that ``r0 in [0, 10]`` achieves are rejected.
+    ``r0 = -log(2 erfinv(p) / sqrt(pi))`` for every ``p`` in (0, 1); a ``p``
+    outside (0, 1), NaN included, is refused, and so is one whose ``r0``
+    lies beyond ``+-R0_LIMIT``: ``p < p_del(R0_LIMIT)``, about 1.3e-154.
     """
-    lo, hi = _R0_BRACKET
-    p_hi, p_lo = p_del_analytic(lo), p_del_analytic(hi)
-    if not p_lo < p_target < p_hi:
-        raise ValueError(
-            f"target {p_target!r} outside achievable range ({p_lo:.3e}, {p_hi:.6f})"
-        )
-    return squeezing_to_db(-math.log(2.0 * float(special.erfinv(p_target)) / SQRT_PI))
+    if not 0.0 < p_target < 1.0:
+        raise ValueError(f"target {p_target!r} is not a deletion probability in (0, 1)")
+    r0 = -math.log(2.0 * float(special.erfinv(p_target)) / SQRT_PI)
+    _check_r0(r0, f"the r0 of target {p_target!r}")
+    return squeezing_to_db(r0)
 
 
 def vertex_disconnect_prob(p_del: float, n_rails: int) -> float:

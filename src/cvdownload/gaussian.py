@@ -15,9 +15,10 @@ planner composes:
   compensating amplification, which adds ``eps2 / (1 - eps2)`` of noise
   to the measured q quadratures only,
 * passive orthogonal (beam-splitter/phase) networks acting identically
-  on q and p blocks,
-* the balanced collective-mode reduction used when the protocol couples
-  one qubit weakly to many redundant rails.
+  on q and p blocks.
+
+:func:`collective_mode_covariance`, the balanced collective-mode reduction
+over redundant rails, is no channel of the planner's: criterion c07 checks it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ R0_LIMIT = 0.5 * math.log(sys.float_info.max / math.pi)
 _SYMMETRY_BLOCK = 1 << 14  # entries per pass of the symmetry check
 
 
+def _check_r0(r0: float, name: str = "r0") -> None:
+    """The one check of the source's squeezing domain, ``|r0| <= R0_LIMIT``
+    (NaN refused), for every module; ``name`` names ``r0`` in the error."""
+    if not abs(r0) <= R0_LIMIT:
+        raise ValueError(f"{name} = {r0!r} must lie within +-R0_LIMIT = {R0_LIMIT!r}, "
+                         f"beyond which the shot loop leaves the float range")
+
+
 @dataclass(frozen=True)
 class SqueezedThermalParams:
     """Per-mode source: squeezing parameter ``r`` and thermal occupation ``nbar``.
@@ -74,17 +83,10 @@ class SqueezedThermalParams:
     nbar: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r):
-            raise ValueError(f"squeezing parameter must be finite, got {self.r}")
+        _check_r0(self.r, "r")
         if not (self.nbar >= 0.0 and math.isfinite(self.nbar)):
             raise ValueError(f"thermal occupation must be >= 0, got {self.nbar}")
-        r0 = self.r + 0.5 * math.log1p(2.0 * self.nbar)
-        if self.r < -R0_LIMIT or r0 > R0_LIMIT:  # r <= r0 always
-            raise ValueError(
-                f"r = {self.r!r} and r0 = r + log(1 + 2 nbar)/2 = {r0!r} must lie "
-                f"within +-{R0_LIMIT!r}, beyond which the shot loop leaves the "
-                f"float range"
-            )
+        _check_r0(self.r + 0.5 * math.log1p(2.0 * self.nbar), "r0 = r + log(1 + 2 nbar)/2")
 
     @property
     def q_variance(self) -> float:
@@ -137,8 +139,9 @@ def _from_blocks(qq: np.ndarray, qp: np.ndarray, pp: np.ndarray) -> GaussianStat
     """The state with these blocks, taken as they are: the caller hands over
     ``qq`` and ``pp`` exactly symmetric (every channel but the passive network
     builds them so) and finite: a state's inputs are tested where it is made,
-    and of the channels only products can overflow (CPHASE's new ``qp`` and
-    ``pp``, the passive network's congruences), so only they pass :func:`_finite`.
+    and of the channels only products can overflow: CPHASE's new ``qp`` and
+    ``pp`` and the passive network's congruences pass :func:`_finite`, and
+    ``verify_plan`` bounds :func:`_rotated_mode_diag_state`'s beforehand.
     Loss maps a finite ``x`` to ``(1 - eps) x + eps / 2``, and detector noise
     adds at most about 9e15, under half an ulp of the largest float."""
     state = object.__new__(GaussianState)
@@ -198,13 +201,13 @@ def _rotated_mode_diag_state(q_vars, p_vars, o: np.ndarray) -> GaussianState:
     """``apply_orthogonal(mode_diag_state(q_vars, p_vars), o)`` bit for bit,
     for an ``o`` orthogonal by construction (a composed network), in two
     GEMMs instead of six: ``O diag(v)`` is ``O * v`` exactly (every other
-    term of its sums is an exact zero), and ``O 0 O^T`` is exactly zero."""
+    term of its sums is an exact zero), and ``O 0 O^T`` is exactly zero.
+    The caller bounds every entry and partial sum (``_replay_log_bound``)."""
     q_vars, p_vars = _mode_variances(q_vars, p_vars)
     n = len(q_vars)
     if o.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {o.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        qq, pp = _finite(*((o * v) @ o.T for v in (q_vars, p_vars)))
+    qq, pp = ((o * v) @ o.T for v in (q_vars, p_vars))
     return _from_blocks(_symmetric_part(qq), np.zeros((n, n)), _symmetric_part(pp))
 
 

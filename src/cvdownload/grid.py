@@ -32,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .error_model import SQRT_PI, squeezed_vacuum_psi
-from .gaussian import R0_LIMIT
+from .gaussian import _check_r0
 from .graphs import _is_int
 from .qubits import DEFAULT_MAX_QUBITS, QubitPureState
 
@@ -146,8 +146,7 @@ def make_grid_state(r0: float, modes: int, k: int = 64) -> HybridGridState:
         raise ValueError(f"grid simulator supports 1 or 2 modes, got {modes!r}")
     if not (_is_int(k) and k >= MIN_CELLS_PER_SHIFT):
         raise ValueError(f"k must be an integer >= {MIN_CELLS_PER_SHIFT}, got {k!r}")
-    if not abs(r0) <= R0_LIMIT:  # NaN fails too
-        raise ValueError(f"r0 = {r0!r} must lie within +-R0_LIMIT = {R0_LIMIT!r}")
+    _check_r0(r0)
     length = required_length(r0)
     dq = SQRT_PI / k
     cells = math.ceil(2.0 * length / dq)  # an exact int, however large

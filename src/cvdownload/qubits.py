@@ -141,7 +141,7 @@ class QubitDensityMatrix:
 
     __slots__ = ("n", "rho")
 
-    def __init__(self, n: int, rho, *, normalize: bool = False):
+    def __init__(self, n: int, rho):
         rho = np.asarray(rho)
         if rho.dtype not in (np.float64, np.complex128):
             rho = rho.astype(complex)
@@ -160,11 +160,7 @@ class QubitDensityMatrix:
                     raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
         rho = np.array(rho, dtype=complex)  # always a fresh copy: never the caller's array
         tr = float(rho.trace().real)
-        if normalize:
-            if not tr > 0.0:
-                raise ValueError("cannot normalize: trace is not positive")
-            rho /= tr
-        elif not abs(tr - 1.0) <= 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace is {tr!r}, expected 1")
         self.n = n
         self.rho = rho

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvdownload import cli
 from cvdownload.cli import COMMANDS, main
 from cvdownload.error_model import amplitude_imbalance, db_to_squeezing, squeezing_to_db
 from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams
@@ -42,14 +43,6 @@ def _read_rows(path):
     return meta, header, rows
 
 
-def _exit_code(argv):
-    """``main``'s exit code, where argparse refuses by raising SystemExit."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 class TestVerify:
     def test_default_passes(self, capsys):
         assert main(["verify", "--seed", "42"]) == 0
@@ -68,7 +61,7 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"] == "PASS" and doc["exit_code"] == 0
         assert doc["meta"]["command"] == "verify" and doc["meta"]["seed"] == 42
-        assert len(doc["checks"]) == 5
+        assert len(doc["checks"]) == 4
         for check in doc["checks"]:
             assert set(check) == {"name", "residual", "threshold", "passed"}
             assert check["passed"] is True
@@ -85,6 +78,7 @@ class TestVerify:
     def test_text_report_is_the_default(self, capsys):
         main(["verify", "--seed", "42"])
         default = capsys.readouterr().out
+        assert default.endswith("\nRESULT: PASS (4/4 checks)\n")
         main(["verify", "--seed", "42", "--format", "csv"])
         assert capsys.readouterr().out == default
 
@@ -243,6 +237,32 @@ class TestThresholds:
         assert abs(p_dels[-2] - 0.249) < 1e-9
         assert abs(dbs[-1] - 5.4) < 0.05
         assert abs(p_dels[-1] - 0.5) < 1e-9
+
+    def test_targets_across_the_whole_domain(self, tmp_path):
+        # above p_del(r0 = 0) = 0.79 and at 100 dB: inverted in closed form
+        out = tmp_path / "t.csv"
+        assert main(["thresholds", "--db-range", "6:6:1", "--targets", "0.85,1e-5",
+                     "--out", str(out)]) == 0
+        _, _, rows = _read_rows(out)
+        assert [float(r[2]) for r in rows[1:]] == pytest.approx([0.85, 1e-5], rel=1e-12)
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--targets", "0.5,1e-160"], "targets"),  # r0 = 368, beyond R0_LIMIT
+        (["--targets", "0.5,1"], "targets"),
+        (["--targets", "0.5,nan"], "targets"),
+        (["--targets", "-0.1"], "targets"),
+        (["--db-range", "2:3100:1"], "db_range"),  # r0 = 357 at the last row
+        (["--db-range=-3100:0:1"], "db_range"),
+    ])
+    def test_out_of_range_refused_before_any_draw(self, monkeypatch, capsys, flags, key):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("thresholds drew before refusing")
+
+        monkeypatch.setattr(cli, "run_download", no_draw)
+        assert main(["thresholds", "--shots", "100", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"cvdownload thresholds: {key}")
 
     def test_p_del_monotone_in_db(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -627,7 +647,7 @@ class TestConfigHandling:
         (["--r-prime", "-1e-3"], 0),
     ])
     def test_flags_take_no_abbreviation(self, capsys, flags, code):
-        assert _exit_code(["plan", *flags]) == code
+        assert main(["plan", *flags]) == code
         err = capsys.readouterr().err
         assert ("unrecognized arguments: --r-pr" in err) == (code == 2)
 
@@ -652,7 +672,7 @@ class TestSeed:
 
     @pytest.mark.parametrize("command", ["plan", "sweep"])
     def test_commands_that_draw_nothing_take_no_seed(self, tmp_path, capsys, command):
-        assert _exit_code([command, "--seed", "1"]) == 2
+        assert main([command, "--seed", "1"]) == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1}))
@@ -673,6 +693,27 @@ def test_every_command_writes_both_formats(capsys, command):
     assert main([*args, "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# cvdownload ") and f"# command: {command}\n" in out
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["thresholds", "--seed", "1.5"],
+     "cvdownload thresholds: argument --seed: invalid int value: '1.5'"),
+    (["download", "--format", "xml"], "cvdownload download: argument --format: invalid choice: "
+     "'xml' (choose from 'json', 'csv')"),
+    (["plan", "--r-pr", "0.5"], "cvdownload: unrecognized arguments: --r-pr 0.5"),
+    (["plan", "--r-prime"], "cvdownload plan: argument --r-prime: expected one argument"),
+], ids=["int-type", "choice", "abbreviation", "missing-value"])
+def test_parse_error_is_one_line(capsys, argv, line):
+    # no usage block: one line, as every other refusal
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_version_prints_and_exits(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{cli.__version__}\n"
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -716,9 +757,9 @@ _PINNED_DIGESTS = [
     (["plan", "--graph", "grid2d:3x3", "--format", "csv"],
      "707cdbafc78ace3e8a9f9d325704231cfdd40ad1f28ed150304ffa927a1f3d56"),
     (["verify", "--seed", "0"],
-     "993650b41603876d2eaab6b9839cb37de1c6428bde1437452f04fcd3a343411c"),
+     "04a05e094187de6863e20766c794d99d92329c39c01439aedcb5a0ceb97ce579"),
     (["verify", "--seed", "0", "--format", "json"],
-     "3b2b0d2fa2a890fc6ebf8bf31017a8e5c8beeeea008dbd757ed8ee0e28bec15d"),
+     "b34c9009b22fc99c959ed88363ea48014b9491285fa6b2c149277989d909c0f3"),
     # no shot keeps all 100 qubits, so mean_kept_fidelity is NaN, written as null
     (["download", "--graph", "grid2d:10x10", "--format", "json"],
      "ff035e5d58666993650fba05a92f376e1cd8c49a145fcc0eae38e13c9f9307b5"),

@@ -1,6 +1,7 @@
 """Single-qubit error laws: conditional states, erasure, dephasing, thresholds."""
 
 import math
+import re
 import sys
 import warnings
 from decimal import Decimal, localcontext
@@ -285,17 +286,24 @@ class TestThresholds:
         assert abs(squeezing_db_for_pdel(0.249) - 11.9) < 0.05
         assert abs(squeezing_db_for_pdel(0.50) - 5.4) < 0.05
 
-    def test_round_trip_inversion(self):
-        targets = np.linspace(0.02, 0.7, 100)
-        for p in targets:
-            db = squeezing_db_for_pdel(float(p))
-            assert abs(p_del_analytic(db_to_squeezing(db)) - p) < 1e-9
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(p_del_analytic(R0_LIMIT), 1.0, exclude_max=True))
+    @example(0.95)  # -3.884 dB: below r0 = 0
+    @example(1e-5)  # 100 dB
+    @example(1e-150)
+    def test_round_trip_inversion(self, p):
+        db = squeezing_db_for_pdel(p)
+        assert abs(p_del_analytic(db_to_squeezing(db)) - p) <= 1e-12 * p
 
     def test_out_of_range_targets(self):
-        with pytest.raises(ValueError):
-            squeezing_db_for_pdel(0.0)
-        with pytest.raises(ValueError):
-            squeezing_db_for_pdel(0.95)  # above the r0=0 ceiling
+        # the closed form inverts every p in (0, 1) whose r0 is within
+        # +-R0_LIMIT: 0.95 (r0 < 0) is accepted, and 1e-160 (r0 = 368) refused
+        assert abs(squeezing_db_for_pdel(0.95) - -3.884) < 1e-3
+        for p in (0.0, 1.0, math.nan, -0.1, 1.5, math.inf):
+            with pytest.raises(ValueError, match=r"^target .* is not a deletion probability"):
+                squeezing_db_for_pdel(p)
+        with pytest.raises(ValueError, match=re.escape(repr(R0_LIMIT))):
+            squeezing_db_for_pdel(1e-160)
 
     def test_db_conversions(self):
         assert abs(squeezing_to_db(db_to_squeezing(7.3)) - 7.3) < 1e-12

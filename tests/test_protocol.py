@@ -251,7 +251,7 @@ def _direct_with_hamming_tensor(params, q):
     if sigma2 > 0.0:
         hamming = np.abs(bits[:, None, :] - bits[None, :, :]).sum(axis=-1)
         rho = rho * np.exp(-0.5 * math.pi * sigma2 * hamming)
-    return QubitDensityMatrix(n, rho, normalize=True)
+    return QubitDensityMatrix(n, rho / rho.trace().real)
 
 
 class TestDirectStateMemory:

@@ -127,10 +127,13 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             QubitPureState(1, np.full(2, np.nan), normalize=normalize)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_nan_density_matrix_rejected(self, normalize):
+    @pytest.mark.parametrize("one_entry", [False, True])
+    def test_nan_density_matrix_rejected(self, one_entry):
+        rho = np.full((2, 2), np.nan)
+        if one_entry:  # a NaN on the diagonal alone: its own mirror
+            rho = np.diag([np.nan, 1.0])
         with pytest.raises(ValueError):
-            QubitDensityMatrix(1, np.full((2, 2), np.nan), normalize=normalize)
+            QubitDensityMatrix(1, rho)
 
     def test_nan_in_the_last_hermiticity_block_rejected(self):
         # n = 10 is checked in tile pairs of 128 x 128; a NaN pair off the
@@ -181,12 +184,15 @@ class TestStateTypes:
         assert np.array_equal(state.rho, np.asarray(rho, dtype=complex))
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_stored_matrix_is_a_complex_copy(self, dtype, normalize):
+    @pytest.mark.parametrize("readonly", [False, True])
+    def test_stored_matrix_is_a_complex_copy(self, dtype, readonly):
+        # a read-only input, such as a run's columns, gives a writable copy too
         rho = np.eye(2**9, dtype=dtype) / 2**9
-        state = QubitDensityMatrix(9, rho, normalize=normalize)
-        assert state.rho.dtype == np.complex128
+        rho.flags.writeable = not readonly
+        state = QubitDensityMatrix(9, rho)
+        assert state.rho.dtype == np.complex128 and state.rho.flags.writeable
         assert not np.shares_memory(state.rho, rho)
+        rho.flags.writeable = True
         rho[0, 0] = 7.0
         assert state.rho[0, 0] == 1.0 / 2**9
 
@@ -194,7 +200,7 @@ class TestStateTypes:
         rho = np.eye(2**10, dtype=complex) / 2**10
         tracemalloc.start()
         try:
-            QubitDensityMatrix(10, rho, normalize=True)
+            QubitDensityMatrix(10, rho)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -452,9 +458,9 @@ class TestBalancingPovm:
         assert big.collapsed_bit == 1
 
     def test_completeness_thousand_gammas(self, rng):
-        gammas = rng.uniform(0.01, 5.0, size=1000)
-        for gamma in gammas:
-            keep, delete, _ = balancing_povm_diagonals(math.log(gamma))
+        # l = log gamma over [-5, 5], and the basis-state POVMs at l = +-inf
+        for ell in [*rng.uniform(-5.0, 5.0, size=1000), -math.inf, math.inf]:
+            keep, delete, _ = balancing_povm_diagonals(ell)
             total = np.abs(keep) ** 2 + np.abs(delete) ** 2
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
