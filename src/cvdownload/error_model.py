@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .gaussian import _check_r0
 from .graphs import SQRT_PI, _is_int
@@ -134,7 +134,10 @@ def p_succ_quadrature(r0: float) -> float:
     Exists as an independent cross-check of the closed form
     ``erfc(exp(-r0) sqrt(pi) / 2)``; the integrand is smooth and the
     adaptive quadrature is pushed well below the comparison tolerance.
+    ``scipy.integrate`` (and the ``scipy.optimize`` it loads) is imported
+    here, so ``import cvdownload`` loads neither.
     """
+    from scipy import integrate
 
     def integrand(q: float) -> float:
         return float(

@@ -46,7 +46,12 @@ to coherence ``c = 1 - 2 p_phi``, a deleted qubit is its basis state
 fidelity ``(1 - p_phi)^n`` to the cluster state, which the summary
 reports without a register, and :func:`register_from_outcomes` is the
 one dense builder; the gate-by-gate route (the equivalent circuit
-followed by one forced POVM per qubit) is its oracle in the tests.
+followed by one forced POVM per qubit) is its oracle in the tests.  It
+writes only the register's support, the block of basis states that agree
+with every deleted bit: there the register is the kept subgraph's state
+in a known Z frame (the Pauli-Z rule of Hein, Eisert and Briegel, PRA 69,
+062311), and everywhere else it is exactly zero, so a shot with ``d``
+deletions costs ``4^(n-d)`` products, not ``4^n``.
 """
 
 from __future__ import annotations
@@ -241,10 +246,10 @@ def downloaded_state_equivalent(
     return rho
 
 
-#: A qubit's factor by its ``(kept, bit)`` entries, as an index into
-#: ``(kept, |0><0|, |1><1|)``: a kept qubit ignores its bit.
-_FACTOR_BY_ENTRIES = {(1, 0): 0, (1, 1): 0, (0, 0): 1, (0, 1): 2}
-_BASIS_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # |0><0|, |1><1|
+#: A qubit's collapse bit by its ``(kept, bit)`` entries, ``None`` for a kept
+#: qubit, which ignores its bit.
+_COLLAPSE_BIT = {(1, 0): None, (1, 1): None, (0, 0): 0, (0, 1): 1}
+_ALL = slice(None)
 
 
 def register_from_outcomes(graph: Graph, coherence: float, kept, bits) -> QubitDensityMatrix:
@@ -258,37 +263,74 @@ def register_from_outcomes(graph: Graph, coherence: float, kept, bits) -> QubitD
     ``kept`` and ``bits`` are one shot's rows, a NumPy row or the list a
     JSON record gives: exactly one 0/1 entry per vertex each (bools
     included), and a kept qubit ignores its bit.  ``coherence`` is finite
-    and within [-1, 1].  Any other input is refused before the register is
-    allocated.  The register is exactly Hermitian with unit trace by
-    construction (real factors of trace 1 under a two-sided +-1 diagonal),
-    so it is stored without a float test.
+    and within [-1, 1].  Any other input is refused, naming the lowest bad
+    outcome, before the register is allocated.
+
+    Only the support is written: the ``2^k x 2^k`` block (``k`` kept
+    qubits) of basis states that agree with every deleted bit, reached as
+    a view of the register's rows and columns as axes, most significant
+    qubit first (a deleted qubit fixed at its bit, a run of adjacent lower
+    kept qubits merged into one axis).  There each entry is the kept
+    factors' real product under the CZ signs, as in the full product;
+    every other entry is an exact +0.0.  So a shot with ``d`` deletions
+    costs ``4^(n-d)`` products and one zero fill, not ``4^n`` products,
+    and an all-kept shot writes every entry once.  The product is
+    symmetric, the signs are exactly ``+-1`` and the zeros are exact, so
+    the register is exactly Hermitian with unit trace, and it is stored
+    without a float test.
     """
     if not -1.0 <= coherence <= 1.0:  # NaN fails too
         raise ValueError(f"coherence must be finite and within [-1, 1], got {coherence!r}")
-    if len(kept) != graph.n or len(bits) != graph.n:
-        raise ValueError(f"expected {graph.n} outcomes, one per vertex, got {len(kept)} kept"
+    n = graph.n
+    if len(kept) != n or len(bits) != n:
+        raise ValueError(f"expected {n} outcomes, one per vertex, got {len(kept)} kept"
                          f" and {len(bits)} bits")
-    choices = (np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]]), *_BASIS_PROJECTORS)
-    factors = []
+    collapsed = []
     for i, entries in enumerate(zip(kept, bits)):
         try:  # a nested row's entries are unhashable
-            factors.append(choices[_FACTOR_BY_ENTRIES[entries]])
+            collapsed.append(_COLLAPSE_BIT[entries])
         except (KeyError, TypeError):
             raise ValueError(f"outcome {i} must be a kept flag and a bit, each 0 or 1,"
                              f" got {entries!r}") from None
-    # the lower n - 1 factors' real product, then the top qubit's four blocks
-    # written into the complex register with the CZ signs on the way
-    phases = graph_phases(graph)
-    low = _tensor_product(factors[:-1], np.ones((1, 1)))
-    top, half = factors[-1], len(low)
-    rho = np.empty((2 * half, 2 * half), dtype=complex)
+    # the rows as axes, most significant qubit first, and the support's place
+    # on each: a deleted qubit's bit, the top kept qubit's axis (set per
+    # block below), or all of a run of lower kept qubits
+    axes, support, top = [], [], None
+    for bit in reversed(collapsed):
+        if bit is None and top is None:
+            top = len(axes)
+        elif bit is None and support[-1] is _ALL:
+            axes[-1] *= 2  # a lower kept qubit joins the run above it
+            continue
+        elif bit is None:
+            bit = _ALL
+        axes.append(2)
+        support.append(bit)
+    k = collapsed.count(None)
+    rho = (np.empty if k == n else np.zeros)((2**n, 2**n), dtype=complex)
+    view = rho.reshape(axes * 2)
+    if k == 0:  # every qubit deleted: one basis state, sign s * s = 1
+        view[tuple(support * 2)] = 1.0
+        return _from_exact(n, rho)
+    # the lower k - 1 kept factors' real product, then the top kept qubit's
+    # four blocks, signed on both sides in the real scratch and copied into
+    # the support (as fast as one multiply straight into the strided complex
+    # view, measured at n = 9 and 10)
+    phases = graph_phases(graph).reshape(axes)
+    factor = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
+    low = _tensor_product([factor] * (k - 1), np.ones((1, 1)))
     tmp = np.empty_like(low)
-    halves = (slice(0, half), slice(half, None))
-    for r, rows in enumerate(halves):
-        for c, cols in enumerate(halves):
-            np.multiply(low, top[r, c] * phases[rows, None], out=tmp)
-            np.multiply(tmp, phases[cols], out=rho[rows, cols])
-    return _from_exact(graph.n, rho)
+    blocks = []  # per top bit, the support's index on the rows and its CZ signs
+    for r in range(2):
+        support[top] = slice(r, r + 1)  # a slice keeps a one-entry block an array
+        blocks.append((tuple(support), phases[tuple(support)]))
+    for r, (rows, s_rows) in enumerate(blocks):
+        for c, (cols, s_cols) in enumerate(blocks):
+            np.multiply(low, factor[r, c] * s_rows.reshape(-1, 1), out=tmp)
+            np.multiply(tmp, s_cols.reshape(1, -1), out=tmp)
+            block = view[rows + cols]
+            np.copyto(block, tmp.reshape(block.shape))
+    return _from_exact(n, rho)
 
 
 @dataclass(frozen=True)

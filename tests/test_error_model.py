@@ -1,10 +1,13 @@
 """Single-qubit error laws: conditional states, erasure, dephasing, thresholds."""
 
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +266,19 @@ class TestDeletionProbability:
         for r0 in (0.0, 0.5, 1.0):
             expected = 1.0 - p_del_analytic(r0)
             assert abs(p_succ_quadrature(r0) - expected) < 1e-8
+
+    def test_import_leaves_the_quadrature_modules_unloaded(self):
+        # only the quadrature oracle uses scipy.integrate, which loads
+        # scipy.optimize too: a fresh interpreter shows what importing costs
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import sys, cvdownload; "
+                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
 
     @staticmethod
     def _engine_rate(r0, shots, seed):

@@ -57,8 +57,9 @@ from cvdownload.protocol import (
 from cvdownload.qubits import (
     DEFAULT_MAX_QUBITS,
     QubitDensityMatrix,
-    apply_balancing_povm,
+    _bits,
     _tensor_product,
+    apply_balancing_povm,
     cluster_state,
     fidelity,
     graph_phases,
@@ -504,8 +505,11 @@ class TestOnePassRegister:
     @given(small_graphs(n_max=8), st.floats(-1.0, 1.0), st.data())
     def test_register_is_exactly_hermitian_and_unchanged(self, graph, coherence, data):
         # the register is stored with no float test, so these identities hold
-        # exactly; its entries are the product's times the +-1 CZ signs, built
-        # here as a complex copy of a fresh product and both sign passes
+        # exactly.  On the support (the basis states that agree with every
+        # deleted bit) its entries are the full product's times the +-1 CZ
+        # signs, built here as a complex copy of a fresh product and both sign
+        # passes; off it every entry is +0.0, whatever sign the product's
+        # zero has there
         row = st.lists(st.integers(0, 1), min_size=graph.n, max_size=graph.n)
         kept, bits = data.draw(row), data.draw(row)
         rows = (kept, bits)  # a JSON line's lists, or a run's bool rows
@@ -514,19 +518,87 @@ class TestOnePassRegister:
         rho = register_from_outcomes(graph, coherence, *rows).rho
         assert np.array_equal(rho, rho.conj().T)
         assert rho.trace() == 1.0
-        kept_factor = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
-        factors = [kept_factor if k else np.diag([1.0 - b, float(b)]) for k, b in zip(kept, bits)]
-        expected = _tensor_product(factors, np.ones((1, 1)))
-        phases = graph_phases(graph)
-        expected = expected * phases[:, None]
-        expected *= phases
-        expected = np.array(expected, dtype=complex)
         assert rho.dtype == np.complex128
-        assert rho.tobytes() == expected.tobytes()
+        expected = _full_product_register(graph, coherence, kept, bits)
+        support = np.ones(2**graph.n, dtype=bool)
+        for site, (k, b) in enumerate(zip(kept, bits)):
+            if not k:
+                support &= _bits(graph.n)[:, site] == b
+        on = np.ix_(support, support)
+        assert rho[on].tobytes() == expected[on].tobytes()
+        off = rho[~np.outer(support, support)]
+        assert not np.any(off)
+        assert not np.any(np.signbit(off.real)) and not np.any(np.signbit(off.imag))
+        # an all-kept register is the full product, byte for byte
+        everything = [1] * graph.n
+        again = register_from_outcomes(graph, coherence, everything, bits).rho
+        assert again.tobytes() == _full_product_register(graph, coherence, everything, bits).tobytes()
         # a kept qubit ignores its bit
         flipped = [b ^ k for k, b in zip(kept, bits)]
         again = register_from_outcomes(graph, coherence, kept, flipped).rho
         assert again.tobytes() == rho.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(n_max=8), st.floats(-1.0, 1.0), st.data())
+    def test_support_is_the_kept_subgraph_in_a_z_frame(self, graph, coherence, data):
+        # Pauli-Z rule (Hein, Eisert and Briegel, PRA 69, 062311): measuring
+        # Z on a vertex j with outcome b_j leaves the rest the graph state of
+        # G minus j, with Z^(b_j) on each of j's neighbours.  So the support
+        # block is the kept subgraph's register, conjugated by Z^(sum of the
+        # deleted neighbours' bits) on each kept qubit, exactly (+-1 signs)
+        row = st.lists(st.integers(0, 1), min_size=graph.n, max_size=graph.n)
+        kept, bits = data.draw(row), data.draw(row)
+        rho = register_from_outcomes(graph, coherence, kept, bits).rho
+        keep = [i for i in range(graph.n) if kept[i]]
+        gone = [i for i in range(graph.n) if not kept[i]]
+        support = sum(bits[j] << j for j in gone) + _bits(len(keep)) @ (1 << np.array(keep, dtype=int))
+        block = rho[np.ix_(support, support)]
+        if not keep:  # every qubit deleted: the one basis state
+            assert block.tobytes() == np.ones((1, 1), dtype=complex).tobytes()
+            return
+        label = {v: a for a, v in enumerate(keep)}
+        sub = Graph(len(keep), tuple((label[i], label[j]) for i, j in graph.edges
+                                     if kept[i] and kept[j]))
+        flips = np.zeros(len(keep), dtype=int)  # Z frame of each kept qubit
+        for i, j in graph.edges:
+            for a, b in ((i, j), (j, i)):
+                if kept[a] and not kept[b]:
+                    flips[label[a]] ^= bits[b]
+        z = np.where(_bits(len(keep)) @ flips % 2 == 1, -1.0, 1.0)
+        expected = register_from_outcomes(sub, coherence, [1] * len(keep), [0] * len(keep)).rho
+        assert not np.any(expected.imag)  # so the Z frame signs the real part alone
+        expected = expected.real * z[:, None]
+        expected *= z
+        assert block.tobytes() == expected.astype(complex).tobytes()
+
+    @pytest.mark.parametrize("kept, bound", [([1] * 10, 1.26), ([1] * 9 + [0], 1.07),
+                                             ([0, 1] * 5, 1.07), ([0] * 10, 1.07)])
+    def test_register_allocates_little_beyond_itself(self, kept, bound):
+        # the register (16 4^n bytes), the lower kept factors' real product
+        # and one scratch of its size: 1.25x when every qubit is kept, and
+        # with a deletion the product is at most a sixteenth of the register
+        graph = grid2d_graph(2, 5)
+        graph_phases(graph)  # cached per graph, as in a run
+        tracemalloc.start()
+        try:
+            state = register_from_outcomes(graph, 0.8, kept, [1, 0] * 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.rho.nbytes == 16 * 4**10
+        assert peak <= bound * state.rho.nbytes
+
+
+def _full_product_register(graph, coherence, kept, bits):
+    """The register as the full little-endian product of every qubit's factor
+    (a deleted one ``|b><b|``), times both sides' CZ signs, as a complex copy."""
+    kept_factor = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
+    factors = [kept_factor if k else np.diag([1.0 - b, float(b)]) for k, b in zip(kept, bits)]
+    expected = _tensor_product(factors, np.ones((1, 1)))
+    phases = graph_phases(graph)
+    expected = expected * phases[:, None]
+    expected *= phases
+    return np.array(expected, dtype=complex)
 
 
 _PATH3_KEPT = ([1, 1, 1], [0, 0, 0])
