@@ -130,12 +130,10 @@ class NoiseParams:
             raise ValueError(f"eps1 must be in [0, 1), got {self.eps1}")
         if not 0.0 <= self.eps2 < 1.0:
             raise ValueError(f"eps2 must be in [0, 1), got {self.eps2}")
-        if not math.isfinite(self.r_prime):
-            raise ValueError(f"r_prime must be finite, got {self.r_prime}")
-        if abs(self.r_prime) > R_PRIME_LIMIT:
+        if not abs(self.r_prime) <= R_PRIME_LIMIT:  # NaN fails too
             raise ValueError(
-                f"|r_prime| must be at most {R_PRIME_LIMIT!r}, where exp(+-2 r_prime) "
-                f"leaves the float range; got {self.r_prime}"
+                f"|r_prime| must be at most R_PRIME_LIMIT = {R_PRIME_LIMIT!r}, beyond which "
+                f"exp(+-2 r_prime) leaves the float range; got {self.r_prime}"
             )
 
     @property

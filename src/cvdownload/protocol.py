@@ -264,7 +264,8 @@ def register_from_outcomes(graph: Graph, coherence: float, kept, bits) -> QubitD
     JSON record gives: exactly one 0/1 entry per vertex each (bools
     included), and a kept qubit ignores its bit.  ``coherence`` is finite
     and within [-1, 1].  Any other input is refused, naming the lowest bad
-    outcome, before the register is allocated.
+    outcome, and so is a graph above the dense cap, before the register is
+    allocated.
 
     Only the support is written: the ``2^k x 2^k`` block (``k`` kept
     qubits) of basis states that agree with every deleted bit, reached as
@@ -307,6 +308,7 @@ def register_from_outcomes(graph: Graph, coherence: float, kept, bits) -> QubitD
         axes.append(2)
         support.append(bit)
     k = collapsed.count(None)
+    phases = graph_phases(graph).reshape(axes)  # the dense cap, before the register
     rho = (np.empty if k == n else np.zeros)((2**n, 2**n), dtype=complex)
     view = rho.reshape(axes * 2)
     if k == 0:  # every qubit deleted: one basis state, sign s * s = 1
@@ -316,7 +318,6 @@ def register_from_outcomes(graph: Graph, coherence: float, kept, bits) -> QubitD
     # four blocks, signed on both sides in the real scratch and copied into
     # the support (as fast as one multiply straight into the strided complex
     # view, measured at n = 9 and 10)
-    phases = graph_phases(graph).reshape(axes)
     factor = np.array([[0.5, 0.5 * coherence], [0.5 * coherence, 0.5]])
     low = _tensor_product([factor] * (k - 1), np.ones((1, 1)))
     tmp = np.empty_like(low)

@@ -16,12 +16,16 @@ Conventions
 * State comparisons are phase-insensitive throughout (fidelity, overlap
   magnitude, trace distance); raw amplitude equality is never asserted.
 
-Everything is dense, so every entry point that builds a register refuses
-more than ``DEFAULT_MAX_QUBITS`` qubits before it allocates anything.  Float
-checks run only on input from outside (``QubitPureState(n, amps)``,
-``QubitDensityMatrix(n, rho)``): a gate builds its result exactly Hermitian,
-with norm or trace 1 up to rounding, and stores it through
-:func:`_from_exact` or :func:`_pure_from_exact` with no float test.
+There is one builder per state: :func:`cluster_state` (an edgeless
+``Graph(n)`` gives ``|+>^n``), ``QubitPureState(n, amps)`` for any other
+vector, and :func:`dm_tensor` for products.  Everything is dense, so every
+entry point that builds a register, the two checked constructors included,
+refuses more than ``DEFAULT_MAX_QUBITS`` qubits before it allocates
+anything.  Float checks run only on input from outside
+(``QubitPureState(n, amps)``, ``QubitDensityMatrix(n, rho)``): a gate
+builds its result exactly Hermitian, with norm or trace 1 up to rounding,
+and stores it through :func:`_from_exact` or :func:`_pure_from_exact` with
+no float test.
 """
 
 from __future__ import annotations
@@ -38,15 +42,12 @@ __all__ = [
     "DEFAULT_MAX_QUBITS",
     "QubitPureState",
     "QubitDensityMatrix",
-    "plus_state",
-    "basis_state",
     "cluster_state",
     "graph_phases",
     "apply_rz",
     "apply_x",
     "apply_z",
     "inner",
-    "tensor",
     "dm_tensor",
     "dm_apply_cz",
     "apply_dephasing",
@@ -116,6 +117,7 @@ class QubitPureState:
     __slots__ = ("n", "amps")
 
     def __init__(self, n: int, amps, *, normalize: bool = False):
+        _check_dense_size(n)  # before the copy, and before density_matrix() squares it
         amps = np.array(amps, dtype=complex)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes, got shape {amps.shape}")
@@ -142,6 +144,7 @@ class QubitDensityMatrix:
     __slots__ = ("n", "rho")
 
     def __init__(self, n: int, rho):
+        _check_dense_size(n)
         rho = np.asarray(rho)
         if rho.dtype not in (np.float64, np.complex128):
             rho = rho.astype(complex)
@@ -192,29 +195,6 @@ def _pure_from_exact(n: int, amps: np.ndarray) -> QubitPureState:
 # state preparation
 # ---------------------------------------------------------------------------
 
-def plus_state(n: int) -> QubitPureState:
-    """Product state ``|+>^n``."""
-    _check_dense_size(n)
-    return _pure_from_exact(n, np.full(2**n, 2 ** (-n / 2)))
-
-
-def basis_state(n: int, bits) -> QubitPureState:
-    """Computational basis state.  ``bits`` is an index or a bit sequence."""
-    _check_dense_size(n)
-    if np.isscalar(bits):
-        if not (0 <= bits < 2**n and bits == int(bits)):  # NaN and inf fail too
-            raise ValueError(f"basis index must be an integer in [0, 2^{n}), got {bits!r}")
-        index = int(bits)
-    else:
-        bits = list(bits)
-        if len(bits) != n or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"expected {n} bits, each 0 or 1, got {bits!r}")
-        index = sum(int(b) << i for i, b in enumerate(bits))
-    amps = np.zeros(2**n)
-    amps[index] = 1.0
-    return _pure_from_exact(n, amps)
-
-
 @lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def graph_phases(graph: Graph) -> np.ndarray:
     """Diagonal ``s(b) = prod_edges (-1)^(b_i b_j)`` of the CZ entangling layer.
@@ -237,7 +217,7 @@ def cluster_state(graph: Graph) -> QubitPureState:
     """Graph state ``prod_edges CZ_ij |+>^n``.
 
     Every amplitude has modulus ``2**(-n/2)``; the edge set only toggles
-    signs ``(-1)**(b_i b_j)``.
+    signs ``(-1)**(b_i b_j)``, so an edgeless ``Graph(n)`` gives ``|+>^n``.
     """
     return _pure_from_exact(graph.n, 2 ** (-graph.n / 2) * graph_phases(graph))
 
@@ -273,20 +253,16 @@ def inner(a: QubitPureState, b: QubitPureState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def tensor(states: list[QubitPureState]) -> QubitPureState:
-    """Tensor product with qubit 0 of ``states[0]`` as the least significant bit."""
-    amps = _tensor_product([s.amps[None, :] for s in states], np.ones((1, 1), dtype=complex))
-    return _pure_from_exact(sum(s.n for s in states), amps[0])
-
-
 # ---------------------------------------------------------------------------
 # density-matrix operations
 # ---------------------------------------------------------------------------
 
 def dm_tensor(dms: list[QubitDensityMatrix]) -> QubitDensityMatrix:
-    """Tensor product, same bit ordering as :func:`tensor`."""
+    """Tensor product with qubit 0 of ``dms[0]`` as the least significant bit."""
+    n = sum(d.n for d in dms)
+    _check_dense_size(n)
     rho = _tensor_product([d.rho for d in dms], np.ones((1, 1), dtype=complex))
-    return _from_exact(sum(d.n for d in dms), rho)
+    return _from_exact(n, rho)
 
 
 def dm_apply_cz(rho: QubitDensityMatrix, i: int, j: int) -> QubitDensityMatrix:

@@ -33,14 +33,14 @@ from cvdownload.error_model import (
     vertex_disconnect_prob,
 )
 from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams, mixture_params
-from cvdownload.graphs import path_graph
+from cvdownload.graphs import Graph, path_graph
 from cvdownload.protocol import ProtocolParams, run_download
 from cvdownload.qubits import (
     QubitPureState,
     apply_balancing_povm,
     balancing_povm_diagonals,
+    cluster_state,
     fidelity,
-    plus_state,
 )
 
 
@@ -56,7 +56,7 @@ def _integrated_cdf(r0, lo, hi, points=20001):
 class TestConditionalState:
     def test_symmetry_point_is_plus(self):
         psi = qubit_given_outcome(SQRT_PI / 2.0, 0.7)
-        assert fidelity(psi, plus_state(1)) > 1.0 - 1e-14
+        assert fidelity(psi, cluster_state(Graph(1))) > 1.0 - 1e-14
 
     def test_amplitude_ratio_at_origin(self):
         # q=0, r0=0: amplitudes proportional to (1, e^{-pi/2})
@@ -67,7 +67,7 @@ class TestConditionalState:
     def test_large_squeezing_approaches_plus(self, rng):
         for q in rng.uniform(-1.0, 1.0 + SQRT_PI, size=10):
             psi = qubit_given_outcome(float(q), 8.0)
-            assert fidelity(psi, plus_state(1)) > 1.0 - 1e-6
+            assert fidelity(psi, cluster_state(Graph(1))) > 1.0 - 1e-6
 
     def test_extreme_outcomes_stay_normalized(self):
         for q in (-50.0, 55.0):
@@ -97,7 +97,7 @@ class TestConditionalState:
             psi = qubit_given_outcome(q, r0)
             ell = float(log_imbalance(q, r0))
             res = apply_balancing_povm(psi.density_matrix(), 0, ell, force="keep")
-            assert fidelity(plus_state(1), res.state) > 1.0 - 1e-12
+            assert fidelity(cluster_state(Graph(1)), res.state) > 1.0 - 1e-12
 
 
 class TestOutcomeLaw:

@@ -529,3 +529,21 @@ class TestMixtureParams:
                 [0.0, 2.0 * mp.sigma2]
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: GaussianState(2, np.eye(3)), r"^expected a 4x4 covariance, got \(3, 3\)$"),
+        (lambda: mode_diag_state([0.5, 0.5], [0.5]), r"^q_vars and p_vars must be 1-D with equal length$"),
+        (lambda: mode_diag_state(np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+         r"^q_vars and p_vars must be 1-D with equal length$"),
+        (lambda: apply_detector_noise(vacuum(2), 1.0), r"^detector inefficiency must be in \[0, 1\), got 1.0$"),
+        (lambda: apply_detector_noise(vacuum(2), -0.1), r"^detector inefficiency must be in \[0, 1\), got -0.1$"),
+        (lambda: apply_detector_noise(vacuum(2), math.nan), r"^detector inefficiency must be in \[0, 1\), got nan$"),
+        (lambda: apply_orthogonal(vacuum(2), np.eye(3)), r"^expected a 2x2 matrix, got \(3, 3\)$"),
+    ],
+)
+def test_refusals_name_their_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -468,3 +468,18 @@ class TestEdgeCap:
     def test_bad_sizes_still_named_by_their_builder(self):
         with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
             parse_graph_spec("grid2d:-1000000x-1000000")
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: random_graph(3, 1.5, np.random.default_rng(0)), r"^edge probability must be in \[0, 1\], got 1.5$"),
+        (lambda: random_graph(3, -0.1, np.random.default_rng(0)), r"^edge probability must be in \[0, 1\], got -0.1$"),
+        (lambda: random_graph(3, math.nan, np.random.default_rng(0)), r"^edge probability must be in \[0, 1\], got nan$"),
+        (lambda: graph_from_json([3, [[0, 1]]]), r"^graph JSON must be an object, got list$"),
+        (lambda: parse_graph_spec("path4"), r"^graph spec 'path4' is neither a file nor of the form kind:size$"),
+    ],
+)
+def test_refusals_name_their_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

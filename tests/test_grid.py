@@ -472,3 +472,17 @@ class TestAllocation:
 def test_non_integer_sizes_refused(value):
     assert_refused_before_allocating(lambda: make_grid_state(0.5, 1, k=value), match="^k must")
     assert_refused_before_allocating(lambda: make_grid_state(0.5, value), match="^grid simulator")
+
+
+@pytest.mark.parametrize(
+    "modes, mode, match",
+    [
+        (1, 1, r"^mode 1 out of range for 1 modes$"),
+        (1, -1, r"^mode -1 out of range for 1 modes$"),
+        (2, 2, r"^mode 2 out of range for 2 modes$"),
+    ],
+)
+def test_refusals_name_their_input(modes, mode, match):
+    state = make_grid_state(0.5, modes, k=16)
+    with pytest.raises(ValueError, match=match):
+        mode_marginal(state, mode)

@@ -91,8 +91,9 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(eps1=0.0, eps2=1.0, r_prime=1.0)
 
-    @pytest.mark.parametrize("r_prime", [356.0, -400.0, 1e6, -1e6])
+    @pytest.mark.parametrize("r_prime", [356.0, -400.0, 1e6, -1e6, math.nan, math.inf, -math.inf])
     def test_refuses_r_prime_beyond_float_range(self, r_prime):
+        # one comparison holds the domain: NaN and +-inf fail it too
         with pytest.raises(ValueError, match=repr(R_PRIME_LIMIT)):
             NoiseParams(0.01, 0.01, r_prime)
 
@@ -1126,3 +1127,15 @@ class TestModeCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cvdownload plan: the planner takes at most")
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: givens_network(np.eye(3)[:2]), r"^expected a square matrix, got \(2, 3\)$"),
+        (lambda: givens_network(np.eye(3)[:, :2]), r"^expected a square matrix, got \(3, 2\)$"),
+    ],
+)
+def test_refusals_name_their_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

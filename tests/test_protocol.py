@@ -588,6 +588,15 @@ class TestOnePassRegister:
         assert state.rho.nbytes == 16 * 4**10
         assert peak <= bound * state.rho.nbytes
 
+    @pytest.mark.parametrize("n", [13, 20])
+    @pytest.mark.parametrize("deleted", [0, 1, "all"])
+    def test_register_refuses_past_the_cap_before_allocating(self, n, deleted):
+        # the dense cap comes before the register: at n = 20 a 16 TiB one
+        deleted = n if deleted == "all" else deleted
+        graph = path_graph(n)
+        kept = [0] * deleted + [1] * (n - deleted)
+        assert_refused_before_allocating(lambda: register_from_outcomes(graph, 0.8, kept, [1] * n))
+
 
 def _full_product_register(graph, coherence, kept, bits):
     """The register as the full little-endian product of every qubit's factor
@@ -1056,3 +1065,17 @@ class TestRunRefusals:
                 run_download(params, 4)
         one_shot = _params(path_graph(9), 1.0, 0.0)  # the largest single-shot benchmark run
         assert run_download(one_shot, 1)[0][0].post_state.n == 9
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: downloaded_state_equivalent(_params(path_graph(3), 1.0, 0.0), np.zeros(2)),
+         r"^expected 3 outcomes, got shape \(2,\)$"),
+        (lambda: downloaded_state_equivalent(_params(path_graph(3), 1.0, 0.0), np.zeros((3, 1))),
+         r"^expected 3 outcomes, got shape \(3, 1\)$"),
+    ],
+)
+def test_refusals_name_their_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

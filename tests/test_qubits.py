@@ -23,17 +23,14 @@ from cvdownload.qubits import (
     apply_x,
     apply_z,
     balancing_povm_diagonals,
-    basis_state,
     cluster_state,
     dm_apply_cz,
     dm_tensor,
     fidelity,
     graph_phases,
     inner,
-    plus_state,
     postprocessing_equivalence,
     stabilizer_residual,
-    tensor,
     trace_distance,
 )
 
@@ -43,14 +40,18 @@ EPS = np.finfo(float).eps
 
 @st.composite
 def _engine_pure_states(draw, n_max=5):
-    """A state the engine built: |+>^n, a basis state or a cluster state,
-    then up to eight RZ (any angle in [-1000, 1000]), X and Z gates."""
+    """A state the engine built: |+>^n (the edgeless graph's cluster state),
+    a basis state or a cluster state, then up to eight RZ (any angle in
+    [-1000, 1000]), X and Z gates."""
     start = draw(st.sampled_from(["plus", "basis", "cluster"]))
     if start == "cluster":
         psi = cluster_state(draw(small_graphs(n_max=n_max)))
     else:
         n = draw(st.integers(1, n_max))
-        psi = plus_state(n) if start == "plus" else basis_state(n, draw(st.integers(0, 2**n - 1)))
+        if start == "plus":
+            psi = cluster_state(Graph(n))
+        else:
+            psi = QubitPureState(n, np.eye(1, 2**n, draw(st.integers(0, 2**n - 1)))[0])
     gates = st.tuples(st.sampled_from("rxz"), st.integers(0, psi.n - 1), st.floats(-1e3, 1e3))
     for gate, site, theta in draw(st.lists(gates, max_size=8)):
         if gate == "r":
@@ -228,7 +229,7 @@ class TestStateTypes:
         assert peak <= 1.1 * rho.nbytes  # the register plus tiles; was 2.1x
 
     def test_purity_of_pure_projector(self):
-        rho = plus_state(2).density_matrix()
+        rho = cluster_state(Graph(2)).density_matrix()
         assert abs(rho.purity() - 1.0) < 1e-12
 
     def test_wrong_length_rejected(self):
@@ -241,12 +242,11 @@ class TestExactByConstruction:
     properties that make the tests unneeded, over engine-built inputs."""
 
     @settings(max_examples=120, deadline=None)
-    @given(_engine_pure_states(), _engine_pure_states(n_max=2))
-    def test_pure_gates_keep_unit_norm(self, psi, other):
-        for state in (psi, tensor([psi, other])):
-            assert state.amps.dtype == np.complex128
-            assert abs(np.linalg.norm(state.amps) - 1.0) <= 8 * EPS
-            QubitPureState(state.n, state.amps)  # the checked constructor agrees
+    @given(_engine_pure_states())
+    def test_pure_gates_keep_unit_norm(self, psi):
+        assert psi.amps.dtype == np.complex128
+        assert abs(np.linalg.norm(psi.amps) - 1.0) <= 8 * EPS
+        QubitPureState(psi.n, psi.amps)  # the checked constructor agrees
 
     @settings(max_examples=150, deadline=None)
     @given(_engine_registers())
@@ -270,7 +270,7 @@ class TestExactByConstruction:
     def test_non_finite_angle_refused(self):
         for theta in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="rotation angle must be finite"):
-                apply_rz(plus_state(2), 0, theta)
+                apply_rz(cluster_state(Graph(2)), 0, theta)
 
     @settings(max_examples=60, deadline=None)
     @given(_engine_pure_states(n_max=4), st.floats(2e-12, 1.0), st.data())
@@ -302,7 +302,7 @@ class TestExactByConstruction:
 class TestClusterStates:
     def test_single_vertex_is_plus(self):
         psi = cluster_state(path_graph(1))
-        assert fidelity(psi, plus_state(1)) > 1.0 - 1e-14
+        assert fidelity(psi, cluster_state(Graph(1))) > 1.0 - 1e-14
 
     def test_two_vertex_amplitudes(self):
         psi = cluster_state(path_graph(2))
@@ -323,10 +323,15 @@ class TestClusterStates:
 
     def test_qubit_cap(self):
         graph = path_graph(13)
-        assert_refused_before_allocating(lambda: plus_state(13))
-        assert_refused_before_allocating(lambda: basis_state(13, 0))
         assert_refused_before_allocating(lambda: cluster_state(graph))
         assert_refused_before_allocating(lambda: graph_phases(graph))
+        part = cluster_state(Graph(7)).density_matrix()  # two make a 4^14 * 16 B = 4.3 GB product
+        assert_refused_before_allocating(lambda: dm_tensor([part, part]))
+        # the checked constructors refuse before their copies of 128 KB and 1 GB
+        # (the matrix is given as a broadcast view, which holds no bytes)
+        amps = np.zeros(2**13)
+        assert_refused_before_allocating(lambda: QubitPureState(13, amps))
+        assert_refused_before_allocating(lambda: QubitDensityMatrix(13, np.broadcast_to(0.0, (2**13, 2**13))))
 
     def test_graph_phases_are_built_once_and_read_only(self):
         graph = cycle_graph(5)
@@ -347,7 +352,7 @@ class TestStabilizers:
 
     def test_all_zeros_residual_sqrt2(self):
         g = Graph(3, ())
-        psi = basis_state(3, 0)
+        psi = QubitPureState(3, np.eye(1, 8, 0)[0])
         assert abs(stabilizer_residual(psi, g, 1) - math.sqrt(2.0)) < 1e-12
 
     def test_generic_state_has_positive_residual(self, rng):
@@ -365,49 +370,25 @@ class TestGates:
         # R_Z(theta) = e^{-i Z theta/2} leaves a relative phase e^{+i theta}
         # on |1> against |0>.
         theta = 0.7
-        psi = apply_rz(plus_state(1), 0, theta)
+        psi = apply_rz(cluster_state(Graph(1)), 0, theta)
         ratio = psi.amps[1] / psi.amps[0]
         assert abs(ratio - np.exp(1j * theta)) < 1e-12
 
     def test_x_and_z_on_basis_states(self):
-        one = apply_x(basis_state(1, 0), 0)
+        one = apply_x(QubitPureState(1, [1.0, 0.0]), 0)
         assert np.allclose(one.amps, [0.0, 1.0])
         flipped = apply_z(one, 0)
         assert np.allclose(flipped.amps, [0.0, -1.0])
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_x(plus_state(2), 2)
-
-    def test_basis_state_index_and_bits(self):
-        # bit i of the sequence is qubit i, the little-endian index bit i
-        assert np.argmax(np.abs(basis_state(2, 2).amps)) == 2
-        assert np.argmax(np.abs(basis_state(2, np.int64(3)).amps)) == 3
-        assert np.argmax(np.abs(basis_state(2, [0, 1]).amps)) == 2
-        assert np.argmax(np.abs(basis_state(3, np.array([1, 0, 1])).amps)) == 5
-
-    @pytest.mark.parametrize(
-        "bits, match",
-        [
-            (-1, "index"),  # used to wrap around to |11>
-            (4, "index"),  # used to raise IndexError
-            (2.5, "index"),  # used to truncate to 2
-            (math.inf, "index"),
-            (math.nan, "index"),
-            ([2, 0], "bits"),  # used to give index 2
-            ([1, 1, 1], "bits"),  # used to raise IndexError
-            ([1], "bits"),
-            ([0.5, 0], "bits"),
-        ],
-    )
-    def test_basis_state_refuses_unrepresentable(self, bits, match):
-        with pytest.raises(ValueError, match=match):
-            basis_state(2, bits)
+            apply_x(cluster_state(Graph(2)), 2)
 
     def test_tensor_little_endian(self):
         # qubit 0 of the product is the first factor's qubit 0
-        psi = tensor([basis_state(1, 1), basis_state(1, 0)])
-        assert np.argmax(np.abs(psi.amps)) == 1
+        one, zero = (QubitPureState(1, amps).density_matrix() for amps in ([0.0, 1.0], [1.0, 0.0]))
+        rho = dm_tensor([one, zero])
+        assert np.argmax(rho.rho.diagonal().real) == 1
 
 
 class TestBalancingPovm:
@@ -416,14 +397,14 @@ class TestBalancingPovm:
         psi = QubitPureState(1, np.array([1.0, gamma]), normalize=True)
         res = apply_balancing_povm(psi.density_matrix(), 0, math.log(gamma), force="keep")
         assert abs(res.probability - 0.4) < 1e-12
-        assert fidelity(plus_state(1), res.state) > 1.0 - 1e-12
+        assert fidelity(cluster_state(Graph(1)), res.state) > 1.0 - 1e-12
 
     def test_keep_probability_gamma_two(self):
         gamma = 2.0
         psi = QubitPureState(1, np.array([1.0, gamma]), normalize=True)
         res = apply_balancing_povm(psi.density_matrix(), 0, math.log(gamma), force="keep")
         assert abs(res.probability - 2.0 / (1.0 + gamma**2)) < 1e-12
-        assert fidelity(plus_state(1), res.state) > 1.0 - 1e-12
+        assert fidelity(cluster_state(Graph(1)), res.state) > 1.0 - 1e-12
 
     def test_gamma_one_always_keeps(self, rng):
         rho = _random_pure(1, rng).density_matrix()
@@ -453,7 +434,7 @@ class TestBalancingPovm:
         psi = QubitPureState(1, np.array([1.0, gamma]), normalize=True)
         res = apply_balancing_povm(psi.density_matrix(), 0, math.log(gamma), force="delete")
         assert res.collapsed_bit == 0
-        assert fidelity(basis_state(1, 0), res.state) > 1.0 - 1e-12
+        assert fidelity(QubitPureState(1, [1.0, 0.0]), res.state) > 1.0 - 1e-12
         big = apply_balancing_povm(psi.density_matrix(), 0, math.log(2.0), force="delete")
         assert big.collapsed_bit == 1
 
@@ -484,7 +465,7 @@ class TestBalancingPovm:
             res = apply_balancing_povm(rho, 0, ell, force="delete")
             assert res.collapsed_bit == bit
             assert res.probability == rho.rho[bit, bit].real
-            assert np.array_equal(res.state.rho, basis_state(1, bit).density_matrix().rho)
+            assert np.array_equal(res.state.rho, QubitPureState(1, np.eye(1, 2, bit)[0]).density_matrix().rho)
 
     def test_commutes_with_dephasing(self, rng):
         # Both channels are diagonal in Z, so order cannot matter.
@@ -506,15 +487,15 @@ class TestDephasing:
         assert trace_distance(apply_dephasing(rho, 0, 0.0), rho) < 1e-14
 
     def test_half_rate_kills_coherence(self):
-        rho = apply_dephasing(plus_state(1).density_matrix(), 0, 0.5)
+        rho = apply_dephasing(cluster_state(Graph(1)).density_matrix(), 0, 0.5)
         assert np.allclose(rho.rho, np.eye(2) / 2.0, atol=1e-14)
 
     def test_off_diagonal_scaling(self):
-        rho = apply_dephasing(plus_state(1).density_matrix(), 0, 0.1)
+        rho = apply_dephasing(cluster_state(Graph(1)).density_matrix(), 0, 0.1)
         assert abs(rho.rho[0, 1] - 0.4) < 1e-14
 
     def test_rate_validation(self):
-        rho = plus_state(1).density_matrix()
+        rho = cluster_state(Graph(1)).density_matrix()
         with pytest.raises(ValueError):
             apply_dephasing(rho, 0, 0.6)
         with pytest.raises(ValueError):
@@ -532,10 +513,10 @@ class TestMetrics:
         assert abs(fidelity(psi, psi) - 1.0) < 1e-12
 
     def test_fidelity_orthogonal(self):
-        assert fidelity(basis_state(1, 0), basis_state(1, 1)) < 1e-14
+        assert fidelity(QubitPureState(1, [1.0, 0.0]), QubitPureState(1, [0.0, 1.0])) < 1e-14
 
     def test_fidelity_plus_zero(self):
-        assert abs(fidelity(plus_state(1), basis_state(1, 0)) - 0.5) < 1e-12
+        assert abs(fidelity(cluster_state(Graph(1)), QubitPureState(1, [1.0, 0.0])) - 0.5) < 1e-12
 
     def test_fidelity_pure_mixed_consistency(self, rng):
         psi = _random_pure(2, rng)
@@ -552,13 +533,14 @@ class TestMetrics:
         assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-10
 
     def test_trace_distance_extremes(self):
-        assert trace_distance(basis_state(1, 0).density_matrix(), basis_state(1, 1).density_matrix()) > 1.0 - 1e-12
-        psi = plus_state(2).density_matrix()
+        zero, one = (QubitPureState(1, amps).density_matrix() for amps in ([1.0, 0.0], [0.0, 1.0]))
+        assert trace_distance(zero, one) > 1.0 - 1e-12
+        psi = cluster_state(Graph(2)).density_matrix()
         assert trace_distance(psi, psi) < 1e-14
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity(plus_state(1), plus_state(2))
+            fidelity(cluster_state(Graph(1)), cluster_state(Graph(2)))
 
 
 class TestDensityOps:
@@ -566,7 +548,7 @@ class TestDensityOps:
         a = _random_pure(1, rng)
         b = _random_pure(2, rng)
         lhs = dm_tensor([a.density_matrix(), b.density_matrix()])
-        rhs = tensor([a, b]).density_matrix()
+        rhs = QubitPureState(3, np.kron(b.amps, a.amps)).density_matrix()  # a on the low bit
         assert trace_distance(lhs, rhs) < 1e-12
 
     def test_dm_apply_cz_matches_pure(self, rng):
@@ -633,3 +615,21 @@ class TestPostprocessing:
             lambda: postprocessing_equivalence(g, [value, 1, 2], np.zeros(3)), match="^l must"
         )
         assert postprocessing_equivalence(g, [2.0, 1.0, -3.0], np.zeros(3)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: QubitDensityMatrix(1, np.eye(4) / 4), r"^expected a 2x2 matrix, got \(4, 4\)$"),
+        (lambda: QubitDensityMatrix(2, np.ones(4) / 4), r"^expected a 4x4 matrix, got \(4,\)$"),
+        (lambda: dm_apply_cz(cluster_state(Graph(2)).density_matrix(), 1, 1),
+         r"^CZ needs two distinct qubits$"),
+        (lambda: postprocessing_equivalence(path_graph(3), [0, 0], np.zeros(3)),
+         r"^l and mu must each have one entry per vertex$"),
+        (lambda: postprocessing_equivalence(path_graph(3), [0, 0, 0], np.zeros(4)),
+         r"^l and mu must each have one entry per vertex$"),
+    ],
+)
+def test_refusals_name_their_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
