@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-verify      four cross-module batteries (equivalent circuit, grid oracle on
-            one and two modes, planner replay) with a residual report
+verify      the paper's ten acceptance criteria (``criteria.CRITERIA``) at
+            small sizes, one residual row each (two each for c06 and c08)
 download    Monte Carlo protocol shots with a summary row; ``--records``
             adds one JSON line per shot: ``q``, ``kept`` and ``bits`` (0/1)
             and ``post_state`` ``{"format": "factored-v2", "coherence": c}``
@@ -40,34 +40,24 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .criteria import run_criteria
 from .error_model import (
     db_to_squeezing,
     p_del_analytic,
-    qubit_given_outcome,
     squeezing_db_for_pdel,
     squeezing_to_db,
     vertex_disconnect_prob,
 )
 from .gaussian import SqueezedThermalParams, _check_r0
-from .graphs import Graph, neighbor_phase, parse_graph_spec, path_graph, random_graph
-from .grid import apply_cd_grid, apply_cphase_grid, make_grid_state, measure_q_grid
+from .graphs import Graph, parse_graph_spec, path_graph
 from .planner import VERIFY_TOL, NoiseParams, plan, verify_plan
-from .protocol import (
-    SHOT_BLOCK,
-    ProtocolParams,
-    _check_seed,
-    downloaded_state_direct,
-    downloaded_state_equivalent,
-    run_download,
-    sample_outcomes,
-)
-from .qubits import apply_rz, trace_distance
+from .protocol import SHOT_BLOCK, ProtocolParams, _check_seed, run_download
 
 _FLOAT_FMT = ".17g"
 
@@ -213,86 +203,9 @@ def _float_list(config: dict, key: str) -> list[float]:
 # verify
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    residual: float
-    threshold: float
-    passed: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.passed = bool(self.residual < self.threshold)
-
-
-def _battery_equivalent_circuit(rng: np.random.Generator) -> CheckResult:
-    """Direct and commuted constructions of the downloaded register agree."""
-    worst = 0.0
-    for _ in range(24):
-        graph = random_graph(int(rng.integers(2, 5)), 0.5, rng)
-        source = SqueezedThermalParams(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
-        params = ProtocolParams(graph, source)
-        q = sample_outcomes(params, rng)
-        dist = trace_distance(
-            downloaded_state_direct(params, q),
-            downloaded_state_equivalent(params, q),
-        )
-        worst = max(worst, dist)
-    return CheckResult("equivalent-circuit trace distance", worst, 1e-10)
-
-
-def _battery_grid(rng: np.random.Generator) -> list[CheckResult]:
-    """Grid simulator versus analytic conditional states."""
-    worst1 = 0.0
-    state1 = apply_cd_grid(make_grid_state(1.0, 1, k=32), 0)
-    for _ in range(20):
-        q, qubit = measure_q_grid(state1, rng)
-        worst1 = max(
-            worst1, trace_distance(qubit, qubit_given_outcome(float(q[0]), 1.0))
-        )
-
-    graph = path_graph(2)
-    params = ProtocolParams(graph, SqueezedThermalParams(0.6))
-    state2 = make_grid_state(0.6, 2, k=16)
-    apply_cphase_grid(state2)
-    apply_cd_grid(state2, 0)
-    apply_cd_grid(state2, 1)
-    worst2 = 0.0
-    for _ in range(5):
-        q, qubit = measure_q_grid(state2, rng)
-        phi = neighbor_phase(graph, q)
-        for site in range(2):
-            qubit = apply_rz(qubit, site, float(phi[site]))
-        worst2 = max(worst2, trace_distance(qubit, downloaded_state_direct(params, q)))
-    return [
-        CheckResult("grid oracle, one mode", worst1, 1e-6),
-        CheckResult("grid oracle, two modes", worst2, 1e-4),
-    ]
-
-
-def _battery_planner(rng: np.random.Generator, inject_fault: bool) -> CheckResult:
-    """Forward replay of random plans through the Gaussian channel engine."""
-    worst = 0.0
-    for _ in range(8):
-        graph = random_graph(int(rng.integers(2, 6)), 0.6, rng)
-        noise = NoiseParams(
-            rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05), rng.uniform(0.3, 1.5)
-        )
-        p = plan(graph, noise)
-        if inject_fault:
-            p = replace(p, g_prime=p.g_prime + 1e-3)
-        worst = max(worst, verify_plan(p, graph, noise))
-    name = "planner forward verification"
-    if inject_fault:
-        name += " (fault injected)"
-    return CheckResult(name, worst, VERIFY_TOL)
-
-
 def cmd_verify(args: argparse.Namespace, config: dict) -> int:
     extra = {"seed": config["seed"]}
-    rng = np.random.default_rng(config["seed"])
-    checks = [_battery_equivalent_circuit(rng)]
-    checks.extend(_battery_grid(rng))
-    checks.append(_battery_planner(rng, config["inject_fault"]))
+    checks = run_criteria(np.random.default_rng(config["seed"]), config["inject_fault"])
 
     n_pass = sum(c.passed for c in checks)
     ok = n_pass == len(checks)
@@ -475,9 +388,9 @@ _GRAPH = Setting(str, "path:3", "graph spec or JSON file")
 #: Each subcommand and its keys.  A key ``a_b`` is the flag ``--a-b`` and
 #: the config-file key ``a_b``.
 COMMANDS = {
-    "verify": Command(cmd_verify, "run cross-module consistency batteries", {
+    "verify": Command(cmd_verify, "run the ten acceptance criteria at small sizes", {
         "seed": _SEED,
-        "inject_fault": Setting(bool, False, None),  # proves the batteries can fail
+        "inject_fault": Setting(bool, False, None),  # proves the planner replay row can fail
     }),
     "download": Command(cmd_download, "Monte Carlo protocol run", {
         "seed": _SEED,

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .gaussian import _check_r0
 from .graphs import SQRT_PI, _is_int
@@ -189,7 +188,10 @@ def squeezing_db_for_pdel(p_target: float) -> float:
     ``r0 = -log(2 erfinv(p) / sqrt(pi))`` for every ``p`` in (0, 1); a ``p``
     outside (0, 1), NaN included, is refused, and so is one whose ``r0``
     lies beyond ``+-R0_LIMIT``: ``p < p_del(R0_LIMIT)``, about 1.3e-154.
+    ``scipy.special`` is imported here, so ``import cvdownload`` does not load it.
     """
+    from scipy import special
+
     if not 0.0 < p_target < 1.0:
         raise ValueError(f"target {p_target!r} is not a deletion probability in (0, 1)")
     r0 = -math.log(2.0 * float(special.erfinv(p_target)) / SQRT_PI)
@@ -198,9 +200,14 @@ def squeezing_db_for_pdel(p_target: float) -> float:
 
 
 def vertex_disconnect_prob(p_del: float, n_rails: int) -> float:
-    """Probability that all ``n_rails`` redundant rails of a vertex delete."""
+    """Probability that all ``n_rails`` redundant rails of a vertex delete.
+
+    Any ``n_rails`` is taken, also one beyond the float range: ``p_del**n``
+    for ``n >= 2**64`` is exactly 0.0 for every float ``p_del < 1`` (at most
+    ``exp(-2**64 / 2**53)``), and 1.0 at ``p_del == 1``.
+    """
     if not 0.0 <= p_del <= 1.0:
         raise ValueError(f"p_del must be in [0, 1], got {p_del}")
     if not (_is_int(n_rails) and n_rails >= 1):
         raise ValueError(f"n_rails must be an integer >= 1, got {n_rails!r}")
-    return float(p_del**n_rails)
+    return float(p_del ** min(n_rails, 2**64))

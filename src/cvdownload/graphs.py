@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Graph",
@@ -275,6 +274,9 @@ def a_squared_spectrum(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     The ordering matters downstream: the decorrelation planner assigns
     its principal (least-corrected) mode to the first column.
     """
+    # imported here, so ``import cvdownload`` does not load scipy.sparse.csgraph
+    from scipy.sparse.csgraph import connected_components
+
     a2 = _adjacency_square(graph)
     vals = np.empty(graph.n)
     vecs = np.zeros((graph.n, graph.n))

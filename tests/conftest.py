@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cvdownload import graphs, planner, qubits
-from cvdownload.graphs import Graph, random_graph
+from cvdownload.graphs import Graph
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -33,12 +33,6 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     m = rng.normal(size=(n, n))
     q, r = np.linalg.qr(m)
     return q * np.sign(np.diag(r))
-
-
-def random_test_graph(rng: np.random.Generator, n_max: int = 4, n_min: int = 1) -> Graph:
-    """A small random graph for property loops (may be edgeless)."""
-    n = int(rng.integers(n_min, n_max + 1))
-    return random_graph(n, 0.6, rng)
 
 
 def dense_adjacency(graph: Graph) -> np.ndarray:

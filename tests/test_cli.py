@@ -1,5 +1,6 @@
 """Command-line front end: determinism, schemas, config precedence."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvdownload import cli
+from cvdownload import cli, criteria
 from cvdownload.cli import COMMANDS, main
 from cvdownload.error_model import amplitude_imbalance, db_to_squeezing, squeezing_to_db
 from cvdownload.gaussian import R0_LIMIT, SqueezedThermalParams
@@ -43,6 +44,17 @@ def _read_rows(path):
     return meta, header, rows
 
 
+#: ``verify``'s rows, in ``CRITERIA`` order, each led by its criterion's key.
+_VERIFY_ROWS = [
+    "c01 dB gap to the 11.9 and 5.4 dB figures", "c02 all-kept fidelity deficit",
+    "c03 equivalent-circuit trace distance", "c04 erasure law z-score",
+    "c05 dephasing law z-score", "c06 planner forward verification",
+    "c06 first-order plan order shortfall", "c07 collective-mode covariance deviation",
+    "c08 grid oracle, one mode", "c08 grid oracle, two modes",
+    "c09 post-processing equivalence deviation", "c10 stabilizer residual",
+]
+
+
 class TestVerify:
     def test_default_passes(self, capsys):
         assert main(["verify", "--seed", "42"]) == 0
@@ -61,24 +73,37 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"] == "PASS" and doc["exit_code"] == 0
         assert doc["meta"]["command"] == "verify" and doc["meta"]["seed"] == 42
-        assert len(doc["checks"]) == 4
+        assert [check["name"] for check in doc["checks"]] == _VERIFY_ROWS
         for check in doc["checks"]:
             assert set(check) == {"name", "residual", "threshold", "passed"}
             assert check["passed"] is True
             assert check["residual"] < check["threshold"]
 
+    def test_rows_are_the_criteria_rows(self, capsys):
+        # every criterion of the table, at its verify sizes, from one generator
+        assert main(["verify", "--seed", "42", "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert list(criteria.CRITERIA) == [f"c{k:02d}" for k in range(1, 11)]
+        rng = np.random.default_rng(42)
+        rows = [{**dataclasses.asdict(row), "name": f"{key} {row.name}"}
+                for key, (check, sizes) in criteria.CRITERIA.items() for row in check(rng, **sizes)]
+        assert checks == rows
+
     def test_json_report_of_injected_fault(self, capsys):
         assert main(["verify", "--seed", "42", "--format", "json", "--inject-fault"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"] == "FAIL" and doc["exit_code"] == 1
+        assert [c["name"] for c in doc["checks"]] == [
+            name + " (fault injected)" if name == "c06 planner forward verification" else name
+            for name in _VERIFY_ROWS]
         failed = [c for c in doc["checks"] if not c["passed"]]
-        assert [c["name"] for c in failed] == ["planner forward verification (fault injected)"]
+        assert [c["name"] for c in failed] == ["c06 planner forward verification (fault injected)"]
         assert failed[0]["residual"] >= failed[0]["threshold"]
 
     def test_text_report_is_the_default(self, capsys):
         main(["verify", "--seed", "42"])
         default = capsys.readouterr().out
-        assert default.endswith("\nRESULT: PASS (4/4 checks)\n")
+        assert default.endswith(f"\nRESULT: PASS ({len(_VERIFY_ROWS)}/{len(_VERIFY_ROWS)} checks)\n")
         main(["verify", "--seed", "42", "--format", "csv"])
         assert capsys.readouterr().out == default
 
@@ -315,6 +340,17 @@ class TestThresholds:
         p = float(rows[0][header.index("p_del")])
         pv = float(rows[0][header.index("p_vertex")])
         assert abs(pv - p**3) < 1e-12
+
+    def test_rails_beyond_the_float_range(self, tmp_path, capsys):
+        # a 400-digit rail count raised OverflowError out of the first row
+        out = tmp_path / "t.csv"
+        rails = "9" * 400
+        assert main(["thresholds", "--db-range", "6:6:1", "--targets", "", "--rails", rails,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, header, rows = _read_rows(out)
+        assert rows[0][header.index("n_rails")] == rails
+        assert float(rows[0][header.index("p_vertex")]) == 0.0
 
     def test_bad_rails_refused_before_the_first_row(self, capsys):
         # the first row's Monte Carlo alone would hold 100 MB of shot columns
@@ -734,8 +770,8 @@ def test_help_names_every_flag(capsys, command):
 #: seeded draws, closed-form path factors (``plan`` on a grid), CPHASE as
 #: sparse-adjacency sums in a fixed order (no BLAS) and, for ``verify``,
 #: ``einsum`` sums of the grid and LAPACK ``eigvalsh``, with BLAS products on
-#: matrices of at most 16x16, too small to be split across threads, so no
-#: BLAS thread count changes them.  1500 shots cross the first block edge.
+#: matrices of at most 28x28 (c07's seven copies of four modes), too small to
+#: be split across threads, so no BLAS thread count changes them.  1500 shots cross the first block edge.
 #: A change to any of them is a deliberate output change, to be recorded
 #: with its new digest.
 _PINNED_DIGESTS = [
@@ -757,9 +793,9 @@ _PINNED_DIGESTS = [
     (["plan", "--graph", "grid2d:3x3", "--format", "csv"],
      "707cdbafc78ace3e8a9f9d325704231cfdd40ad1f28ed150304ffa927a1f3d56"),
     (["verify", "--seed", "0"],
-     "04a05e094187de6863e20766c794d99d92329c39c01439aedcb5a0ceb97ce579"),
+     "5e6ff01307b0b21a778922d1a4d8ac17862b75dd7ae2e1c6b7a635f2eb8c084c"),
     (["verify", "--seed", "0", "--format", "json"],
-     "b34c9009b22fc99c959ed88363ea48014b9491285fa6b2c149277989d909c0f3"),
+     "8e60099aa55eec686ec0465836e9de86e630e6fa56e267fe8c220fc668605481"),
     # no shot keeps all 100 qubits, so mean_kept_fidelity is NaN, written as null
     (["download", "--graph", "grid2d:10x10", "--format", "json"],
      "ff035e5d58666993650fba05a92f376e1cd8c49a145fcc0eae38e13c9f9307b5"),

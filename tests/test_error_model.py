@@ -269,12 +269,15 @@ class TestDeletionProbability:
 
     def test_import_leaves_the_quadrature_modules_unloaded(self):
         # only the quadrature oracle uses scipy.integrate, which loads
-        # scipy.optimize too: a fresh interpreter shows what importing costs
+        # scipy.optimize too, and only the dB inversion and the A^2 spectrum
+        # use scipy.special and scipy.sparse.csgraph: a fresh interpreter
+        # shows what importing costs
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = ("import sys, cvdownload; "
-                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special',"
+                 " 'scipy.sparse.csgraph') if m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                 text=True)
         assert result.returncode == 0, result.stderr[-2000:]
@@ -361,6 +364,11 @@ class TestRails:
 
     def test_zero_loss(self):
         assert vertex_disconnect_prob(0.0, 3) == 0.0
+
+    @pytest.mark.parametrize("p, limit", [(0.0, 0.0), (0.3, 0.0), (1.0, 1.0)])
+    def test_rails_beyond_the_float_range(self, p, limit):
+        # 10**400 cannot convert to a float; the power's limit is exact
+        assert vertex_disconnect_prob(p, 10**400) == limit
 
     def test_validation(self):
         with pytest.raises(ValueError):

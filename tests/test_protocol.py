@@ -222,9 +222,9 @@ class TestDirectState:
         with pytest.raises(ValueError, match="DIRECT_PHASE_SCALE_MAX"):
             downloaded_state_direct(params, np.array([1e300, -1e300]))
 
-    def test_battery_outcomes_stay_far_inside(self):
-        # the densest graphs and widest sources that the verify battery
-        # (K4, r0 = 2.8) and the oracle benchmark (K8, r0 = 2.05) use:
+    def test_sampled_outcomes_stay_far_inside(self):
+        # the densest graph and widest source of sampled outcomes in the
+        # oracle benchmark (K8, r0 = 2.05), and K4 at r = nbar = 2 (r0 = 2.8):
         # 10^5 draws each stay below a quarter of the bound
         for n, r, nbar in ((4, 2.0, 2.0), (8, 1.5, 1.0)):
             r0 = _params(path_graph(1), r, nbar).mixture()[0]
