@@ -563,6 +563,23 @@ class TestLinearized:
         lin = linearized_plan(g, noise)
         assert abs(lin.nbar_eff - exact.nbar_eff) < 1e-5
 
+    def test_quadratic_convergence(self):
+        # first-order recipe: the residual against plan() must fall off
+        # as eps^2; fit the slope per quantity over two decades
+        g = complete_graph(3)
+        eps_grid = (1e-2, 1e-3, 1e-4)
+        errors = {"e2r": [], "nbar": [], "g": []}
+        for eps in eps_grid:
+            noise = NoiseParams(eps, eps, 1.0)
+            exact = plan(g, noise)
+            lin = linearized_plan(g, noise)
+            errors["e2r"].append(abs(lin.e2r_eff - math.exp(2 * exact.r_eff)))
+            errors["nbar"].append(abs(lin.nbar_eff - exact.nbar_eff))
+            errors["g"].append(abs(lin.g_prime - exact.g_prime))
+        for name, errs in errors.items():
+            slope = math.log10(errs[0] / errs[-1]) / 2.0
+            assert slope >= 1.8, (name, errs)
+
     def test_refuses_r_prime_where_e4rp_overflows(self):
         with pytest.raises(ValueError, match=r"float max / \(2 \(1 \+ D\)\)"):
             linearized_plan(path_graph(3), NoiseParams(0.0, 0.01, 200.0))

@@ -222,7 +222,7 @@ class TestDirectState:
         with pytest.raises(ValueError, match="DIRECT_PHASE_SCALE_MAX"):
             downloaded_state_direct(params, np.array([1e300, -1e300]))
 
-    def test_sampled_outcomes_stay_far_inside(self):
+    def test_battery_outcomes_stay_far_inside(self):
         # the densest graph and widest source of sampled outcomes in the
         # oracle benchmark (K8, r0 = 2.05), and K4 at r = nbar = 2 (r0 = 2.8):
         # 10^5 draws each stay below a quarter of the bound

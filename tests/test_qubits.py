@@ -9,7 +9,7 @@ from conftest import assert_refused_before_allocating, non_integers, small_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvdownload.graphs import Graph, cycle_graph, path_graph, random_graph
+from cvdownload.graphs import Graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from cvdownload.qubits import (
     QubitDensityMatrix,
     _bit,
@@ -343,6 +343,13 @@ class TestClusterStates:
 
 
 class TestStabilizers:
+    def test_cluster_states_are_fixed_points(self):
+        families = [path_graph(5), cycle_graph(6), star_graph(7), complete_graph(4)]
+        for g in families:
+            psi = cluster_state(g)
+            for vertex in range(g.n):
+                assert stabilizer_residual(psi, g, vertex) < 1e-12
+
     def test_all_zeros_residual_sqrt2(self):
         g = Graph(3, ())
         psi = QubitPureState(3, np.eye(1, 8, 0)[0])
@@ -590,6 +597,14 @@ class TestPostprocessing:
         mu = rng.uniform(-0.5, 0.5, size=3) * SQRT_PI / 2.0
         dev = postprocessing_equivalence(g, np.array([1, 0, 0]), mu)
         assert dev < 1e-10
+
+    def test_random_cases(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(1, 7))
+            g = random_graph(n, 0.5, rng)
+            l = rng.integers(0, 2, size=n)
+            mu = rng.uniform(-0.49, 0.49, size=n) * SQRT_PI
+            assert postprocessing_equivalence(g, l, mu) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(non_integers)
